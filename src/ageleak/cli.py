@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from .age import ddad_age, fcfs_age, lcfs_age, mbt_age, rad_age
-from .errors import AgeLeakError, ConvergenceFailure
+from .errors import AgeLeakError, ConvergenceFailure, InvalidConfig
 from .leakage import (
     leakage_time,
     rad_leakage_bits,
@@ -22,6 +22,7 @@ from .leakage import (
 )
 from .optimize import ddad_policy, dinkelbach_certify, greedy_smp_pmf, optimal_alpha_for_fcfs
 from .oracle import brute_force_maxl
+from .pmf import is_smp
 from .policy import policy_from_config
 from .sim import load_scenario, simulate
 from .sources import BernoulliSource, MarkovSource
@@ -69,12 +70,18 @@ def _cmd_age(args):
     return 0
 
 
+def _smp_params(policy):
+    """(s1, beta) of a coupled policy; the SMP forms are refused for other pmfs."""
+    smp, s_min = is_smp(policy.pmf)
+    if not smp:
+        raise InvalidConfig("service pmf is not shortest-most-probable; the SMP form does not apply")
+    return s_min, policy.pmf.prob(s_min)
+
+
 def _cmd_leakage(args):
     policy = policy_from_config(_policy_spec(args))
     if policy.coupled:
-        s_min = policy.pmf.s_min
-        beta = policy.pmf.prob(s_min)
-        result = smp_leakage_bits(args.n, s_min, beta)
+        result = smp_leakage_bits(args.n, *_smp_params(policy))
     else:
         result = rad_leakage_bits(args.n, policy.pmf)
     _emit(args, [f"bits {result.bits!r}", f"per_slot {result.bits / max(result.n, 1)!r}"])
@@ -84,8 +91,7 @@ def _cmd_leakage(args):
 def _cmd_rate(args):
     policy = policy_from_config(_policy_spec(args))
     if policy.coupled:
-        s_min = policy.pmf.s_min
-        beta = policy.pmf.prob(s_min)
+        s_min, beta = _smp_params(policy)
         bounds = smp_rate_bounds(s_min, beta)
         if s_min == 1:
             lines = [f"rate {bounds.upper!r}", f"leak_time {leakage_time(bounds.upper)!r}"]
@@ -184,15 +190,13 @@ def _cmd_oracle(args):
     policy = policy_from_config(_policy_spec(args))
     result = brute_force_maxl(policy, args.n)
     lines = [f"bits {result.bits!r}"]
-    if policy.coupled:
-        s_min = policy.pmf.s_min
-        closed = smp_leakage_bits(args.n, s_min, policy.pmf.prob(s_min))
-        lines.append(f"closed_form {closed.bits!r}")
-        lines.append(f"gap {abs(closed.bits - result.bits)!r}")
-    else:
-        rec = rad_leakage_bits(args.n, policy.pmf)
-        lines.append(f"recursion {rec.bits!r}")
-        lines.append(f"gap {abs(rec.bits - result.bits)!r}")
+    ref = None
+    if not policy.coupled:
+        ref = ("recursion", rad_leakage_bits(args.n, policy.pmf).bits)
+    elif is_smp(policy.pmf)[0]:  # a coupled pmf that is not SMP has no closed form
+        ref = ("closed_form", smp_leakage_bits(args.n, *_smp_params(policy)).bits)
+    if ref:
+        lines += [f"{ref[0]} {ref[1]!r}", f"gap {abs(ref[1] - result.bits)!r}"]
     _emit(args, lines)
     return 0
 

@@ -2,7 +2,8 @@
 
 from dataclasses import dataclass
 
-from .errors import InvalidConfig, InvalidLambda
+from .errors import InvalidConfig, InvalidLambda, InvalidTau
+from .leakage import _check_int, _uniform_width
 from .pmf import FinitePmf, deterministic_pmf, geometric_pmf, make_pmf, uniform_pmf
 
 COUPLED_KINDS = ("lcfs", "fcfs")
@@ -49,7 +50,7 @@ class Policy:
 
     @classmethod
     def dad(cls, tau):
-        return cls("rad", deterministic_pmf(tau))
+        return cls("rad", deterministic_pmf(_check_int(tau, 1, "dump period", InvalidTau)))
 
 
 def policy_from_config(spec: dict) -> Policy:
@@ -89,11 +90,9 @@ def policy_from_config(spec: dict) -> Policy:
     if kind == "rad-geo":
         return Policy("rad", geometric_pmf(_tau_to_mu()))
     if kind == "dad":
-        return Policy.dad(int(spec["tau"]))
+        return Policy.dad(float(spec["tau"]))
     if kind == "rad-uniform":
-        tau = float(spec["tau"])
-        k = round(2.0 * tau - 1.0)
-        return Policy("rad", uniform_pmf(k))
+        return Policy("rad", uniform_pmf(_uniform_width(float(spec["tau"]))))
     if kind == "ddad":
         from .optimize import ddad_policy
 

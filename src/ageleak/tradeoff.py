@@ -121,8 +121,7 @@ def _analytic_point(family, param, lam):
     if family == "rad-geo":
         return geometric_rad_rate(param), 1.0 / lam + param, Policy.rad(geometric_pmf(1.0 / param))
     if family == "dad":
-        tau = int(param)
-        return dad_rate(tau), 1.0 / lam + (tau + 1.0) / 2.0, Policy.dad(tau)
+        return dad_rate(param), 1.0 / lam + (param + 1.0) / 2.0, Policy.dad(param)
     if family == "rad-uniform":
         rate = uniform_rad_rate(param)
         k = round(2.0 * param - 1.0)

@@ -161,3 +161,30 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0
     assert "delta 5.0" in path.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("leakage", "--policy", "lcfs", "--pmf", '{"entries": [[1, 0.2], [2, 0.8]]}', "--n", "10"),
+        ("rate", "--policy", "fcfs", "--pmf", '{"entries": [[1, 0.2], [2, 0.8]]}'),
+        ("leakage", "--policy", "dad", "--tau", "5", "--n", "-1"),
+        ("leakage", "--policy", "dad", "--tau", "2.5", "--n", "10"),
+        ("rate", "--policy", "rad-uniform", "--tau", "2.3"),
+        ("sweep", "--policy", "dad", "--grid", "2.5"),
+    ],
+)
+def test_refused_inputs_exit_2(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_oracle_non_smp_coupled_reports_no_closed_form(capsys):
+    pmf = '{"entries": [[1, 0.2], [2, 0.8]]}'
+    code, out = run(capsys, "oracle", "--policy", "lcfs", "--pmf", pmf, "--n", "10")
+    assert code == 0
+    assert float(value_of(out, "bits")) == pytest.approx(6.29, abs=0.01)
+    assert "closed_form" not in out and "gap" not in out

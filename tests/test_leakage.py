@@ -1,8 +1,11 @@
+import logging
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ageleak import (
     dad_leakage_bits,
@@ -18,7 +21,11 @@ from ageleak import (
     uniform_pmf,
     uniform_rad_rate,
 )
-from ageleak.errors import InvalidBeta, NonHalfIntegerTau, ZeroRate
+from ageleak import leakage
+from ageleak.errors import ConvergenceFailure, InvalidBeta, InvalidConfig, NonHalfIntegerTau, ZeroRate
+
+#: Horizons on either side of the recurrence kernel's block edges.
+BLOCK_EDGES = (leakage._BLOCK - 1, leakage._BLOCK, leakage._BLOCK + 1, 2 * leakage._BLOCK + 1)
 
 
 def exact_smp_bits(n, s1, beta):
@@ -203,3 +210,64 @@ def test_leakage_time():
     assert leakage_time(0.2) == 5.0
     with pytest.raises(ZeroRate):
         leakage_time(0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 20), min_size=1, max_size=6).filter(any),
+    n=st.integers(0, 60),
+)
+def test_kernel_rad_matches_exact_rational_recursion(weights, n):
+    total = sum(weights)
+    entries = [(d, w / total) for d, w in enumerate(weights, start=1) if w]
+    got = rad_leakage_bits(n, make_pmf(entries)).bits
+    assert got == pytest.approx(exact_rad_bits(entries, n), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 600), s1=st.integers(1, 4), beta=st.floats(0.01, 1.0))
+def test_kernel_smp_matches_exact_binomial_sum(n, s1, beta):
+    got = smp_leakage_bits(n, s1, beta).bits
+    assert got == pytest.approx(exact_smp_bits(n, s1, beta), abs=1e-11)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_kernel_block_edges(n):
+    geo = geometric_pmf(0.01)
+    assert geo.d_max > leakage._BLOCK  # the history spans several blocks
+    assert rad_leakage_bits(n, geo).bits == pytest.approx(n * math.log2(1.01), abs=1e-9)
+    entries = uniform_pmf(3).entries
+    assert rad_leakage_bits(n, uniform_pmf(3)).bits == pytest.approx(
+        exact_rad_bits(entries, n), abs=1e-9
+    )
+
+
+def test_kernel_is_exact_on_powers_of_two():
+    assert rad_leakage_bits(10**6, deterministic_pmf(5)).bits == 200000.0
+
+
+def test_invalid_horizon_and_service_time_are_typed():
+    with pytest.raises(InvalidConfig):
+        smp_leakage_bits(-1, 1, 0.5)
+    with pytest.raises(InvalidConfig):
+        rad_leakage_bits(-1, uniform_pmf(2))
+    with pytest.raises(InvalidConfig):
+        dad_leakage_bits(-1, 3)
+    with pytest.raises(InvalidConfig):
+        smp_leakage_bits(5, 0, 0.5)
+    with pytest.raises(InvalidConfig):
+        smp_rate_bounds(0, 0.5)
+
+
+def test_rad_rate_newton_iteration_cap(monkeypatch):
+    monkeypatch.setattr(leakage, "ROOT_MAX_ITER", 2)
+    with pytest.raises(ConvergenceFailure):
+        rad_rate(geometric_pmf(0.003))
+
+
+def test_kernel_and_root_report_counters_at_debug(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ageleak.leakage"):
+        rad_rate(geometric_pmf(0.003))
+        rad_leakage_bits(2 * leakage._BLOCK + 1, uniform_pmf(3))
+    assert "Newton steps, final residual" in caplog.text
+    assert "3 blocks, 3 rescales" in caplog.text

@@ -11,10 +11,13 @@ from ageleak import (
     dominance_check,
     efficiency,
     read_csv,
+    policy_from_config,
     sweep,
     write_csv,
 )
-from ageleak.errors import BaselinePoint, NoOverlap, TooFewPoints, Unstable
+from ageleak.errors import (
+    BaselinePoint, InvalidTau, NonHalfIntegerTau, NoOverlap, TooFewPoints, Unstable,
+)
 
 
 def dad_point(tau, lam=0.5):
@@ -70,6 +73,16 @@ def test_sweep_dad_eta_exactly_two():
     assert len(points) == 25
     assert points[0].eta is None  # tau = 1 is the baseline
     assert all(p.eta == 2.0 for p in points[1:])
+
+
+def test_fractional_dump_parameters_are_refused_not_rounded():
+    with pytest.raises(InvalidTau):
+        sweep(SweepSpec("dad", (2.0, 2.5), lam=0.5))
+    with pytest.raises(InvalidTau):
+        policy_from_config({"kind": "dad", "tau": 2.5})
+    with pytest.raises(NonHalfIntegerTau):
+        policy_from_config({"kind": "rad-uniform", "tau": 2.3})
+    assert policy_from_config({"kind": "rad-uniform", "tau": 2.5}).pmf.d_max == 4
 
 
 def test_sweep_ddad_interpolates_dad_points():
