@@ -8,29 +8,18 @@ two-state Markov sources.
 
 from .age import (
     AgeResult,
-    bernoulli_interarrival_moments,
-    ddad_age,
     fcfs_age,
     lcfs_age,
-    markov_monitor_age,
     markov_source_age,
-    mbt_age,
     rad_age,
-    renewal_sampling_age,
 )
 from .errors import AgeLeakError
 from .leakage import (
     LeakageResult,
-    RateBounds,
-    dad_leakage_bits,
-    dad_rate,
-    geometric_rad_rate,
     leakage_time,
     rad_leakage_bits,
     rad_rate,
     smp_leakage_bits,
-    smp_rate_bounds,
-    uniform_rad_rate,
 )
 from .optimize import (
     DinkelbachCertificate,
@@ -53,7 +42,7 @@ from .pmf import (
     uniform_pmf,
 )
 from .policy import Policy, policy_from_config
-from .sim import SimConfig, SimStats, empirical_source_age, load_scenario, simulate, simulate_markov
+from .sim import SimConfig, SimStats, empirical_source_age, load_scenario, simulate
 from .sources import BernoulliSource, MarkovSource
 from .tradeoff import (
     SweepSpec,
@@ -80,18 +69,13 @@ __all__ = [
     "MarkovSource",
     "Moments",
     "Policy",
-    "RateBounds",
     "SimConfig",
     "SimStats",
     "SweepSpec",
     "TradeoffPoint",
     "asymptotic_slope",
-    "bernoulli_interarrival_moments",
     "brute_force_maxl",
     "channel_table",
-    "dad_leakage_bits",
-    "dad_rate",
-    "ddad_age",
     "ddad_policy",
     "deterministic_pmf",
     "dinkelbach_certify",
@@ -101,16 +85,13 @@ __all__ = [
     "enumerate_channel",
     "fcfs_age",
     "geometric_pmf",
-    "geometric_rad_rate",
     "greedy_smp_pmf",
     "is_smp",
     "lcfs_age",
     "leakage_time",
     "load_scenario",
     "make_pmf",
-    "markov_monitor_age",
     "markov_source_age",
-    "mbt_age",
     "optimal_alpha_for_fcfs",
     "pmf_moments",
     "policy_from_config",
@@ -118,14 +99,10 @@ __all__ = [
     "rad_leakage_bits",
     "rad_rate",
     "read_csv",
-    "renewal_sampling_age",
     "simulate",
-    "simulate_markov",
     "smp_leakage_bits",
-    "smp_rate_bounds",
     "sweep",
     "uniform_pmf",
-    "uniform_rad_rate",
     "verify_ml_input",
     "verify_two_point_optimality",
     "write_csv",

@@ -1,4 +1,4 @@
-"""Closed-form average age of information for every supported policy.
+"""Closed-form average age of information for the three server kinds.
 
 Slot conventions: an update generated in slot t-1 arrives at the server at
 the beginning of slot t; a delivery at the end of slot d of an update with
@@ -10,8 +10,8 @@ Bernoulli(lambda) source.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidLambda, InvalidTau, Unstable
-from .pmf import FinitePmf, Moments, pmf_moments
+from .errors import InvalidLambda, Unstable
+from .pmf import FinitePmf, pmf_moments
 from .sources import MarkovSource
 
 
@@ -77,43 +77,11 @@ def fcfs_age(lam, service_pmf: FinitePmf, alpha=1.0) -> AgeResult:
     return AgeResult(delta)
 
 
-def mbt_age(alpha, mu, lam) -> AgeResult:
-    """Memoryless-with-Bernoulli-thinning age (geometric service, FCFS).
-
-    1/(alpha lam) + 1/mu + alpha^2 lam^2 (1-mu) / (mu^2 (mu - alpha lam)).
-    Raises :class:`Unstable` when mu <= alpha*lam.
-    """
-    _check_lambda(lam)
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidLambda(f"admission probability {alpha!r} outside (0, 1]")
-    if not 0.0 < mu <= 1.0:
-        raise InvalidLambda(f"service rate {mu!r} outside (0, 1]")
-    rate = alpha * lam
-    if mu <= rate:
-        raise Unstable(f"service rate {mu!r} <= effective arrival rate {rate!r}")
-    delta = 1.0 / rate + 1.0 / mu + rate * rate * (1.0 - mu) / (mu * mu * (mu - rate))
-    return AgeResult(delta)
-
-
 def rad_age(lam, dump_pmf: FinitePmf) -> AgeResult:
     """Accumulate-and-dump age: 1/lam + E[D^2]/(2 E[D]) + 1/2."""
     _check_lambda(lam)
     m = pmf_moments(dump_pmf)
     return AgeResult(1.0 / lam + m.second_moment / (2.0 * m.mean) + 0.5)
-
-
-def ddad_age(lam, tau) -> AgeResult:
-    """Dithering-DAD age at mean dump period ``tau``.
-
-    1/lam + tau/2 + p_i p_j / (2 tau) + 1/2 with p_j = tau - floor(tau);
-    integer tau reduces to the deterministic dump policy.
-    """
-    _check_lambda(lam)
-    if tau < 1.0:
-        raise InvalidTau(f"mean dump period {tau!r} is below one slot")
-    p_j = tau - math.floor(tau)
-    p_i = 1.0 - p_j
-    return AgeResult(1.0 / lam + tau / 2.0 + p_i * p_j / (2.0 * tau) + 0.5)
 
 
 def markov_source_age(src: MarkovSource) -> AgeResult:
@@ -123,37 +91,3 @@ def markov_source_age(src: MarkovSource) -> AgeResult:
     Bernoulli-equivalent (p01 = lambda, p10 = 1 - lambda).
     """
     return AgeResult(1.0 + src.p10 / (src.p01 * (src.p01 + src.p10)))
-
-
-def markov_monitor_age(src: MarkovSource, sampling_pmf: FinitePmf) -> AgeResult:
-    """Monitor age under a Markov source sampled by an independent timer.
-
-    The monitor age decomposes as source age plus sampling age
-    E[D^2]/(2 E[D]) + 1/2 of the inter-dump (or, for the functionally
-    equivalent geometric LCFS, inter-service) pmf.
-    """
-    m = pmf_moments(sampling_pmf)
-    z_m = m.second_moment / (2.0 * m.mean) + 0.5
-    return AgeResult(markov_source_age(src).delta + z_m)
-
-
-def renewal_sampling_age(interarrival: Moments, interdump: Moments) -> AgeResult:
-    """General two-renewal sampling age.
-
-    E[B^2]/(2 E[B]) + E[D^2]/(2 E[D]) + 1 for interarrival moments B and
-    inter-dump moments D; every decoupled-policy age above is an instance.
-    """
-    delta = (
-        interarrival.second_moment / (2.0 * interarrival.mean)
-        + interdump.second_moment / (2.0 * interdump.mean)
-        + 1.0
-    )
-    return AgeResult(delta)
-
-
-def bernoulli_interarrival_moments(lam) -> Moments:
-    """Moments of Bernoulli(lam) interarrival times: mean 1/lam, E[B^2]=(2-lam)/lam^2."""
-    _check_lambda(lam)
-    mean = 1.0 / lam
-    second = (2.0 - lam) / (lam * lam)
-    return Moments(mean=mean, second_moment=second, variance=second - mean * mean)

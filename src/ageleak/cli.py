@@ -7,46 +7,46 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .age import ddad_age, fcfs_age, lcfs_age, mbt_age, rad_age
 from .errors import AgeLeakError, ConvergenceFailure, InvalidConfig
-from .leakage import (
-    leakage_time,
-    rad_leakage_bits,
-    rad_rate,
-    smp_leakage_bits,
-    smp_rate_bounds,
-)
-from .optimize import ddad_policy, dinkelbach_certify, greedy_smp_pmf, optimal_alpha_for_fcfs
+from .leakage import leakage_time
+from .optimize import ddad_policy, dinkelbach_certify, optimal_alpha_for_fcfs
 from .oracle import brute_force_maxl
 from .pmf import is_smp
-from .policy import policy_from_config
-from .sim import load_scenario, simulate
+from .policy import Policy, policy_from_config
+from .sim import SimConfig, load_scenario, simulate
 from .sources import BernoulliSource, MarkovSource
 from .tradeoff import SweepSpec, sweep, write_csv
 
 
-def _policy_spec(args):
-    """Assemble a policy config dict from CLI flags."""
-    spec = {"kind": args.policy}
-    for key in ("beta", "tau", "rate", "alpha", "mu"):
-        value = getattr(args, key, None)
+def _policy(args):
+    """The registry's policy for the CLI flags."""
+    spec = {"kind": args.policy, "alpha": args.alpha}
+    for key in ("beta", "tau", "rate", "mu"):
+        value = getattr(args, key)
         if value is not None:
             spec[key] = value
-    if getattr(args, "pmf", None) is not None:
-        spec["pmf"] = json.loads(args.pmf)
-    return spec
+    if args.pmf is not None:
+        try:
+            spec["pmf"] = json.loads(args.pmf)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"--pmf is not JSON: {exc}") from None
+    return policy_from_config(spec)
 
 
 def _parse_grid(text):
     """Either 'start:stop:step' or a comma-separated list."""
-    if ":" in text:
-        start, stop, step = (float(x) for x in text.split(":"))
-        return tuple(np.arange(start, stop + step / 2, step))
-    return tuple(float(x) for x in text.split(","))
+    try:
+        if ":" in text:
+            start, stop, step = (float(x) for x in text.split(":"))
+            return tuple(np.arange(start, stop + step / 2, step))
+        return tuple(float(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise InvalidConfig(f"--grid {text!r} is neither start:stop:step nor a comma list") from None
 
 
 def _emit(args, lines):
@@ -59,59 +59,32 @@ def _emit(args, lines):
 
 
 def _cmd_age(args):
-    policy = policy_from_config(_policy_spec(args))
-    if policy.kind == "lcfs":
-        delta = lcfs_age(args.lam, policy.pmf).delta
-    elif policy.kind == "fcfs":
-        delta = fcfs_age(args.lam, policy.pmf, policy.alpha).delta
-    else:
-        delta = rad_age(args.lam, policy.pmf).delta
-    _emit(args, [f"delta {delta!r}"])
+    _emit(args, [f"delta {_policy(args).mean_age(args.lam).delta!r}"])
     return 0
 
 
-def _smp_params(policy):
-    """(s1, beta) of a coupled policy; the SMP forms are refused for other pmfs."""
-    smp, s_min = is_smp(policy.pmf)
-    if not smp:
-        raise InvalidConfig("service pmf is not shortest-most-probable; the SMP form does not apply")
-    return s_min, policy.pmf.prob(s_min)
-
-
 def _cmd_leakage(args):
-    policy = policy_from_config(_policy_spec(args))
-    if policy.coupled:
-        result = smp_leakage_bits(args.n, *_smp_params(policy))
-    else:
-        result = rad_leakage_bits(args.n, policy.pmf)
+    result = _policy(args).leakage_bits(args.n)
     _emit(args, [f"bits {result.bits!r}", f"per_slot {result.bits / max(result.n, 1)!r}"])
     return 0
 
 
 def _cmd_rate(args):
-    policy = policy_from_config(_policy_spec(args))
-    if policy.coupled:
-        s_min, beta = _smp_params(policy)
-        bounds = smp_rate_bounds(s_min, beta)
-        if s_min == 1:
-            lines = [f"rate {bounds.upper!r}", f"leak_time {leakage_time(bounds.upper)!r}"]
-        else:
-            finite = smp_leakage_bits(args.n, s_min, beta)
-            lines = [
-                f"rate_lower {bounds.lower!r}",
-                f"rate_upper {bounds.upper!r}",
-                f"finite_n_ratio {finite.bits / finite.n!r} (n={finite.n})",
-            ]
-    else:
-        rate = rad_rate(policy.pmf)
-        lines = [f"rate {rate!r}", f"leak_time {leakage_time(rate)!r}"]
-    _emit(args, lines)
+    rate = _policy(args).rate()
+    _emit(args, [f"rate {rate!r}", f"leak_time {leakage_time(rate)!r}"])
     return 0
 
 
 def _cmd_optimize(args):
-    if args.policy == "ddad":
-        dither = ddad_policy(args.rate)
+    """The policy with its free choice made for the least age.
+
+    FCFS takes the age-optimal admission probability; a dump schedule is
+    replaced by the age-optimal dither at the same leakage rate, with its
+    certificate; LCFS has no free choice left.
+    """
+    policy = _policy(args)
+    if policy.kind == "rad":
+        dither = ddad_policy(policy.rate())
         cert = dinkelbach_certify(dither)
         _emit(
             args,
@@ -120,27 +93,20 @@ def _cmd_optimize(args):
                 f"p_i {dither.p_i!r}",
                 f"p_j {dither.p_j!r}",
                 f"mean_period {dither.mean!r}",
-                f"delta {ddad_age(args.lam, dither.mean).delta!r}",
+                f"delta {Policy.rad(dither.to_pmf()).mean_age(args.lam).delta!r}",
                 f"gamma_star {cert.gamma_star!r}",
                 f"sandwich_ok {cert.sandwich_ok}",
                 f"convexity_ok {cert.convexity_ok}",
             ],
         )
         return 0
-    if args.policy in ("lcfs-greedy", "fcfs-greedy"):
-        pmf = greedy_smp_pmf(args.beta)
-        if args.policy == "lcfs-greedy":
-            _emit(args, [f"pmf {pmf.to_json()}", f"delta {lcfs_age(args.lam, pmf).delta!r}"])
-            return 0
-        alpha, age = optimal_alpha_for_fcfs(args.lam, pmf)
-        _emit(args, [f"pmf {pmf.to_json()}", f"alpha {alpha!r}", f"delta {age.delta!r}"])
-        return 0
-    if args.policy == "mbt":
-        pmf = policy_from_config({"kind": "mbt", "mu": args.mu}).pmf
-        alpha, _ = optimal_alpha_for_fcfs(args.lam, pmf)
-        _emit(args, [f"alpha {alpha!r}", f"delta {mbt_age(alpha, args.mu, args.lam).delta!r}"])
-        return 0
-    raise AgeLeakError(f"optimize does not handle policy {args.policy!r}")
+    lines = [f"pmf {policy.pmf.to_json()}"]
+    if policy.kind == "fcfs":
+        alpha, _ = optimal_alpha_for_fcfs(args.lam, policy.pmf)
+        policy = replace(policy, alpha=alpha)
+        lines.append(f"alpha {alpha!r}")
+    _emit(args, lines + [f"delta {policy.mean_age(args.lam).delta!r}"])
+    return 0
 
 
 def _cmd_sweep(args):
@@ -165,14 +131,13 @@ def _cmd_simulate(args):
     if args.scenario:
         cfg = load_scenario(args.scenario)
     else:
-        from .sim import SimConfig
-
-        policy = policy_from_config(_policy_spec(args))
-        if args.p01 is not None or args.p10 is not None:
+        if (args.p01 is None) != (args.p10 is None):
+            raise InvalidConfig("a Markov source needs both --p01 and --p10")
+        if args.p01 is not None:
             source = MarkovSource(args.p01, args.p10)
         else:
             source = BernoulliSource(args.lam)
-        cfg = SimConfig(policy, source, horizon=args.slots, warmup=args.warmup, seed=args.seed)
+        cfg = SimConfig(_policy(args), source, horizon=args.slots, warmup=args.warmup, seed=args.seed)
     stats = simulate(cfg)
     _emit(
         args,
@@ -187,16 +152,12 @@ def _cmd_simulate(args):
 
 
 def _cmd_oracle(args):
-    policy = policy_from_config(_policy_spec(args))
+    policy = _policy(args)
     result = brute_force_maxl(policy, args.n)
     lines = [f"bits {result.bits!r}"]
-    ref = None
-    if not policy.coupled:
-        ref = ("recursion", rad_leakage_bits(args.n, policy.pmf).bits)
-    elif is_smp(policy.pmf)[0]:  # a coupled pmf that is not SMP has no closed form
-        ref = ("closed_form", smp_leakage_bits(args.n, *_smp_params(policy)).bits)
-    if ref:
-        lines += [f"{ref[0]} {ref[1]!r}", f"gap {abs(ref[1] - result.bits)!r}"]
+    if not policy.coupled or is_smp(policy.pmf)[0]:  # a coupled pmf that is not SMP has none
+        ref = policy.leakage_bits(args.n).bits
+        lines += [f"recursion {ref!r}", f"gap {abs(ref - result.bits)!r}"]
     _emit(args, lines)
     return 0
 
@@ -218,13 +179,13 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, n=False, sim=False):
-        p.add_argument("--policy", required=True, help="policy kind (see README)")
+    def add_common(p, n=False, sim=False, policy_required=True):
+        p.add_argument("--policy", required=policy_required, help="policy family (see README)")
         p.add_argument("--beta", type=float, help="top service probability g(1)")
         p.add_argument("--tau", type=float, help="mean service / dump period in slots")
         p.add_argument("--mu", type=float, help="geometric service rate")
         p.add_argument("--rate", type=float, help="target leakage rate, bits/slot")
-        p.add_argument("--alpha", type=float, help="FCFS admission probability")
+        p.add_argument("--alpha", type=float, default=1.0, help="FCFS admission probability")
         p.add_argument("--pmf", help='explicit pmf JSON: {"entries": [[d, p], ...]}')
         p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="source rate")
         if n:
@@ -237,10 +198,8 @@ def build_parser():
 
     add_common(sub.add_parser("age", help="closed-form average age"))
     add_common(sub.add_parser("leakage", help="finite-horizon leakage in bits"), n=True)
-    add_common(sub.add_parser("rate", help="asymptotic leakage rate and leakage time"), n=True)
-
-    p_opt = sub.add_parser("optimize", help="optimal policy construction")
-    add_common(p_opt)
+    add_common(sub.add_parser("rate", help="asymptotic leakage rate and leakage time"))
+    add_common(sub.add_parser("optimize", help="optimal policy construction"))
 
     p_sweep = sub.add_parser("sweep", help="trade-off curve as CSV")
     add_common(p_sweep, sim=True)
@@ -248,23 +207,12 @@ def build_parser():
     p_sweep.add_argument("--simulate", action="store_true", help="attach simulated ages")
 
     p_sim = sub.add_parser("simulate", help="run one slot simulation")
-    p_sim.add_argument("--scenario", help="JSON scenario file")
-    p_sim.add_argument("--policy", help="policy kind when no scenario file is given")
-    p_sim.add_argument("--beta", type=float)
-    p_sim.add_argument("--tau", type=float)
-    p_sim.add_argument("--mu", type=float)
-    p_sim.add_argument("--rate", type=float)
-    p_sim.add_argument("--alpha", type=float)
-    p_sim.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    p_sim.add_argument("--p01", type=float)
-    p_sim.add_argument("--p10", type=float)
-    p_sim.add_argument("--slots", type=int, default=1_000_000)
-    p_sim.add_argument("--warmup", type=int, default=10_000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out")
+    add_common(p_sim, sim=True, policy_required=False)
+    p_sim.add_argument("--scenario", help="JSON scenario file; replaces the policy and source flags")
+    p_sim.add_argument("--p01", type=float, help="Markov source: inactive-to-active probability")
+    p_sim.add_argument("--p10", type=float, help="Markov source: active-to-inactive probability")
 
-    p_oracle = sub.add_parser("oracle", help="brute-force maximal leakage at small n")
-    add_common(p_oracle, n=True)
+    add_common(sub.add_parser("oracle", help="brute-force maximal leakage at small n"), n=True)
 
     sub.add_parser("check", help="run the acceptance suite")
     return parser
@@ -289,7 +237,7 @@ def main(argv=None):
     except ConvergenceFailure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except AgeLeakError as exc:
+    except (AgeLeakError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -10,8 +10,8 @@ One kernel evaluates x in blocks (after Fiduccia, SIAM J. Comput. 1985):
 a correlation carries the last d_max values into a block and a convolution
 with the series of 1/(1 - c(z)) resolves the block itself.  Nothing
 subtracts, so nothing cancels, and an exact power-of-two rescale before
-each block keeps horizons of 10^6 slots finite.  The decoupled rate is
-log2 z0 with E[z0^-D] = 1/2, found by Newton's method on w = ln z.
+each block keeps horizons of 10^6 slots finite.  Both rates are log2 z0
+with sum_d c_d z0^-d = 1, found by Newton's method on w = ln z.
 """
 
 import logging
@@ -23,12 +23,12 @@ import numpy as np
 from .errors import (
     ConvergenceFailure, InvalidBeta, InvalidConfig, InvalidTau, NonHalfIntegerTau, ZeroRate,
 )
-from .pmf import FinitePmf, uniform_pmf
+from .pmf import FinitePmf
 
 _LN2 = math.log(2.0)
 _log = logging.getLogger(__name__)
 
-#: Newton budget and target residual on |E[z0^-D] - 1/2|.
+#: Newton budget and target residual on |sum_d (c_d / 2) z0^-d - 1/2|.
 ROOT_MAX_ITER = 100
 ROOT_RESIDUAL = 1e-12
 
@@ -50,18 +50,6 @@ class LeakageResult:
     def __post_init__(self):
         if self.bits < -1e-9 or self.bits > self.n + 1e-6:
             raise ValueError(f"leakage {self.bits!r} bits outside [0, n={self.n}]")
-
-
-@dataclass(frozen=True)
-class RateBounds:
-    """Lower/upper bounds on an asymptotic leakage rate, bits per slot."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lower <= self.upper <= 1.0 + 1e-12:
-            raise ValueError(f"bounds ({self.lower!r}, {self.upper!r}) are not ordered in [0, 1]")
 
 
 def _check_beta(beta):
@@ -119,6 +107,52 @@ def _log2_recurrence(c, f, n):
     return math.log2(hist[-1]) + shed
 
 
+def _smp_coefficients(s1, beta):
+    """(c, f) of a coupled server whose SMP service pmf has minimum s1 with mass beta."""
+    _check_beta(beta)
+    s1 = _check_int(s1, 1, "minimum service time")
+    c = np.zeros(s1 + 1)
+    c[1] = 1.0
+    c[s1] += beta
+    return c, np.zeros(0)
+
+
+def _rad_coefficients(dump_pmf: FinitePmf):
+    """(c, f) of a dump schedule: c_d = 2 g(d), f(t) = P(D > t)."""
+    mass = np.zeros(dump_pmf.d_max + 1)
+    mass[list(dump_pmf.durations)] = dump_pmf.probabilities
+    tail = np.cumsum(mass[::-1])[::-1]  # P(D >= t), summed from the top
+    return 2.0 * mass, tail[1:]
+
+
+def _root(c):
+    """log2 z0 for the root z0 >= 1 of sum_d c_d z0^-d = 1, with sum_d c_d <= 2.
+
+    A single nonzero c_d gives z0^d = c_d exactly.  Otherwise, on w = ln z,
+    phi(w) = sum_d (c_d / 2) exp(-d w) - 1/2 is convex and strictly
+    decreasing, with phi(0) >= 0 and phi(ln 2) <= 0 (every d >= 1).  Newton
+    steps from w = 0 therefore rise monotonically to the root without
+    passing it; the iterate is clamped to ln 2 against rounding.
+    """
+    d = np.flatnonzero(c)
+    if len(d) == 1:
+        return float(math.log2(c[d[0]]) / d[0])
+    p = c[d] / 2.0
+    w = 0.0
+    for step in range(1, ROOT_MAX_ITER + 1):
+        terms = p * np.exp(-d * w)
+        phi = terms.sum() - 0.5
+        w = min(w + phi / (d * terms).sum(), _LN2)
+        if abs(phi) <= ROOT_RESIDUAL:  # and the step just taken squares it
+            if _log.isEnabledFor(logging.DEBUG):
+                final = (p * np.exp(-d * w)).sum() - 0.5
+                _log.debug("rate root: %d Newton steps, final residual %.3g", step, final)
+            return float(w / _LN2)
+    raise ConvergenceFailure(
+        f"root of sum c_d z^-d = 1 not located to {ROOT_RESIDUAL} in {ROOT_MAX_ITER} Newton steps"
+    )
+
+
 def smp_leakage_bits(n, s1, beta) -> LeakageResult:
     """Finite-horizon leakage of a coupled server with an SMP service pmf.
 
@@ -128,34 +162,9 @@ def smp_leakage_bits(n, s1, beta) -> LeakageResult:
     a(n) = a(n-1) + beta * a(n-s1) = sum_k C(n - k(s1-1), k) beta^k.
     For s1 = 1 this collapses to n*log2(1 + beta).
     """
-    _check_beta(beta)
+    c, f = _smp_coefficients(s1, beta)
     n = _check_int(n, 0, "horizon")
-    s1 = _check_int(s1, 1, "minimum service time")
-    c = np.zeros(s1 + 1)
-    c[1] = 1.0
-    c[s1] += beta
-    return LeakageResult(_log2_recurrence(c, np.zeros(0), n), n)
-
-
-def smp_rate_bounds(s1, beta) -> RateBounds:
-    """Asymptotic-rate bounds (1/s1) log2(1+beta) <= rate <= log2(1+beta).
-
-    The bounds coincide exactly when s1 = 1.
-    """
-    _check_beta(beta)
-    s1 = _check_int(s1, 1, "minimum service time")
-    upper = math.log2(1.0 + beta)
-    return RateBounds(lower=upper / s1, upper=upper)
-
-
-def dad_leakage_bits(n, tau) -> LeakageResult:
-    """Exact finite-horizon leakage of the deterministic dump policy.
-
-    Each dump slot contributes one fully revealed bit: floor(n / tau).
-    """
-    tau = _check_int(tau, 1, "dump period", InvalidTau)
-    n = _check_int(n, 0, "horizon")
-    return LeakageResult(float(n // tau), n)
+    return LeakageResult(_log2_recurrence(c, f, n), n)
 
 
 def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
@@ -167,52 +176,12 @@ def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
         m(n) = 2 * sum_{d=1}^{n} g(d) m(n-d) + P(D > n),   m(0) = 1.
     """
     n = _check_int(n, 0, "horizon")
-    mass = np.zeros(dump_pmf.d_max + 1)
-    mass[list(dump_pmf.durations)] = dump_pmf.probabilities
-    tail = np.cumsum(mass[::-1])[::-1]  # P(D >= t), summed from the top
-    return LeakageResult(_log2_recurrence(2.0 * mass, tail[1:], n), n)
+    return LeakageResult(_log2_recurrence(*_rad_coefficients(dump_pmf), n), n)
 
 
 def rad_rate(dump_pmf: FinitePmf) -> float:
-    """Asymptotic leakage rate log2(z0) with E[z0^-D] = 1/2.
-
-    On w = ln z, phi(w) = E[exp(-D w)] - 1/2 is convex and strictly
-    decreasing, with phi(0) = 1/2 and phi(ln 2) <= 0 (durations are >= 1).
-    Newton steps from w = 0 therefore rise monotonically to the root
-    without passing it; the iterate is clamped to ln 2 against rounding.
-    """
-    d, p = np.array(dump_pmf.entries).T
-    if abs((p * np.exp2(-d)).sum() - 0.5) <= ROOT_RESIDUAL:
-        return 1.0  # zero-delay pmf: every duration is one slot
-    w = 0.0
-    for step in range(1, ROOT_MAX_ITER + 1):
-        terms = p * np.exp(-d * w)
-        phi = terms.sum() - 0.5
-        w = min(w + phi / (d * terms).sum(), _LN2)
-        if abs(phi) <= ROOT_RESIDUAL:  # and the step just taken squares it
-            if _log.isEnabledFor(logging.DEBUG):
-                final = (p * np.exp(-d * w)).sum() - 0.5
-                _log.debug("rad_rate: %d Newton steps, final residual %.3g", step, final)
-            return float(w / _LN2)
-    raise ConvergenceFailure(
-        f"root of E[z^-D]=1/2 not located to {ROOT_RESIDUAL} in {ROOT_MAX_ITER} Newton steps"
-    )
-
-
-def geometric_rad_rate(tau) -> float:
-    """Rate of geometric dumps with mean ``tau``: log2(1 + 1/tau)."""
-    if tau < 1.0:
-        raise InvalidTau(f"mean inter-dump time {tau!r} is below one slot")
-    return math.log2(1.0 + 1.0 / tau)
-
-
-def uniform_rad_rate(tau) -> float:
-    """Rate of uniform dumps on {1..2*tau-1} with mean ``tau``.
-
-    Solves (1 - z0^-(2 tau - 1)) / ((2 tau - 1)(z0 - 1)) = 1/2; ``tau`` must
-    be an integer or half-integer >= 1 so the support width is an integer.
-    """
-    return rad_rate(uniform_pmf(_uniform_width(tau)))
+    """Asymptotic leakage rate log2(z0) of a dump schedule, E[z0^-D] = 1/2."""
+    return _root(_rad_coefficients(dump_pmf)[0])
 
 
 def _uniform_width(tau):
@@ -231,23 +200,3 @@ def leakage_time(rate) -> float:
         raise ZeroRate(f"leakage rate {rate!r} is not positive")
     return 1.0 / rate
 
-
-def dad_rate(tau) -> float:
-    """Rate of the deterministic dump policy: 1/tau."""
-    return 1.0 / _check_int(tau, 1, "dump period", InvalidTau)
-
-
-__all__ = [
-    "LeakageResult",
-    "RateBounds",
-    "smp_leakage_bits",
-    "smp_rate_bounds",
-    "dad_leakage_bits",
-    "rad_leakage_bits",
-    "rad_rate",
-    "dad_rate",
-    "geometric_rad_rate",
-    "uniform_rad_rate",
-    "leakage_time",
-    "ROOT_RESIDUAL",
-]

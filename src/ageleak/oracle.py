@@ -149,7 +149,7 @@ def _check_horizon(n, cap):
     if n > cap:
         raise HorizonTooLarge(f"horizon {n} exceeds enumeration cap {cap}")
     if n < 0:
-        raise ValueError(f"horizon {n} is negative")
+        raise InvalidConfig(f"horizon {n} is negative")
 
 
 def enumerate_channel(policy: Policy, x_seq):

@@ -1,10 +1,26 @@
-"""Tagged server-policy descriptors shared by the oracle, simulator and CLI."""
+"""Server policies and the one registry of named policy families.
+
+A :class:`Policy` is a server discipline plus its duration pmf; its
+average age, finite-horizon leakage and leakage rate are its three methods,
+each choosing its formula from ``kind`` in one place.  Leakage and rate share
+one coefficient vector c: both come from x(t) = sum_d c_d x(t-d) + f(t), and
+the rate is log2 z0 with sum_d c_d z0^-d = 1.
+
+:data:`FAMILIES` maps every family name the CLI, the config files and the
+sweeps accept to the parameter it reads and the policy it builds.
+"""
 
 from dataclasses import dataclass
+from typing import Callable
 
+from .age import AgeResult, fcfs_age, lcfs_age, rad_age
 from .errors import InvalidConfig, InvalidLambda, InvalidTau
-from .leakage import _check_int, _uniform_width
-from .pmf import FinitePmf, deterministic_pmf, geometric_pmf, make_pmf, uniform_pmf
+from .leakage import (
+    LeakageResult, _check_int, _log2_recurrence, _rad_coefficients, _root, _smp_coefficients,
+    _uniform_width,
+)
+from .optimize import ddad_policy, greedy_smp_pmf
+from .pmf import FinitePmf, deterministic_pmf, geometric_pmf, is_smp, make_pmf, uniform_pmf
 
 COUPLED_KINDS = ("lcfs", "fcfs")
 KINDS = COUPLED_KINDS + ("rad",)
@@ -52,49 +68,117 @@ class Policy:
     def dad(cls, tau):
         return cls("rad", deterministic_pmf(_check_int(tau, 1, "dump period", InvalidTau)))
 
+    def mean_age(self, lam) -> AgeResult:
+        """Long-run average age at the monitor under a Bernoulli(lam) source."""
+        if self.kind == "lcfs":
+            return lcfs_age(lam, self.pmf)
+        if self.kind == "fcfs":
+            return fcfs_age(lam, self.pmf, self.alpha)
+        return rad_age(lam, self.pmf)
+
+    def _recurrence(self):
+        """(c, f) of the leakage recurrence x(t) = sum_d c_d x(t-d) + f(t)."""
+        if self.kind == "rad":
+            return _rad_coefficients(self.pmf)
+        smp, s_min = is_smp(self.pmf)
+        if not smp:
+            raise InvalidConfig("service pmf is not shortest-most-probable; the SMP form does not apply")
+        # Thinned FCFS keeps the unthinned coefficients: the admission lottery
+        # is presumed invisible to the timing adversary.  The exact oracle
+        # shows this is only an upper bound; ROADMAP.md item 4 replaces it.
+        return _smp_coefficients(s_min, self.pmf.prob(s_min))
+
+    def leakage_bits(self, n) -> LeakageResult:
+        """Maximal leakage over an n-slot horizon, in bits."""
+        n = _check_int(n, 0, "horizon")
+        return LeakageResult(_log2_recurrence(*self._recurrence(), n), n)
+
+    def rate(self) -> float:
+        """Asymptotic leakage rate in bits per slot."""
+        return _root(self._recurrence()[0])
+
+
+def _explicit(spec):
+    try:
+        entries = [(d, p) for d, p in spec["pmf"]["entries"]]
+    except (TypeError, ValueError):
+        raise InvalidConfig('an explicit pmf is {"entries": [[duration, probability], ...]}') from None
+    return make_pmf(entries)
+
+
+def _greedy(spec):
+    return greedy_smp_pmf(float(spec["beta"]))
+
+
+def _geometric(spec):
+    return geometric_pmf(float(spec["mu"]) if "mu" in spec else 1.0 / float(spec["tau"]))
+
+
+def _deterministic(spec):
+    return Policy.dad(float(spec["tau"])).pmf
+
+
+def _uniform(spec):
+    return uniform_pmf(_uniform_width(float(spec["tau"])))
+
+
+def _dither(spec):
+    return ddad_policy(float(spec["rate"])).to_pmf()
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named policy family.
+
+    ``param`` is the config key a sweep grid sets; ``pmf`` builds the
+    duration pmf from a config dict.  A ``thinned`` family's sweep picks the
+    age-optimal admission probability at each grid value.
+    """
+
+    kind: str
+    param: str
+    pmf: Callable
+    thinned: bool = False
+
+
+FAMILIES = {
+    "lcfs": Family("lcfs", "pmf", _explicit),
+    "fcfs": Family("fcfs", "pmf", _explicit),
+    "rad": Family("rad", "pmf", _explicit),
+    "lcfs-greedy": Family("lcfs", "beta", _greedy),
+    "fcfs-greedy": Family("fcfs", "beta", _greedy),
+    "fcfs-greedy-thinned": Family("fcfs", "beta", _greedy, thinned=True),
+    "lcfs-geo": Family("lcfs", "tau", _geometric),
+    "rad-geo": Family("rad", "tau", _geometric),
+    "mbt": Family("fcfs", "mu", _geometric, thinned=True),
+    "dad": Family("rad", "tau", _deterministic),
+    "rad-uniform": Family("rad", "tau", _uniform),
+    "ddad": Family("rad", "rate", _dither),
+}
+
+
+def family(name) -> Family:
+    """The registry entry for ``name``; :class:`InvalidConfig` if there is none."""
+    if name not in FAMILIES:
+        raise InvalidConfig(f"unknown policy kind {name!r}")
+    return FAMILIES[name]
+
 
 def policy_from_config(spec: dict) -> Policy:
     """Build a policy from a JSON-style dict.
 
-    Canonical form: {"kind": "lcfs"|"fcfs"|"rad", "pmf": {"entries": [...]},
-    "alpha": 1.0}.  Convenience kinds expand to canonical policies:
-    "lcfs-greedy"/"fcfs-greedy" (beta[, alpha]), "lcfs-geo"/"rad-geo"/"mbt"
-    (tau or mu[, alpha]), "dad" (tau), "rad-uniform" (tau), "ddad" (rate).
+    ``{"kind": name, <the family's parameter>: value, "alpha": 1.0}`` with
+    ``name`` any key of :data:`FAMILIES`: "lcfs"/"fcfs"/"rad" (pmf:
+    {"entries": [...]}), "lcfs-greedy"/"fcfs-greedy"/"fcfs-greedy-thinned"
+    (beta), "lcfs-geo"/"rad-geo" (tau, or mu), "mbt" (mu, or tau), "dad"
+    (tau), "rad-uniform" (tau), "ddad" (rate).  ``alpha`` other than 1 is
+    refused for every kind but FCFS.
     """
     if "kind" not in spec:
         raise InvalidConfig("policy config needs a 'kind'")
-    kind = spec["kind"]
-    alpha = float(spec.get("alpha", 1.0))
-
-    def _tau_to_mu():
-        if "mu" in spec:
-            return float(spec["mu"])
-        if "tau" in spec:
-            return 1.0 / float(spec["tau"])
-        raise InvalidConfig(f"policy {kind!r} needs 'tau' or 'mu'")
-
-    if kind in KINDS:
-        if "pmf" not in spec:
-            raise InvalidConfig(f"policy {kind!r} needs a 'pmf'")
-        pmf = make_pmf([(d, p) for d, p in spec["pmf"]["entries"]])
-        return Policy(kind, pmf, alpha)
-    if kind in ("lcfs-greedy", "fcfs-greedy"):
-        from .optimize import greedy_smp_pmf
-
-        pmf = greedy_smp_pmf(float(spec["beta"]))
-        return Policy(kind.split("-")[0], pmf, alpha)
-    if kind == "lcfs-geo":
-        return Policy("lcfs", geometric_pmf(_tau_to_mu()))
-    if kind == "mbt":
-        return Policy("fcfs", geometric_pmf(_tau_to_mu()), alpha)
-    if kind == "rad-geo":
-        return Policy("rad", geometric_pmf(_tau_to_mu()))
-    if kind == "dad":
-        return Policy.dad(float(spec["tau"]))
-    if kind == "rad-uniform":
-        return Policy("rad", uniform_pmf(_uniform_width(float(spec["tau"]))))
-    if kind == "ddad":
-        from .optimize import ddad_policy
-
-        return Policy("rad", ddad_policy(float(spec["rate"])).to_pmf())
-    raise InvalidConfig(f"unknown policy kind {kind!r}")
+    entry = family(spec["kind"])
+    try:
+        pmf = entry.pmf(spec)
+    except KeyError as missing:
+        raise InvalidConfig(f"policy {spec['kind']!r} needs {entry.param!r}; {missing} is missing") from None
+    return Policy(entry.kind, pmf, float(spec.get("alpha", 1.0)))

@@ -205,15 +205,19 @@ def _age_stats(delivery_slots, delivery_timestamps, horizon, warmup):
     slots = np.arange(warmup + 1, horizon + 1, dtype=np.int64)
     idx = np.searchsorted(delivery_slots, slots, side="left")
     timestamps = np.concatenate(([0], delivery_timestamps))
-    ages = (slots - timestamps[idx]).astype(np.float64)
-    mean = float(ages.mean())
+    return _batch_means((slots - timestamps[idx]).astype(np.float64))
+
+
+def _batch_means(ages):
+    """Mean of per-slot ages and its 95% batch-means CI half-width.
+
+    Fewer slots than batches leave the spread unknown: the half-width is inf.
+    """
     per_batch = len(ages) // BATCHES
-    if per_batch >= 1:
-        batch_means = ages[: per_batch * BATCHES].reshape(BATCHES, per_batch).mean(axis=1)
-        ci = float(_T_29 * batch_means.std(ddof=1) / math.sqrt(BATCHES))
-    else:
-        ci = math.inf
-    return mean, ci
+    if per_batch == 0:
+        return float(ages.mean()), math.inf
+    batch_means = ages[: per_batch * BATCHES].reshape(BATCHES, per_batch).mean(axis=1)
+    return float(ages.mean()), float(_T_29 * batch_means.std(ddof=1) / math.sqrt(BATCHES))
 
 
 def simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
@@ -241,13 +245,6 @@ def simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
     return SimStats(mean, ci, delivered, delivered / measured)
 
 
-def simulate_markov(cfg: SimConfig) -> SimStats:
-    """Policy simulation under a two-state Markov source."""
-    if not isinstance(cfg.source, MarkovSource):
-        raise InvalidConfig("simulate_markov needs a MarkovSource")
-    return simulate(cfg)
-
-
 def empirical_source_age(cfg: SimConfig, return_pmf=False):
     """Age of the raw update process at the server input, no policy.
 
@@ -261,10 +258,7 @@ def empirical_source_age(cfg: SimConfig, return_pmf=False):
     idx = np.searchsorted(arrivals, slots, side="right") - 1
     padded = np.concatenate(([0], arrivals))
     ages = (slots - padded[idx + 1] + 1).astype(np.float64)
-    mean = float(ages.mean())
-    per_batch = len(ages) // BATCHES
-    batch_means = ages[: per_batch * BATCHES].reshape(BATCHES, per_batch).mean(axis=1)
-    ci = float(_T_29 * batch_means.std(ddof=1) / math.sqrt(BATCHES))
+    mean, ci = _batch_means(ages)
     generated = int(np.count_nonzero(arrivals > cfg.warmup))
     stats = SimStats(mean, ci, generated, generated / (cfg.horizon - cfg.warmup))
     if not return_pmf:
@@ -291,7 +285,10 @@ def load_scenario(path) -> SimConfig:
     "warmup": n, "seed": n}.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"scenario file {path!r} is not JSON: {exc}") from None
     try:
         policy = policy_from_config(spec["policy"]) if spec.get("policy") else None
         source = _source_from_config(spec["source"])

@@ -14,26 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .age import ddad_age, fcfs_age, lcfs_age, mbt_age
 from .errors import BaselinePoint, InvalidConfig, NoOverlap, TooFewPoints
-from .leakage import dad_rate, geometric_rad_rate, leakage_time, uniform_rad_rate
-from .optimize import ddad_policy, greedy_smp_pmf, optimal_alpha_for_fcfs
-from .pmf import geometric_pmf, uniform_pmf
-from .policy import Policy
+from .leakage import leakage_time
+from .optimize import optimal_alpha_for_fcfs
+from .policy import family, policy_from_config
 from .sim import DEFAULT_WARMUP, SimConfig, simulate
 from .sources import BernoulliSource
-
-FAMILIES = (
-    "lcfs-greedy",
-    "lcfs-geo",
-    "rad-geo",
-    "fcfs-greedy",
-    "fcfs-greedy-thinned",
-    "mbt",
-    "dad",
-    "rad-uniform",
-    "ddad",
-)
 
 CSV_COLUMNS = (
     "policy_tag",
@@ -67,12 +53,13 @@ class TradeoffPoint:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A parameter sweep over one policy family.
+    """A parameter sweep over one policy family of the registry.
 
-    ``grid`` holds the family's parameter values (beta for greedy families,
-    mean period tau for geometric/uniform/deterministic dumps, target rate
-    for the dithering schedule).  With ``simulate`` set, every point also
-    carries an empirical age from a seeded run.
+    ``grid`` holds values of the family's parameter (beta for greedy
+    families, mean period tau for lcfs-geo and the dump schedules, mu for
+    mbt, target rate for the dithering schedule).  Families with an explicit
+    pmf have no scalar parameter and cannot be swept.  With ``simulate``
+    set, every point also carries an empirical age from a seeded run.
     """
 
     family: str
@@ -84,8 +71,8 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidConfig(f"unknown sweep family {self.family!r}")
+        if family(self.family).param == "pmf":
+            raise InvalidConfig(f"family {self.family!r} has no scalar parameter to sweep")
         if len(self.grid) == 0:
             raise InvalidConfig("sweep grid is empty")
 
@@ -98,59 +85,31 @@ def efficiency(point: TradeoffPoint, lam) -> float:
     return (point.leak_time - 1.0) / (point.delta - baseline)
 
 
-def _analytic_point(family, param, lam):
-    """(rate, delta, policy) for one grid value of one family."""
-    if family == "lcfs-greedy":
-        pmf = greedy_smp_pmf(param)
-        return math.log2(1.0 + param), lcfs_age(lam, pmf).delta, Policy.lcfs(pmf)
-    if family == "fcfs-greedy":
-        pmf = greedy_smp_pmf(param)
-        return math.log2(1.0 + param), fcfs_age(lam, pmf).delta, Policy.fcfs(pmf)
-    if family == "fcfs-greedy-thinned":
-        # thinned FCFS is assigned the unthinned coupled leakage rate; the
-        # admission lottery is presumed invisible to the timing adversary
-        pmf = greedy_smp_pmf(param)
-        alpha, age = optimal_alpha_for_fcfs(lam, pmf)
-        return math.log2(1.0 + param), age.delta, Policy.fcfs(pmf, alpha)
-    if family == "mbt":
-        pmf = geometric_pmf(param)
-        alpha, _ = optimal_alpha_for_fcfs(lam, pmf)
-        return math.log2(1.0 + param), mbt_age(alpha, param, lam).delta, Policy.fcfs(pmf, alpha)
-    if family == "lcfs-geo":
-        return geometric_rad_rate(param), 1.0 / lam + param, Policy.lcfs(geometric_pmf(1.0 / param))
-    if family == "rad-geo":
-        return geometric_rad_rate(param), 1.0 / lam + param, Policy.rad(geometric_pmf(1.0 / param))
-    if family == "dad":
-        return dad_rate(param), 1.0 / lam + (param + 1.0) / 2.0, Policy.dad(param)
-    if family == "rad-uniform":
-        rate = uniform_rad_rate(param)
-        k = round(2.0 * param - 1.0)
-        return rate, 1.0 / lam + (2.0 * param + 1.0) / 3.0, Policy.rad(uniform_pmf(k))
-    if family == "ddad":
-        dither = ddad_policy(param)
-        return param, ddad_age(lam, dither.mean).delta, Policy.rad(dither.to_pmf())
-    raise InvalidConfig(f"unknown sweep family {family!r}")
-
-
 def sweep(spec: SweepSpec):
     """Evaluate a SweepSpec into trade-off points, in grid order.
 
-    Analytic errors from infeasible grid values (for example an unstable
-    unthinned FCFS load) propagate to the caller.  Simulation seeds are
-    split per point from the sweep seed, so sweeps are reproducible
-    regardless of evaluation order.
+    Each point is the registry's policy at the grid value, with its age and
+    rate from the policy's own methods; a thinned family takes the
+    age-optimal admission probability.  Analytic errors from infeasible grid
+    values (for example an unstable unthinned FCFS load) propagate to the
+    caller.  Simulation seeds are split per point from the sweep seed, so
+    sweeps are reproducible regardless of evaluation order.
     """
+    entry = family(spec.family)
     source = BernoulliSource(spec.lam)
     source_tag = f"bernoulli({spec.lam!r})"
     points = []
     for index, param in enumerate(spec.grid):
-        rate, delta, policy = _analytic_point(spec.family, param, spec.lam)
+        policy = policy_from_config({"kind": spec.family, entry.param: param})
+        if entry.thinned:
+            policy = replace(policy, alpha=optimal_alpha_for_fcfs(spec.lam, policy.pmf)[0])
+        rate = policy.rate()
         point = TradeoffPoint(
             policy_tag=spec.family,
             param=float(param),
             lam=spec.lam,
-            delta=float(delta),
-            rate_bits=float(rate),
+            delta=float(policy.mean_age(spec.lam).delta),
+            rate_bits=rate,
             leak_time=leakage_time(rate),
             eta=None,
             source=source_tag,

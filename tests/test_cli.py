@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from ageleak import read_csv
+from ageleak import SweepSpec, optimal_alpha_for_fcfs, policy_from_config, read_csv, sweep
 from ageleak.cli import main
+from ageleak.policy import FAMILIES
 
 
 def run(capsys, *argv):
@@ -56,15 +57,13 @@ def test_rate_coupled_exact_when_s1_is_one(capsys):
     assert float(value_of(out, "rate")) == pytest.approx(1.0)
 
 
-def test_rate_coupled_s1_above_one_reports_bounds(capsys):
-    code, out = run(
-        capsys, "rate", "--policy", "lcfs", "--pmf", '{"entries": [[2, 1.0]]}', "--n", "2000"
-    )
+def test_rate_coupled_s1_above_one_is_exact(capsys):
+    code, out = run(capsys, "rate", "--policy", "lcfs", "--pmf", '{"entries": [[2, 1.0]]}')
     assert code == 0
-    assert float(value_of(out, "rate_lower")) == pytest.approx(0.5)
-    assert float(value_of(out, "rate_upper")) == pytest.approx(1.0)
-    ratio = float(value_of(out, "finite_n_ratio").split()[0])
-    assert ratio == pytest.approx(0.694, abs=2e-3)
+    rate = float(value_of(out, "rate"))
+    assert rate == pytest.approx(math.log2((1.0 + math.sqrt(5.0)) / 2.0), abs=1e-12)
+    assert 0.5 < rate < 1.0  # inside the bracket (1/s1) log2(1+beta) <= rate <= log2(1+beta)
+    assert float(value_of(out, "leak_time")) == pytest.approx(1.0 / rate, abs=1e-12)
 
 
 def test_optimize_ddad(capsys):
@@ -172,6 +171,23 @@ def test_output_file(tmp_path, capsys):
         ("leakage", "--policy", "dad", "--tau", "2.5", "--n", "10"),
         ("rate", "--policy", "rad-uniform", "--tau", "2.3"),
         ("sweep", "--policy", "dad", "--grid", "2.5"),
+        ("age", "--policy", "dad"),
+        ("age", "--policy", "lcfs-greedy"),
+        ("optimize", "--policy", "mbt"),
+        ("simulate", "--policy", "dad", "--tau", "5", "--p01", "0.1"),
+        ("age", "--policy", "lcfs", "--pmf", "notjson"),
+        ("age", "--policy", "lcfs", "--pmf", "{}"),
+        ("age", "--policy", "lcfs-geo", "--tau", "5", "--alpha", "0.5"),
+        ("age", "--policy", "rad-geo", "--tau", "5", "--alpha", "0.5"),
+        ("age", "--policy", "dad", "--tau", "5", "--alpha", "0.5"),
+        ("age", "--policy", "rad-uniform", "--tau", "3", "--alpha", "0.5"),
+        ("age", "--policy", "ddad", "--rate", "0.4", "--alpha", "0.5"),
+        ("simulate", "--slots", "1000"),
+        ("sweep", "--policy", "lcfs", "--grid", "1"),
+        ("sweep", "--policy", "dad", "--grid", "1:5"),
+        ("sweep", "--policy", "dad", "--grid", "1:5:0"),
+        ("oracle", "--policy", "dad", "--tau", "2", "--n", "-1"),
+        ("simulate", "--scenario", "no-such-scenario.json"),
     ],
 )
 def test_refused_inputs_exit_2(capsys, argv):
@@ -188,3 +204,37 @@ def test_oracle_non_smp_coupled_reports_no_closed_form(capsys):
     assert code == 0
     assert float(value_of(out, "bits")) == pytest.approx(6.29, abs=0.01)
     assert "closed_form" not in out and "gap" not in out
+
+
+#: One grid value per registry family, and the flags that give the CLI the
+#: same policy; thinned families add the sweep's age-optimal alpha.
+FAMILY_CASES = [
+    ("lcfs-greedy", 0.37, "--beta"),
+    ("fcfs-greedy", 0.8, "--beta"),
+    ("fcfs-greedy-thinned", 0.3, "--beta"),
+    ("lcfs-geo", 4.0, "--tau"),
+    ("rad-geo", 4.0, "--tau"),
+    ("mbt", 0.4, "--mu"),
+    ("dad", 5.0, "--tau"),
+    ("rad-uniform", 2.5, "--tau"),
+    ("ddad", 0.4, "--rate"),
+]
+
+
+def test_family_cases_cover_the_registry():
+    swept = {name for name, entry in FAMILIES.items() if entry.param != "pmf"}
+    assert {name for name, _, _ in FAMILY_CASES} == swept
+
+
+@pytest.mark.parametrize("family,value,flag", FAMILY_CASES)
+def test_cli_and_sweep_agree_for_every_family(capsys, family, value, flag):
+    point = sweep(SweepSpec(family, (value,), lam=0.3))[0]
+    argv = ["--policy", family, flag, repr(value), "--lambda", "0.3"]
+    if FAMILIES[family].thinned:
+        pmf = policy_from_config({"kind": family, FAMILIES[family].param: value}).pmf
+        argv += ["--alpha", repr(optimal_alpha_for_fcfs(0.3, pmf)[0])]
+    _, out = run(capsys, "age", *argv)
+    assert float(value_of(out, "delta")) == point.delta
+    _, out = run(capsys, "rate", *argv)
+    assert float(value_of(out, "rate")) == point.rate_bits
+    assert float(value_of(out, "leak_time")) == point.leak_time

@@ -8,18 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ageleak import (
-    dad_leakage_bits,
+    Policy,
     deterministic_pmf,
     geometric_pmf,
-    geometric_rad_rate,
+    greedy_smp_pmf,
     leakage_time,
     make_pmf,
+    policy_from_config,
     rad_leakage_bits,
     rad_rate,
     smp_leakage_bits,
-    smp_rate_bounds,
     uniform_pmf,
-    uniform_rad_rate,
 )
 from ageleak import leakage
 from ageleak.errors import ConvergenceFailure, InvalidBeta, InvalidConfig, NonHalfIntegerTau, ZeroRate
@@ -47,6 +46,26 @@ def exact_rad_bits(entries, n):
         tail = max(Fraction(0), 1 - sum(p for d, p in probs.items() if d <= t))
         m.append(2 * sum(probs.get(d, Fraction(0)) * m[t - d] for d in range(1, min(t, d_max) + 1)) + tail)
     return math.log2(m[n])
+
+
+def smp_rate_bounds(s1, beta):
+    """Independent bracket (1/s1) log2(1+beta) <= coupled rate <= log2(1+beta)."""
+    upper = math.log2(1.0 + beta)
+    return upper / s1, upper
+
+
+def dad_bits(n, tau):
+    """Deterministic dumps reveal one full bit per dump: floor(n / tau)."""
+    return float(n // tau)
+
+
+def shifted_greedy(s1, beta):
+    """An SMP service pmf whose shortest, most probable duration is s1."""
+    return make_pmf([(d + s1 - 1, p) for d, p in greedy_smp_pmf(beta).entries])
+
+
+def family_rate(kind, **params):
+    return policy_from_config({"kind": kind, **params}).rate()
 
 
 def test_smp_leakage_fibonacci_value():
@@ -89,34 +108,55 @@ def test_fibonacci_counts_and_rate():
 
 
 def test_smp_rate_bounds():
-    b = smp_rate_bounds(1, 0.5)
-    assert b.lower == b.upper == pytest.approx(0.5849625007211562, abs=1e-12)
-    b = smp_rate_bounds(2, 1.0)
-    assert (b.lower, b.upper) == (0.5, 1.0)
-    # the true deterministic-two-slot rate lies strictly inside
+    lower, upper = smp_rate_bounds(1, 0.5)
+    assert lower == upper == Policy.lcfs(greedy_smp_pmf(0.5)).rate() == math.log2(1.5)
+    # the exact deterministic-two-slot rate log2(golden ratio) lies strictly inside
+    lower, upper = smp_rate_bounds(2, 1.0)
+    rate = Policy.lcfs(deterministic_pmf(2)).rate()
+    assert lower < rate < upper
+    assert rate == pytest.approx(math.log2((1.0 + math.sqrt(5.0)) / 2.0), abs=1e-12)
     ratio = smp_leakage_bits(10_000, 2, 1.0).bits / 10_000
-    assert b.lower < ratio < b.upper
-    assert ratio == pytest.approx(0.694, abs=1e-3)
-    b = smp_rate_bounds(3, 1e-9)
-    assert b.upper <= 2e-9
+    assert ratio == pytest.approx(rate, abs=1e-4)
 
 
 def test_finite_horizon_ratio_within_bounds():
     n = 1000
     for s1 in (1, 2, 3, 5):
         for beta in (0.2, 0.5, 0.9, 1.0):
-            bounds = smp_rate_bounds(s1, beta)
+            lower, upper = smp_rate_bounds(s1, beta)
             ratio = smp_leakage_bits(n, s1, beta).bits / n
             # 1e-9 slack on the lower side: at s1 = 1 the ratio equals the
             # bound exactly and only rounding separates them
-            assert bounds.lower - 1e-9 <= ratio <= bounds.upper + 1e-6
+            assert lower - 1e-9 <= ratio <= upper + 1e-6
+            rate = Policy.fcfs(shifted_greedy(s1, beta)).rate()
+            assert lower - 1e-15 <= rate <= upper + 1e-15
+
+
+def test_coupled_rate_is_the_root_of_the_smp_recurrence():
+    for s1 in (2, 3, 5):
+        for beta in (0.2, 0.5, 1.0):
+            rate = Policy.lcfs(shifted_greedy(s1, beta)).rate()
+            z0 = 2.0 ** rate  # z0^-1 + beta z0^-s1 = 1, half-scaled
+            assert abs(0.5 * (z0 ** -1 + beta * z0 ** -s1) - 0.5) <= 1e-12
+            # the finite-horizon leakage grows at that rate
+            n = 20_000
+            slope = smp_leakage_bits(n, s1, beta).bits - smp_leakage_bits(n // 2, s1, beta).bits
+            assert slope / (n - n // 2) == pytest.approx(rate, abs=1e-9)
+
+
+def test_rate_single_coefficient_is_exact():
+    for tau in range(1, 60):
+        assert Policy.dad(tau).rate() == 1.0 / tau
+    for beta in (0.1, 0.37, 0.5, 1.0):
+        assert Policy.lcfs(greedy_smp_pmf(beta)).rate() == math.log2(1.0 + beta)
+    assert Policy.rad(deterministic_pmf(1)).rate() == 1.0
+    assert Policy.lcfs(deterministic_pmf(1)).rate() == 1.0
 
 
 def test_dad_leakage():
-    assert dad_leakage_bits(10, 3).bits == 3.0
-    assert dad_leakage_bits(7, 7).bits == 1.0
-    assert dad_leakage_bits(10, 1).bits == 10.0
-    assert dad_leakage_bits(0, 4).bits == 0.0
+    for n, tau, bits in ((10, 3, 3.0), (7, 7, 1.0), (10, 1, 10.0), (0, 4, 0.0)):
+        assert dad_bits(n, tau) == bits
+        assert Policy.dad(tau).leakage_bits(n).bits == bits
 
 
 def test_rad_leakage_geometric_closed_form():
@@ -129,9 +169,7 @@ def test_rad_leakage_deterministic_matches_dad():
     for tau in (1, 2, 3, 7):
         pmf = deterministic_pmf(tau)
         for n in (0, 1, 5, 23, 100):
-            assert rad_leakage_bits(n, pmf).bits == pytest.approx(
-                dad_leakage_bits(n, tau).bits, abs=1e-12
-            )
+            assert rad_leakage_bits(n, pmf).bits == pytest.approx(dad_bits(n, tau), abs=1e-12)
 
 
 def test_rad_leakage_matches_exact_rational_recursion():
@@ -191,19 +229,21 @@ def test_rad_finite_ratio_converges_to_rate():
 
 def test_rate_ordering_at_fixed_mean():
     for tau in (2, 3, 5):
-        geo = geometric_rad_rate(tau)
-        unif = uniform_rad_rate(tau)
-        det = rad_rate(deterministic_pmf(tau))
+        geo = family_rate("rad-geo", tau=tau)
+        unif = family_rate("rad-uniform", tau=tau)
+        det = family_rate("dad", tau=tau)
         assert geo > unif > det
 
 
 def test_closed_form_rates():
-    assert geometric_rad_rate(1) == 1.0
-    assert geometric_rad_rate(4) == pytest.approx(math.log2(1.25), abs=1e-15)
-    assert uniform_rad_rate(1) == 1.0
-    assert uniform_rad_rate(2.5) == pytest.approx(rad_rate(uniform_pmf(4)), abs=1e-12)
+    for tau in (1, 2, 4, 10, 37):
+        geometric = math.log2(1.0 + 1.0 / tau)
+        assert family_rate("rad-geo", tau=tau) == pytest.approx(geometric, abs=1e-15)
+        assert family_rate("lcfs-geo", tau=tau) == geometric
+    assert family_rate("rad-uniform", tau=1) == 1.0
+    assert family_rate("rad-uniform", tau=2.5) == pytest.approx(rad_rate(uniform_pmf(4)), abs=1e-12)
     with pytest.raises(NonHalfIntegerTau):
-        uniform_rad_rate(1.25)
+        family_rate("rad-uniform", tau=1.25)
 
 
 def test_leakage_time():
@@ -252,11 +292,9 @@ def test_invalid_horizon_and_service_time_are_typed():
     with pytest.raises(InvalidConfig):
         rad_leakage_bits(-1, uniform_pmf(2))
     with pytest.raises(InvalidConfig):
-        dad_leakage_bits(-1, 3)
+        Policy.dad(3).leakage_bits(-1)
     with pytest.raises(InvalidConfig):
         smp_leakage_bits(5, 0, 0.5)
-    with pytest.raises(InvalidConfig):
-        smp_rate_bounds(0, 0.5)
 
 
 def test_rad_rate_newton_iteration_cap(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,16 +14,22 @@ from ageleak import (
     geometric_pmf,
     lcfs_age,
     load_scenario,
-    markov_monitor_age,
+    markov_source_age,
     optimal_alpha_for_fcfs,
+    pmf_moments,
     rad_age,
     simulate,
-    simulate_markov,
     uniform_pmf,
 )
 from ageleak.errors import InvalidConfig
 
 BERN = BernoulliSource(0.5)
+
+
+def markov_monitor_age(src, sampling_pmf):
+    """Markov source age plus the sampling age E[D^2]/(2 E[D]) + 1/2."""
+    m = pmf_moments(sampling_pmf)
+    return markov_source_age(src).delta + m.second_moment / (2.0 * m.mean) + 0.5
 
 
 def close_to(stats, expected):
@@ -119,16 +126,16 @@ def test_fcfs_queue_bounded_at_optimized_alpha():
 def test_markov_dad_agrees_with_closed_form():
     src = MarkovSource(0.05, 0.2)
     cfg = SimConfig(Policy.dad(5), src, horizon=600_000, seed=10)
-    stats = simulate_markov(cfg)
+    stats = simulate(cfg)
     assert close_to(stats, 20.0)
 
 
 def test_markov_lcfs_geometric_agrees_with_closed_form():
     src = MarkovSource(0.2, 0.05)
-    expected = markov_monitor_age(src, geometric_pmf(0.5)).delta  # 2 + 2
+    expected = markov_monitor_age(src, geometric_pmf(0.5))  # 2 + 2
     cfg = SimConfig(Policy.lcfs(geometric_pmf(0.5)), src, horizon=400_000, seed=11)
     assert expected == pytest.approx(4.0, abs=1e-9)
-    assert close_to(simulate_markov(cfg), expected)
+    assert close_to(simulate(cfg), expected)
 
 
 def test_markov_degenerates_to_bernoulli():
@@ -138,17 +145,11 @@ def test_markov_degenerates_to_bernoulli():
     assert close_to(simulate(cfg), rad_age(0.5, deterministic_pmf(3)).delta)
 
 
-def test_simulate_markov_requires_markov_source():
-    cfg = SimConfig(Policy.dad(3), BERN, horizon=50_000, seed=0)
-    with pytest.raises(InvalidConfig):
-        simulate_markov(cfg)
-
-
 def test_fcfs_under_markov_source_runs():
     # no closed form exists for this pair; the simulator is the only route
     src = MarkovSource(0.05, 0.2)
     cfg = SimConfig(Policy.fcfs(geometric_pmf(0.5), alpha=0.8), src, horizon=300_000, seed=21)
-    stats = simulate_markov(cfg)
+    stats = simulate(cfg)
     assert stats.mean_age >= 1.0 + 1.0 / src.effective_rate
     assert 0.0 < stats.output_rate <= src.effective_rate + 0.01
 
@@ -174,6 +175,17 @@ def test_empirical_source_age_markov():
     stats = empirical_source_age(cfg)
     assert close_to(stats, 17.0)
     assert stats.output_rate == pytest.approx(0.2, abs=0.01)
+
+
+def test_fewer_slots_than_batches_give_an_unknown_spread():
+    for source in (BERN, MarkovSource(0.5, 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy_run = simulate(SimConfig(Policy.dad(2), source, horizon=20, warmup=0, seed=3))
+            source_run = empirical_source_age(SimConfig(None, source, horizon=20, warmup=0, seed=3))
+        for stats in (policy_run, source_run):
+            assert stats.ci_half_width == float("inf")
+            assert stats.mean_age >= 1.0
 
 
 def test_config_validation():
