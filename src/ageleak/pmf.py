@@ -95,6 +95,14 @@ class Moments:
     variance: float
 
 
+def _convert(kind, value):
+    """``kind(value)``, or None where the value is not a number at all."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def make_pmf(entries) -> FinitePmf:
     """Validate and normalize (duration, probability) pairs into a pmf.
 
@@ -111,11 +119,11 @@ def make_pmf(entries) -> FinitePmf:
         raise UnnormalizedMass("pmf needs at least one entry")
     cleaned = []
     for d, p in items:
-        di = int(d)
-        if di != d or di < 1:
+        di = _convert(int, d)
+        if di is None or di != d or di < 1:
             raise NonPositiveDuration(f"duration {d!r} is not a positive integer")
-        pf = float(p)
-        if not math.isfinite(pf) or pf < 0.0:
+        pf = _convert(float, p)
+        if pf is None or not math.isfinite(pf) or pf < 0.0:
             raise NegativeProbability(f"probability {p!r} at duration {di} is not in [0, 1]")
         cleaned.append((di, pf))
     cleaned.sort(key=lambda e: e[0])

@@ -188,6 +188,9 @@ def test_output_file(tmp_path, capsys):
         ("sweep", "--policy", "dad", "--grid", "1:5:0"),
         ("oracle", "--policy", "dad", "--tau", "2", "--n", "-1"),
         ("simulate", "--scenario", "no-such-scenario.json"),
+        ("age", "--policy", "lcfs", "--pmf", '{"entries": [["a", 1]]}'),
+        ("age", "--policy", "lcfs", "--pmf", '{"entries": [[1, "x"]]}'),
+        ("age", "--policy", "lcfs", "--pmf", '{"entries": [[1, [1]]]}'),
     ],
 )
 def test_refused_inputs_exit_2(capsys, argv):

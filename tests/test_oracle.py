@@ -1,20 +1,33 @@
+import logging
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ageleak
 from ageleak import (
+    FinitePmf,
     Policy,
     brute_force_maxl,
     deterministic_pmf,
     enumerate_channel,
     geometric_pmf,
     greedy_smp_pmf,
+    is_smp,
+    make_pmf,
     rad_leakage_bits,
     smp_leakage_bits,
     uniform_pmf,
     verify_ml_input,
 )
-from ageleak.errors import HorizonTooLarge, InvalidConfig
+from ageleak.errors import AgeLeakError, HorizonTooLarge, InvalidConfig, UnnormalizedMass
 
 
 def test_zero_delay_passthrough():
@@ -137,6 +150,10 @@ def test_horizon_caps():
         verify_ml_input(policy, 13)
     with pytest.raises(HorizonTooLarge):
         enumerate_channel(policy, (0,) * 15)
+    with pytest.raises(InvalidConfig):
+        brute_force_maxl(policy, 2.5)  # not truncated to 2
+    with pytest.raises(InvalidConfig):
+        verify_ml_input(policy, -1)
 
 
 def test_oracle_rejects_thinned_fcfs():
@@ -146,3 +163,191 @@ def test_oracle_rejects_thinned_fcfs():
 
 def test_zero_horizon():
     assert brute_force_maxl(Policy.lcfs(deterministic_pmf(1)), 0).bits == 0.0
+
+
+# --- independent route: one input at a time, every draw sequence in full ---
+
+
+def _ref_coupled_row(kind, entries, n, x):
+    """Output distribution of an LCFS/FCFS server for one input word.
+
+    States are (pending departure slot, output-so-far); an LCFS arrival
+    replaces any in-service update and redraws its service, an FCFS arrival
+    queues.  A service started in slot t with draw s departs in slot
+    t + s - 1; same-slot preemption beats the would-be departure.
+    """
+    lcfs = kind == "lcfs"
+    states = {(0, 0): 1.0}
+    for t in range(1, n + 1):
+        arrived = (x >> (n - t)) & 1
+        bit = 1 << (n - t)
+        arrived_count = bin(x >> (n - t)).count("1")
+        nxt = {}
+        for (pend, yb), pr in states.items():
+            if lcfs:
+                start = arrived
+            else:
+                start = pend == 0 and arrived_count - bin(yb).count("1") > 0
+            if start:
+                for s, gp in entries:
+                    dep = t + s - 1
+                    key = (0, yb | bit) if dep == t else (dep, yb)
+                    nxt[key] = nxt.get(key, 0.0) + pr * gp
+                continue
+            key = (0, yb | bit) if pend == t else (pend, yb)
+            nxt[key] = nxt.get(key, 0.0) + pr
+        states = nxt
+    row = {}
+    for (_, yb), pr in states.items():
+        row[yb] = row.get(yb, 0.0) + pr
+    return row
+
+
+def _ref_rad_arrays(pmf, n):
+    """Every dump-attempt sequence within n slots as (window masks, output bits, probs).
+
+    A sequence t_1 < ... < t_k has probability g(t_1) g(t_2 - t_1) ...
+    g(t_k - t_{k-1}) * P(D > n - t_k).
+    """
+    tails = [pmf.tail(r) for r in range(n + 1)]
+    seqs = []
+
+    def rec(last, slots, prob):
+        if tails[n - last] > 0.0:
+            seqs.append((tuple(slots), prob * tails[n - last]))
+        for d, p in pmf.entries:
+            if last + d > n:
+                break
+            rec(last + d, slots + [last + d], prob * p)
+
+    rec(0, [], 1.0)
+    width = max(1, max(len(s) for s, _ in seqs))
+    masks = np.zeros((len(seqs), width), dtype=np.int64)
+    bits = np.zeros((len(seqs), width), dtype=np.int64)
+    probs = np.array([p for _, p in seqs])
+    for ui, (slots, _) in enumerate(seqs):
+        prev = 0
+        for ji, t in enumerate(slots):
+            masks[ui, ji] = sum(1 << (n - i) for i in range(prev + 1, t + 1))
+            bits[ui, ji] = 1 << (n - t)
+            prev = t
+    return masks, bits, probs
+
+
+def _ref_rad_row(arrays, n, x):
+    """An attempt transmits iff an arrival fell in its window since the last one."""
+    masks, bits, probs = arrays
+    ys = np.where((x & masks) != 0, bits, 0).sum(axis=1)
+    vec = np.bincount(ys, weights=probs, minlength=1 << n)
+    return {y: float(p) for y, p in enumerate(vec) if p > 0.0}
+
+
+def _ref_rows(policy, n):
+    if policy.coupled:
+        return [_ref_coupled_row(policy.kind, policy.pmf.entries, n, x) for x in range(1 << n)]
+    arrays = _ref_rad_arrays(policy.pmf, n)
+    return [_ref_rad_row(arrays, n, x) for x in range(1 << n)]
+
+
+def _word(bits):
+    return sum(b << (len(bits) - t) for t, b in enumerate(bits, 1))
+
+
+def _pmfs(max_duration):
+    """Random pmfs on at most four durations, weights kept away from 0."""
+    return st.lists(
+        st.tuples(st.integers(1, max_duration), st.floats(0.05, 1.0)),
+        min_size=1, max_size=4, unique_by=lambda e: e[0],
+    ).map(lambda e: make_pmf([(d, w / math.fsum(w for _, w in e)) for d, w in e]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["lcfs", "fcfs", "rad"]),
+    pmf=_pmfs(6),
+    bits=st.lists(st.integers(0, 1), max_size=7),
+)
+def test_kernel_matches_per_input_reference(kind, pmf, bits):
+    policy = Policy(kind, pmf)
+    n = len(bits)
+    rows = _ref_rows(policy, n)
+    got = {_word(y): p for y, p in enumerate_channel(policy, bits).items()}
+    want = rows[_word(bits)]
+    assert got.keys() == want.keys()
+    assert all(abs(got[y] - want[y]) <= 1e-12 for y in want)
+    best = {}
+    for row in rows:
+        for y, p in row.items():
+            best[y] = max(best.get(y, 0.0), p)
+    assert abs(brute_force_maxl(policy, n).bits - math.log2(math.fsum(best.values()))) <= 1e-12
+
+
+def test_kernel_covers_smp_and_non_smp_service():
+    # the property test above draws both; pin one of each in case it does not
+    for pmf in (make_pmf([(1, 0.2), (3, 0.8)]), make_pmf([(2, 0.5), (3, 0.3), (5, 0.2)])):
+        for kind in ("lcfs", "fcfs"):
+            policy = Policy(kind, pmf)
+            for x, want in enumerate(_ref_rows(policy, 6)):
+                got = enumerate_channel(policy, [(x >> (6 - t)) & 1 for t in range(1, 7)])
+                assert {_word(y): p for y, p in got.items()} == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[(2, 0.5), (3, 0.3), (4, 0.2)], [(2, 0.6), (5, 0.4)], [(3, 0.4), (4, 0.4), (6, 0.2)]],
+)
+def test_brute_force_matches_smp_closed_form_past_one_slot(entries):
+    pmf = make_pmf(entries)
+    smp, s_min = is_smp(pmf)
+    assert smp and s_min > 1
+    for kind in ("lcfs", "fcfs"):
+        for n in range(1, 11):
+            got = brute_force_maxl(Policy(kind, pmf), n).bits
+            assert abs(got - smp_leakage_bits(n, s_min, pmf.prob(s_min)).bits) <= 1e-9
+
+
+def test_verify_ml_input_at_cap():
+    assert verify_ml_input(Policy.lcfs(greedy_smp_pmf(0.5)), 12)
+    assert verify_ml_input(Policy.rad(geometric_pmf(0.5)), 12)
+
+
+@pytest.mark.parametrize("kind, d", [("lcfs", 1), ("fcfs", 2), ("rad", 2)])
+def test_unnormalized_pmf_is_refused(kind, d):
+    policy = Policy(kind, FinitePmf(((d, 0.5),)))  # bypasses make_pmf
+    with pytest.raises(UnnormalizedMass):
+        enumerate_channel(policy, (1, 0, 0))
+    with pytest.raises(AgeLeakError):
+        brute_force_maxl(policy, 4)
+    with pytest.raises(AgeLeakError):
+        verify_ml_input(policy, 4)
+
+
+def test_unnormalized_pmf_is_refused_under_optimisation():
+    code = (
+        "from ageleak import FinitePmf, Policy, brute_force_maxl\n"
+        "from ageleak.errors import UnnormalizedMass\n"
+        "try:\n"
+        "    brute_force_maxl(Policy.lcfs(FinitePmf(((1, 0.5),))), 3)\n"
+        "except UnnormalizedMass:\n"
+        "    print('refused')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ageleak.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.strip() == "refused", out.stderr
+
+
+def test_oracle_logs_one_debug_line_per_call(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ageleak.oracle"):
+        brute_force_maxl(Policy.fcfs(greedy_smp_pmf(0.5)), 9)
+        enumerate_channel(Policy.rad(geometric_pmf(0.5)), (1, 0, 1))
+    lines = [r.getMessage() for r in caplog.records if r.name == "ageleak.oracle"]
+    assert len(lines) == 2
+    pattern = r"oracle (\w+) n=(\d+): (\d+) inputs, (\d+) states expanded, peak (\d+) live, (\d+) blocks"
+    kind, n, inputs, expanded, peak, blocks = re.fullmatch(pattern, lines[0]).groups()
+    assert (kind, n, inputs, blocks) == ("fcfs", "9", "512", "8")
+    assert int(expanded) >= int(peak) > 0
+    assert re.fullmatch(pattern, lines[1]).group(1, 2, 3, 6) == ("rad", "3", "1", "1")
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="ageleak.oracle"):
+        brute_force_maxl(Policy.lcfs(greedy_smp_pmf(0.5)), 4)
+    assert not caplog.records

@@ -59,6 +59,12 @@ def test_make_pmf_errors():
         make_pmf([(1.5, 1.0)])
     with pytest.raises(DuplicateDuration):
         make_pmf([(2, 0.5), (2, 0.5)])
+    for duration in ("a", [1], math.inf):
+        with pytest.raises(NonPositiveDuration):
+            make_pmf([(duration, 1.0)])
+    for probability in ("x", [1], None):
+        with pytest.raises(NegativeProbability):
+            make_pmf([(1, probability)])
 
 
 def test_moments_deterministic():
