@@ -8,6 +8,17 @@ d + 1.  The dynamics are evaluated vectorially but follow those rules
 exactly, so a run is deterministic given its seed and bit-identical across
 repeats.
 
+No array has one entry per slot.  Arrivals are drawn in chunks of
+:data:`_CHUNK` slots (Bernoulli) or expanded from geometric run lengths
+(Markov), and the age statistics are built from the sawtooth the age
+traces: between two deliveries it rises by one per slot, so the sum of ages
+over each inter-delivery interval has a closed form.  Prefix sums of those
+areas, in exact int64 arithmetic, give the sum of ages up to any slot, and
+the statistics read them at the batch boundaries only.  Memory and work are
+O(arrivals + deliveries).  While the sum of ages over the horizon stays
+below 2^53, every partial sum of per-slot ages is exact in float64 too, so
+the mean and the batch means equal those of the per-slot ages bit for bit.
+
 Confidence intervals use batch means over 30 batches of the post-warmup
 slots at the 95% level.  The default warmup is 10^4 slots; the age process
 mixes fast at the parameters of interest, but the warmup guards low-rate
@@ -15,6 +26,7 @@ Markov runs.
 """
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -31,6 +43,12 @@ DEFAULT_WARMUP = 10_000
 
 #: Student-t quantile at 97.5% with BATCHES - 1 = 29 degrees of freedom.
 _T_29 = 2.0452296421327034
+
+#: Slots per draw of Bernoulli arrivals; consecutive draws give the same
+#: stream as one draw over the whole horizon.
+_CHUNK = 1 << 20
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -53,6 +71,8 @@ class SimConfig:
             raise InvalidConfig(
                 f"need horizon > warmup >= 0, got horizon={self.horizon}, warmup={self.warmup}"
             )
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidConfig(f"seed {self.seed!r} is not an integer >= 0")
         if not isinstance(self.source, (BernoulliSource, MarkovSource)):
             raise InvalidConfig(f"unsupported source {self.source!r}")
 
@@ -81,7 +101,10 @@ def _sample_durations(rng, pmf: FinitePmf, size):
 
 
 def _bernoulli_arrivals(rng, lam, horizon):
-    return np.flatnonzero(rng.random(horizon) < lam) + 1
+    return np.concatenate([
+        np.flatnonzero(rng.random(min(_CHUNK, horizon - start)) < lam) + (start + 1)
+        for start in range(0, horizon, _CHUNK)
+    ])
 
 
 def _geometric_lengths(rng, p, size):
@@ -94,36 +117,45 @@ def _geometric_lengths(rng, p, size):
 def _markov_arrivals(rng, src: MarkovSource, horizon):
     """Arrival slots of the two-state source over slots 1..horizon.
 
-    The state path is built from alternating geometric sojourns (leave
+    The state path is made of alternating geometric sojourns (leave
     probabilities p10 from active, p01 from inactive), starting from the
     stationary distribution.  Slot t receives an update generated at t - 1,
-    i.e. when the state at time t - 1 was active.
+    i.e. when the state at time t - 1 was active, so an active run starting
+    at time s with length L gives the arrivals s + 1, ..., s + L.  Each chunk
+    draws n_runs active then n_runs inactive lengths and pairs them, the
+    leading state's run first, so every chunk starts in the same state.
     """
     state = 1 if rng.random() < src.effective_rate else 0
-    chunks = []
+    run_starts, run_lengths = [], []
     total = 0
     while total < horizon:
         n_runs = max(64, int(horizon / 8))
         active = _geometric_lengths(rng, src.p10, n_runs)
         inactive = _geometric_lengths(rng, src.p01, n_runs)
+        pair_ends = total + np.cumsum(active + inactive)
+        starts = pair_ends - active  # the active run closes its pair ...
         if state == 1:
-            lengths = np.empty(2 * n_runs, dtype=np.int64)
-            lengths[0::2] = active
-            lengths[1::2] = inactive
-        else:
-            lengths = np.empty(2 * n_runs, dtype=np.int64)
-            lengths[0::2] = inactive
-            lengths[1::2] = active
-        values = np.empty(2 * n_runs, dtype=np.int64)
-        values[0::2] = state
-        values[1::2] = 1 - state
-        chunks.append(np.repeat(values, lengths))
-        total += int(lengths.sum())
-        # Parity of the number of runs consumed keeps the alternation;
-        # n_runs of each state were generated, so the next chunk restarts
-        # from the same leading state.
-    path = np.concatenate(chunks)[:horizon]
-    return np.flatnonzero(path) + 1
+            starts -= inactive  # ... unless the chunk leads with it
+        inside = starts < horizon
+        run_starts.append(starts[inside])
+        run_lengths.append(np.minimum(active[inside], horizon - starts[inside]))
+        total = int(pair_ends[-1])
+    return _expand_runs(np.concatenate(run_starts) + 1, np.concatenate(run_lengths))
+
+
+def _expand_runs(firsts, lengths):
+    """The integers firsts[k], ..., firsts[k] + lengths[k] - 1 for every k, in order.
+
+    ``lengths`` are >= 1; the output is a cumulative sum of unit steps with
+    a jump where each run begins.
+    """
+    out = np.ones(int(lengths.sum()), dtype=np.int64)
+    if len(out) == 0:
+        return out
+    heads = np.cumsum(lengths) - lengths
+    out[heads[1:]] = firsts[1:] - (firsts[:-1] + lengths[:-1] - 1)
+    out[0] = firsts[0]
+    return np.cumsum(out, out=out)
 
 
 def _arrivals(rng, source, horizon):
@@ -195,29 +227,81 @@ def _rad_deliveries(rng, policy, arrivals, horizon):
 _DELIVERY_FNS = {"lcfs": _lcfs_deliveries, "fcfs": _fcfs_deliveries}
 
 
-def _age_stats(delivery_slots, delivery_timestamps, horizon, warmup):
+def _teeth(delivery_slots, timestamps, first_timestamp):
+    """Start slot and timestamp of every sawtooth interval.
+
+    The age in slot t is t minus the timestamp of the last update delivered
+    in a slot before t, or minus ``first_timestamp`` before the first
+    delivery.  Interval k covers the slots starts[k] + 1 through the next
+    delivery slot (the horizon for the last) at timestamp stamps[k].
+    """
+    starts = np.concatenate(([0], delivery_slots))
+    stamps = np.concatenate(([first_timestamp], timestamps))
+    return starts, stamps
+
+
+def _tooth_areas(starts, lengths, stamps):
+    """Sum of t - stamp over the slots start + 1 .. start + length, exactly."""
+    return lengths * (2 * starts + lengths + 1) // 2 - lengths * stamps
+
+
+def _age_sums(delivery_slots, timestamps, first_timestamp, points):
+    """Sum of the age over slots 1..T for each sorted T in ``points``.
+
+    Whole intervals come from prefix sums of their areas; the interval that
+    holds T contributes its part up to T.
+    """
+    starts, stamps = _teeth(delivery_slots, timestamps, first_timestamp)
+    areas = _tooth_areas(starts[:-1], np.diff(starts), stamps[:-1])
+    whole = np.concatenate(([0], np.cumsum(areas)))
+    j = np.searchsorted(delivery_slots, points, side="left")
+    return whole[j] + _tooth_areas(starts[j], points - starts[j], stamps[j])
+
+
+def _age_stats(delivery_slots, timestamps, horizon, warmup, first_timestamp=0):
     """Mean age and batch-means CI over the post-warmup slots.
 
-    The monitor age in slot t is t minus the timestamp of the freshest
-    update delivered before slot t (an artificial timestamp-0 update stands
-    in until the first real delivery; the warmup absorbs it).
+    An artificial update with ``first_timestamp`` stands in until the first
+    real delivery; the warmup absorbs it.  Batch k's sum of ages is the
+    difference of the age sums at its two boundaries, so the mean and the
+    batch means are those of the per-slot ages.  Fewer slots than batches
+    leave the spread unknown: the half-width is inf.
     """
-    slots = np.arange(warmup + 1, horizon + 1, dtype=np.int64)
-    idx = np.searchsorted(delivery_slots, slots, side="left")
-    timestamps = np.concatenate(([0], delivery_timestamps))
-    return _batch_means((slots - timestamps[idx]).astype(np.float64))
-
-
-def _batch_means(ages):
-    """Mean of per-slot ages and its 95% batch-means CI half-width.
-
-    Fewer slots than batches leave the spread unknown: the half-width is inf.
-    """
-    per_batch = len(ages) // BATCHES
+    measured = horizon - warmup
+    per_batch = measured // BATCHES
+    points = np.append(warmup + per_batch * np.arange(BATCHES + 1), horizon)
+    sums = _age_sums(delivery_slots, timestamps, first_timestamp, points)
+    mean = float((sums[-1] - sums[0]) / measured)
     if per_batch == 0:
-        return float(ages.mean()), math.inf
-    batch_means = ages[: per_batch * BATCHES].reshape(BATCHES, per_batch).mean(axis=1)
-    return float(ages.mean()), float(_T_29 * batch_means.std(ddof=1) / math.sqrt(BATCHES))
+        return mean, math.inf
+    batch_means = np.diff(sums[:-1]) / per_batch
+    return mean, float(_T_29 * batch_means.std(ddof=1) / math.sqrt(BATCHES))
+
+
+def _age_counts(delivery_slots, timestamps, first_timestamp, warmup, horizon):
+    """Number of post-warmup slots at each age value, indexed by the age.
+
+    Within an interval the ages run up by one per slot, so each clipped
+    interval adds one to a contiguous range of age values: a difference
+    array over the age values, summed once.
+    """
+    starts, stamps = _teeth(delivery_slots, timestamps, first_timestamp)
+    first = np.maximum(starts, warmup) + 1
+    last = np.append(np.minimum(delivery_slots, horizon), horizon)
+    inside = first <= last
+    low = first[inside] - stamps[inside]
+    high = last[inside] - stamps[inside]
+    size = int(high.max()) + 2
+    steps = np.bincount(low, minlength=size) - np.bincount(high + 1, minlength=size)
+    return np.cumsum(steps)
+
+
+def _log_run(what, cfg, arrivals, delivery_slots):
+    if _log.isEnabledFor(logging.DEBUG):
+        # interval j(t) = #{deliveries before t} holds slot t
+        first, last = np.searchsorted(delivery_slots, [cfg.warmup + 1, cfg.horizon], side="left")
+        _log.debug("sim %s horizon=%d: %d arrivals, %d deliveries, %d intervals summed",
+                   what, cfg.horizon, len(arrivals), len(delivery_slots), last - first + 1)
 
 
 def simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
@@ -241,6 +325,7 @@ def simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
         slots, timestamps = _DELIVERY_FNS[cfg.policy.kind](rng, cfg.policy, arrivals, cfg.horizon)
         delivered = int(np.count_nonzero(slots > cfg.warmup))
     mean, ci = _age_stats(slots, timestamps, cfg.horizon, cfg.warmup)
+    _log_run(cfg.policy.kind, cfg, arrivals, slots)
     measured = cfg.horizon - cfg.warmup
     return SimStats(mean, ci, delivered, delivered / measured)
 
@@ -251,29 +336,53 @@ def empirical_source_age(cfg: SimConfig, return_pmf=False):
     Returns SimStats whose ``delivered`` counts generated updates and whose
     ``output_rate`` is the empirical source rate; with ``return_pmf`` also
     returns the empirical age pmf as a dict.
+
+    The update arriving in slot a was generated in slot a - 1; it acts as a
+    delivery in slot a - 1 with timestamp a - 1, so the age in slot t >= a
+    is t - a + 1.  Before the first arrival the age is t + 1 (timestamp -1).
     """
     rng = np.random.default_rng(cfg.seed)
-    arrivals = _arrivals(rng, cfg.source, cfg.horizon)
-    slots = np.arange(cfg.warmup + 1, cfg.horizon + 1, dtype=np.int64)
-    idx = np.searchsorted(arrivals, slots, side="right") - 1
-    padded = np.concatenate(([0], arrivals))
-    ages = (slots - padded[idx + 1] + 1).astype(np.float64)
-    mean, ci = _batch_means(ages)
-    generated = int(np.count_nonzero(arrivals > cfg.warmup))
-    stats = SimStats(mean, ci, generated, generated / (cfg.horizon - cfg.warmup))
+    generated_at = _arrivals(rng, cfg.source, cfg.horizon)
+    generated_at -= 1
+    mean, ci = _age_stats(generated_at, generated_at, cfg.horizon, cfg.warmup, first_timestamp=-1)
+    _log_run("source", cfg, generated_at, generated_at)
+    generated = int(np.count_nonzero(generated_at >= cfg.warmup))
+    measured = cfg.horizon - cfg.warmup
+    stats = SimStats(mean, ci, generated, generated / measured)
     if not return_pmf:
         return stats
-    values, counts = np.unique(ages.astype(np.int64), return_counts=True)
-    pmf = {int(a): float(c) / len(ages) for a, c in zip(values, counts)}
+    counts = _age_counts(generated_at, generated_at, -1, cfg.warmup, cfg.horizon)
+    pmf = {int(a): float(counts[a]) / measured for a in np.flatnonzero(counts)}
     return stats, pmf
 
 
+def _whole(value, what):
+    """A scenario integer: JSON integers and integral numbers, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidConfig(f"scenario {what} {value!r} is not an integer")
+
+
+def _number(value, what):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidConfig(f"scenario {what} {value!r} is not a number")
+
+
+def _object(value, what):
+    if isinstance(value, dict):
+        return value
+    raise InvalidConfig(f"scenario {what} is a JSON {type(value).__name__}, not an object")
+
+
 def _source_from_config(spec: dict):
-    kind = spec.get("kind")
+    kind = _object(spec, "source").get("kind")
     if kind == "bernoulli":
-        return BernoulliSource(float(spec["lambda"]))
+        return BernoulliSource(_number(spec["lambda"], "lambda"))
     if kind == "markov":
-        return MarkovSource(float(spec["p01"]), float(spec["p10"]))
+        return MarkovSource(_number(spec["p01"], "p01"), _number(spec["p10"], "p10"))
     raise InvalidConfig(f"unknown source kind {kind!r}")
 
 
@@ -282,22 +391,24 @@ def load_scenario(path) -> SimConfig:
 
     Schema: {"policy": {...}, "source": {"kind": "bernoulli", "lambda": x}
     or {"kind": "markov", "p01": x, "p10": y}, "horizon": n,
-    "warmup": n, "seed": n}.
+    "warmup": n, "seed": n}.  Counts must be whole numbers and rates
+    numbers; anything else is refused with :class:`InvalidConfig`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"scenario file {path!r} is not JSON: {exc}") from None
+    spec = _object(spec, f"file {path!r}")
     try:
-        policy = policy_from_config(spec["policy"]) if spec.get("policy") else None
+        policy = policy_from_config(_object(spec["policy"], "policy")) if spec.get("policy") else None
         source = _source_from_config(spec["source"])
         return SimConfig(
             policy=policy,
             source=source,
-            horizon=int(spec["horizon"]),
-            warmup=int(spec.get("warmup", DEFAULT_WARMUP)),
-            seed=int(spec.get("seed", 0)),
+            horizon=_whole(spec["horizon"], "horizon"),
+            warmup=_whole(spec.get("warmup", DEFAULT_WARMUP), "warmup"),
+            seed=_whole(spec.get("seed", 0), "seed"),
         )
     except KeyError as missing:
         raise InvalidConfig(f"scenario file is missing {missing}") from None

@@ -162,6 +162,15 @@ def test_output_file(tmp_path, capsys):
     assert "delta 5.0" in path.read_text()
 
 
+#: A valid scenario; the refused cases below each spoil one field.
+SCENARIO = {
+    "policy": {"kind": "dad", "tau": 4},
+    "source": {"kind": "bernoulli", "lambda": 0.5},
+    "horizon": 60_000,
+    "seed": 1,
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -191,10 +200,20 @@ def test_output_file(tmp_path, capsys):
         ("age", "--policy", "lcfs", "--pmf", '{"entries": [["a", 1]]}'),
         ("age", "--policy", "lcfs", "--pmf", '{"entries": [[1, "x"]]}'),
         ("age", "--policy", "lcfs", "--pmf", '{"entries": [[1, [1]]]}'),
+        ("simulate", "--scenario", dict(SCENARIO, horizon=60000.7)),
+        ("simulate", "--scenario", dict(SCENARIO, seed=1.9)),
+        ("simulate", "--scenario", dict(SCENARIO, source={"kind": "bernoulli", "lambda": "x"})),
+        ("simulate", "--scenario", dict(SCENARIO, horizon="abc")),
+        ("simulate", "--scenario", [SCENARIO]),
     ],
 )
-def test_refused_inputs_exit_2(capsys, argv):
-    code = main(list(argv))
+def test_refused_inputs_exit_2(capsys, tmp_path, argv):
+    argv = list(argv)
+    if not isinstance(argv[-1], str):  # a scenario, passed as the path of its JSON file
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv[-1] = str(path)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -1,8 +1,13 @@
 import json
+import logging
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ageleak import (
     BernoulliSource,
@@ -21,6 +26,7 @@ from ageleak import (
     simulate,
     uniform_pmf,
 )
+from ageleak import sim
 from ageleak.errors import InvalidConfig
 
 BERN = BernoulliSource(0.5)
@@ -235,3 +241,145 @@ def test_warmup_shields_initial_transient():
     expected = lcfs_age(0.5, geometric_pmf(0.5)).delta
     assert close_to(tight, expected)
     assert abs(loose.mean_age - expected) <= 0.05
+
+
+def test_integral_scenario_numbers_are_kept_and_negative_seeds_refused(tmp_path):
+    scenario = {
+        "policy": {"kind": "dad", "tau": 4},
+        "source": {"kind": "bernoulli", "lambda": 1},
+        "horizon": 6e4,
+        "warmup": 2000.0,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    cfg = load_scenario(str(path))
+    assert (cfg.horizon, cfg.warmup, cfg.seed, cfg.source.lam) == (60_000, 2_000, 0, 1.0)
+    with pytest.raises(InvalidConfig):
+        SimConfig(Policy.dad(3), BERN, horizon=100, warmup=0, seed=-1)
+
+
+# --- the per-slot statistics the sawtooth areas replace -------------------
+
+def per_slot_batch_means(ages):
+    per_batch = len(ages) // 30
+    if per_batch == 0:
+        return float(ages.mean()), math.inf
+    batch_means = ages[: per_batch * 30].reshape(30, per_batch).mean(axis=1)
+    return float(ages.mean()), float(sim._T_29 * batch_means.std(ddof=1) / math.sqrt(30))
+
+
+def per_slot_age_stats(delivery_slots, delivery_timestamps, horizon, warmup):
+    slots = np.arange(warmup + 1, horizon + 1, dtype=np.int64)
+    idx = np.searchsorted(delivery_slots, slots, side="left")
+    timestamps = np.concatenate(([0], delivery_timestamps))
+    return per_slot_batch_means((slots - timestamps[idx]).astype(np.float64))
+
+
+def per_slot_source_ages(arrivals, horizon, warmup):
+    slots = np.arange(warmup + 1, horizon + 1, dtype=np.int64)
+    idx = np.searchsorted(arrivals, slots, side="right") - 1
+    padded = np.concatenate(([0], arrivals))
+    return (slots - padded[idx + 1] + 1).astype(np.float64)
+
+
+@st.composite
+def delivery_runs(draw):
+    """(slots, timestamps, horizon, warmup): increasing slots in 1..horizon."""
+    horizon = draw(st.integers(1, 400) | st.integers(1, 29))
+    warmup = draw(st.just(0) | st.integers(0, horizon - 1))
+    slots = set(draw(st.lists(st.integers(1, horizon), max_size=60)))
+    if draw(st.booleans()):
+        slots |= {max(warmup, 1), horizon}  # on the warmup and horizon slots
+    slots = np.array(sorted(slots), dtype=np.int64)
+    delays = draw(st.lists(st.integers(1, 50), min_size=len(slots), max_size=len(slots)))
+    return slots, slots - np.array(delays, dtype=np.int64), horizon, warmup
+
+
+@settings(max_examples=300, deadline=None)
+@given(delivery_runs())
+def test_sawtooth_statistics_equal_per_slot_ages(run):
+    slots, timestamps, horizon, warmup = run
+    assert sim._age_stats(slots, timestamps, horizon, warmup) == per_slot_age_stats(
+        slots, timestamps, horizon, warmup
+    )
+    arrivals = slots[slots < horizon] + 1  # arrival a is a delivery in slot a - 1
+    ages = per_slot_source_ages(arrivals, horizon, warmup)
+    stamps = arrivals - 1
+    assert sim._age_stats(stamps, stamps, horizon, warmup, first_timestamp=-1) == per_slot_batch_means(ages)
+    counts = sim._age_counts(stamps, stamps, -1, warmup, horizon)
+    values, expected = np.unique(ages.astype(np.int64), return_counts=True)
+    assert np.array_equal(np.flatnonzero(counts), values)
+    assert np.array_equal(counts[values], expected)
+
+
+def test_sawtooth_statistics_without_deliveries():
+    none = np.zeros(0, dtype=np.int64)
+    for horizon, warmup in ((1, 0), (29, 0), (30, 0), (1000, 0), (1000, 999), (10_000, 37)):
+        assert sim._age_stats(none, none, horizon, warmup) == per_slot_age_stats(none, none, horizon, warmup)
+
+
+def path_markov_arrivals(rng, src, horizon):
+    """The arrivals read off a state path expanded with np.repeat."""
+    state = 1 if rng.random() < src.effective_rate else 0
+    chunks = []
+    total = 0
+    while total < horizon:
+        n_runs = max(64, int(horizon / 8))
+        active = sim._geometric_lengths(rng, src.p10, n_runs)
+        inactive = sim._geometric_lengths(rng, src.p01, n_runs)
+        lengths = np.empty(2 * n_runs, dtype=np.int64)
+        lengths[0::2], lengths[1::2] = (active, inactive) if state == 1 else (inactive, active)
+        values = np.empty(2 * n_runs, dtype=np.int64)
+        values[0::2] = state
+        values[1::2] = 1 - state
+        chunks.append(np.repeat(values, lengths))
+        total += int(lengths.sum())
+    path = np.concatenate(chunks)[:horizon]
+    return np.flatnonzero(path) + 1
+
+
+@pytest.mark.parametrize("src", [MarkovSource(0.05, 0.2), MarkovSource(0.5, 0.5),
+                                 MarkovSource(1.0, 1.0), MarkovSource(0.01, 0.9)])
+def test_markov_arrivals_from_run_lengths_equal_the_state_path(src):
+    for seed in range(6):
+        for horizon in (1, 7, 64, 513, 100_003):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            arrivals = sim._markov_arrivals(rng, src, horizon)
+            assert np.array_equal(arrivals, path_markov_arrivals(reference, src, horizon))
+            assert rng.random() == reference.random()  # the same draws were consumed
+
+
+def test_bernoulli_arrivals_in_chunks_equal_one_draw(monkeypatch):
+    monkeypatch.setattr(sim, "_CHUNK", 7)
+    for horizon in (1, 6, 7, 8, 50, 1001):
+        rng, reference = np.random.default_rng(horizon), np.random.default_rng(horizon)
+        expected = np.flatnonzero(reference.random(horizon) < 0.3) + 1
+        assert np.array_equal(sim._bernoulli_arrivals(rng, 0.3, horizon), expected)
+        assert rng.random() == reference.random()
+
+
+MEMORY_SLOTS = 2_000_000
+
+
+@pytest.mark.parametrize("run,bytes_per_slot", [
+    (lambda: simulate(SimConfig(Policy.dad(50), BernoulliSource(0.05), horizon=MEMORY_SLOTS, seed=1)), 10.0),
+    (lambda: empirical_source_age(SimConfig(None, MarkovSource(0.05, 0.2), horizon=MEMORY_SLOTS, seed=1)), 25.0),
+], ids=["dad50-bernoulli", "markov-source"])
+def test_traced_memory_grows_with_arrivals_not_slots(run, bytes_per_slot):
+    run()  # first call pays one-off allocations
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_slot * MEMORY_SLOTS
+
+
+def test_runs_report_counters_at_debug(caplog):
+    cfg = SimConfig(Policy.dad(4), BernoulliSource(1.0), horizon=1_000, warmup=0, seed=1)
+    with caplog.at_level(logging.DEBUG, logger="ageleak.sim"):
+        simulate(cfg)
+        empirical_source_age(SimConfig(None, BernoulliSource(1.0), horizon=1_000, warmup=0))
+    assert "sim rad horizon=1000: 1000 arrivals, 250 deliveries, 250 intervals summed" in caplog.text
+    assert "sim source horizon=1000: 1000 arrivals, 1000 deliveries, 1000 intervals summed" in caplog.text
