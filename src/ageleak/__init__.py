@@ -30,7 +30,7 @@ from .optimize import (
     optimal_alpha_for_fcfs,
     verify_two_point_optimality,
 )
-from .oracle import ChannelTable, brute_force_maxl, channel_table, enumerate_channel, verify_ml_input
+from .oracle import brute_force_maxl, enumerate_channel, verify_ml_input
 from .pmf import (
     FinitePmf,
     Moments,
@@ -61,7 +61,6 @@ __all__ = [
     "AgeLeakError",
     "AgeResult",
     "BernoulliSource",
-    "ChannelTable",
     "DinkelbachCertificate",
     "DitherPolicy",
     "FinitePmf",
@@ -75,7 +74,6 @@ __all__ = [
     "TradeoffPoint",
     "asymptotic_slope",
     "brute_force_maxl",
-    "channel_table",
     "ddad_policy",
     "deterministic_pmf",
     "dinkelbach_certify",

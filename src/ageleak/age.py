@@ -10,7 +10,7 @@ Bernoulli(lambda) source.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidLambda, Unstable
+from .errors import InvalidConfig, InvalidLambda, Unstable, _as_probability
 from .pmf import FinitePmf, pmf_moments
 from .sources import MarkovSource
 
@@ -23,12 +23,7 @@ class AgeResult:
 
     def __post_init__(self):
         if not self.delta >= 1.0:
-            raise ValueError(f"average age {self.delta!r} is below one slot")
-
-
-def _check_lambda(lam):
-    if not 0.0 < lam <= 1.0:
-        raise InvalidLambda(f"arrival rate {lam!r} outside (0, 1]")
+            raise InvalidConfig(f"average age {self.delta!r} is below one slot")
 
 
 def lcfs_age(lam, service_pmf: FinitePmf) -> AgeResult:
@@ -38,7 +33,7 @@ def lcfs_age(lam, service_pmf: FinitePmf) -> AgeResult:
     (lam = 1 with no single-slot service mass) no update ever completes and
     the age diverges.
     """
-    _check_lambda(lam)
+    lam = _as_probability(lam, "arrival rate", InvalidLambda)
     lbar = 1.0 - lam
     expectation = math.fsum(p * lbar ** (s - 1) for s, p in service_pmf.entries)
     if expectation <= 0.0:
@@ -58,10 +53,8 @@ def fcfs_age(lam, service_pmf: FinitePmf, alpha=1.0) -> AgeResult:
     where rate = alpha*lam, lbar = 1 - rate, rho = rate*E[S] and
     M_g(x) = sum_s g(s) x^s.  Raises :class:`Unstable` when rho >= 1.
     """
-    _check_lambda(lam)
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidLambda(f"admission probability {alpha!r} outside (0, 1]")
-    rate = alpha * lam
+    lam = _as_probability(lam, "arrival rate", InvalidLambda)
+    rate = _as_probability(alpha, "admission probability", InvalidLambda) * lam
     m = pmf_moments(service_pmf)
     rho = rate * m.mean
     if rho >= 1.0:
@@ -79,7 +72,7 @@ def fcfs_age(lam, service_pmf: FinitePmf, alpha=1.0) -> AgeResult:
 
 def rad_age(lam, dump_pmf: FinitePmf) -> AgeResult:
     """Accumulate-and-dump age: 1/lam + E[D^2]/(2 E[D]) + 1/2."""
-    _check_lambda(lam)
+    lam = _as_probability(lam, "arrival rate", InvalidLambda)
     m = pmf_moments(dump_pmf)
     return AgeResult(1.0 / lam + m.second_moment / (2.0 * m.mean) + 0.5)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .age import lcfs_age
+from .errors import InvalidConfig
 from .leakage import rad_leakage_bits, rad_rate, smp_leakage_bits
 from .optimize import (
     ddad_policy,
@@ -257,7 +258,7 @@ def run_criterion(number) -> CheckResult:
             start = time.time()
             passed, detail = fn()
             return CheckResult(num, description, passed, detail, time.time() - start)
-    raise ValueError(f"no acceptance criterion {number}")
+    raise InvalidConfig(f"no acceptance criterion {number}")
 
 
 def run_all():

@@ -1,9 +1,15 @@
-"""Exception hierarchy for ageleak.
+"""Exception hierarchy for ageleak, and the rules every outside value passes.
 
 Everything raised on bad inputs or infeasible requests derives from
 :class:`AgeLeakError`, so callers (and the CLI) can distinguish validation
 failures from genuine numerical non-convergence (:class:`ConvergenceFailure`).
+The four input rules at the end decide what a valid whole number,
+probability, finite number and JSON object are; each public entry point
+applies one rule per value it takes, with the error class it raises.
 """
+
+import numbers
+import sys
 
 
 class AgeLeakError(Exception):
@@ -96,3 +102,43 @@ class NoOverlap(AgeLeakError):
 
 class TooFewPoints(AgeLeakError):
     pass
+
+
+# --- input rules --------------------------------------------------------------
+#
+# A value passes a rule normalised to int or float, or the caller's error
+# class refuses it: never a bool or a str, never rounded or truncated.
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _as_int(value, what, error, low=0):
+    """``value`` as an int >= ``low``: an int, or an integral float as JSON gives it."""
+    integral = isinstance(value, float) and value.is_integer() or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+    if integral and value >= low:
+        return int(value)
+    raise error(f"{what} {value!r} is not an integer >= {low}")
+
+
+def _as_probability(value, what, error):
+    """``value`` as a float in (0, 1]."""
+    if _is_real(value) and 0.0 < value <= 1.0:
+        return float(value)
+    raise error(f"{what} {value!r} outside (0, 1]")
+
+
+def _as_finite(value, what, error, low):
+    """``value`` as a finite float >= ``low``."""
+    if _is_real(value) and low <= value <= sys.float_info.max:
+        return float(value)
+    raise error(f"{what} {value!r} is not a finite number >= {low}")
+
+
+def _as_dict(value, what):
+    """``value`` if it is a JSON object (a dict), else :class:`InvalidConfig`."""
+    if isinstance(value, dict):
+        return value
+    raise InvalidConfig(f"{what} is a JSON {type(value).__name__}, not an object")

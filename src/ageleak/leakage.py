@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure, InvalidBeta, InvalidConfig, InvalidTau, NonHalfIntegerTau, ZeroRate,
+    _as_finite, _as_int, _as_probability,
 )
 from .pmf import FinitePmf
 
@@ -48,19 +49,8 @@ class LeakageResult:
     n: int
 
     def __post_init__(self):
-        if self.bits < -1e-9 or self.bits > self.n + 1e-6:
-            raise ValueError(f"leakage {self.bits!r} bits outside [0, n={self.n}]")
-
-
-def _check_beta(beta):
-    if not 0.0 < beta <= 1.0:
-        raise InvalidBeta(f"top service probability {beta!r} outside (0, 1]")
-
-
-def _check_int(value, low, what, error=InvalidConfig):
-    if not (value >= low and value == int(value)):
-        raise error(f"{what} {value!r} is not an integer >= {low}")
-    return int(value)
+        if not -1e-9 <= self.bits <= self.n + 1e-6:
+            raise InvalidConfig(f"leakage {self.bits!r} bits outside [0, n={self.n}]")
 
 
 def _log2_recurrence(c, f, n):
@@ -109,8 +99,6 @@ def _log2_recurrence(c, f, n):
 
 def _smp_coefficients(s1, beta):
     """(c, f) of a coupled server whose SMP service pmf has minimum s1 with mass beta."""
-    _check_beta(beta)
-    s1 = _check_int(s1, 1, "minimum service time")
     c = np.zeros(s1 + 1)
     c[1] = 1.0
     c[s1] += beta
@@ -162,9 +150,10 @@ def smp_leakage_bits(n, s1, beta) -> LeakageResult:
     a(n) = a(n-1) + beta * a(n-s1) = sum_k C(n - k(s1-1), k) beta^k.
     For s1 = 1 this collapses to n*log2(1 + beta).
     """
-    c, f = _smp_coefficients(s1, beta)
-    n = _check_int(n, 0, "horizon")
-    return LeakageResult(_log2_recurrence(c, f, n), n)
+    n = _as_int(n, "horizon", InvalidConfig)
+    s1 = _as_int(s1, "minimum service time", InvalidConfig, low=1)
+    beta = _as_probability(beta, "top service probability", InvalidBeta)
+    return LeakageResult(_log2_recurrence(*_smp_coefficients(s1, beta), n), n)
 
 
 def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
@@ -175,7 +164,7 @@ def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
 
         m(n) = 2 * sum_{d=1}^{n} g(d) m(n-d) + P(D > n),   m(0) = 1.
     """
-    n = _check_int(n, 0, "horizon")
+    n = _as_int(n, "horizon", InvalidConfig)
     return LeakageResult(_log2_recurrence(*_rad_coefficients(dump_pmf), n), n)
 
 
@@ -186,8 +175,7 @@ def rad_rate(dump_pmf: FinitePmf) -> float:
 
 def _uniform_width(tau):
     """Support width 2*tau - 1 of the uniform pmf on {1, 2, ...} with mean ``tau``."""
-    if not tau >= 1.0:
-        raise InvalidTau(f"mean inter-dump time {tau!r} is below one slot")
+    tau = _as_finite(tau, "mean inter-dump time", InvalidTau, low=1.0)
     k = 2.0 * tau - 1.0
     if abs(k - round(k)) > 1e-9:
         raise NonHalfIntegerTau(f"2*tau-1 = {k!r} is not a positive integer")
@@ -196,7 +184,8 @@ def _uniform_width(tau):
 
 def leakage_time(rate) -> float:
     """Average slots per leaked bit: the reciprocal rate."""
-    if rate <= 0.0:
-        raise ZeroRate(f"leakage rate {rate!r} is not positive")
+    rate = _as_finite(rate, "leakage rate", ZeroRate, low=0.0)
+    if rate == 0.0:
+        raise ZeroRate("leakage rate 0.0 is not positive")
     return 1.0 / rate
 

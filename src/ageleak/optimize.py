@@ -13,8 +13,11 @@ import math
 from dataclasses import dataclass
 
 from .age import AgeResult, fcfs_age
-from .errors import InvalidBeta, InvalidRate, NoFeasibleAlpha, Unstable
-from .pmf import FinitePmf, make_pmf, pmf_moments
+from .errors import (
+    InvalidBeta, InvalidConfig, InvalidLambda, InvalidRate, NoFeasibleAlpha, Unstable, _as_int,
+    _as_probability,
+)
+from .pmf import DEFAULT_D_MAX, FinitePmf, make_pmf, pmf_moments
 
 #: 1/rate within this distance of an integer collapses to a pure DAD policy
 #: instead of emitting a near-zero dither weight.
@@ -82,10 +85,12 @@ def greedy_smp_pmf(beta) -> FinitePmf:
     """Age-optimal SMP service pmf for leakage budget ``beta`` = g(1).
 
     Mass beta on each duration 1..k with k = floor(1/beta); the remainder
-    1 - k*beta sits at k + 1 and is dropped when 1/beta is an integer.
+    1 - k*beta sits at k + 1 and is dropped when 1/beta is an integer.  A
+    budget whose support would pass DEFAULT_D_MAX slots is refused.
     """
-    if not 0.0 < beta <= 1.0:
-        raise InvalidBeta(f"leakage budget {beta!r} outside (0, 1]")
+    beta = _as_probability(beta, "leakage budget", InvalidBeta)
+    if beta * DEFAULT_D_MAX < 1.0:
+        raise InvalidBeta(f"leakage budget {beta!r} spreads past the {DEFAULT_D_MAX}-slot support cap")
     k = int(1.0 / beta + _INTEGER_TOL)
     entries = [(s, beta) for s in range(1, k + 1)]
     remainder = 1.0 - k * beta
@@ -102,9 +107,10 @@ def ddad_policy(target_rate) -> DitherPolicy:
     integer (within 1e-9) the schedule collapses to the deterministic dump
     policy with period 1/rate.
     """
-    if not 0.0 < target_rate <= 1.0:
-        raise InvalidRate(f"target leakage rate {target_rate!r} outside (0, 1]")
+    target_rate = _as_probability(target_rate, "target leakage rate", InvalidRate)
     z0 = 2.0 ** target_rate
+    if z0 == 1.0:
+        raise InvalidRate(f"target leakage rate {target_rate!r} is below the resolution of 2^rate")
     inv = 1.0 / target_rate
     nearest = round(inv)
     if abs(inv - nearest) <= _INTEGER_TOL:
@@ -201,8 +207,9 @@ def verify_two_point_optimality(target_rate, search_d_max) -> bool:
     schedule's value minus 1e-9.  The fractional-programming line search is
     run over the same vertex set and must terminate on the dither support.
     """
+    search_d_max = _as_int(search_d_max, "search_d_max", InvalidConfig, low=1)
     if search_d_max > 12:
-        raise ValueError(f"search_d_max {search_d_max} too large for exhaustive check")
+        raise InvalidConfig(f"search_d_max {search_d_max} too large for exhaustive check")
     policy = ddad_policy(target_rate)
     candidates = _vertex_candidates(policy.z0, search_d_max)
     if not candidates:
@@ -227,6 +234,7 @@ def optimal_alpha_for_fcfs(lam, service_pmf: FinitePmf, tol=1e-6):
     (eps, min(1, (1 - eps) / (lam E[S]))]; the right endpoint is also
     evaluated so an age monotone in alpha returns alpha = 1 exactly.
     """
+    lam = _as_probability(lam, "arrival rate", InvalidLambda)
     mean_service = pmf_moments(service_pmf).mean
     eps = 1e-9
     hi = min(1.0, (1.0 - eps) / (lam * mean_service))

@@ -21,12 +21,11 @@ is finished on its own, which bounds live memory.
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonTooLarge, InvalidConfig, UnnormalizedMass
-from .leakage import LeakageResult, _check_int
+from .errors import HorizonTooLarge, InvalidConfig, UnnormalizedMass, _as_int
+from .leakage import LeakageResult
 from .policy import Policy
 
 MAX_HORIZON = 14
@@ -45,23 +44,11 @@ _FIELD = (1 << _FIELD_BITS) - 1
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ChannelTable:
-    """Per-output maximum-likelihood probabilities max_x P(y | x).
-
-    ``max_likelihood`` maps each achievable n-bit output word to the largest
-    conditional probability any input assigns it.
-    """
-
-    n: int
-    max_likelihood: dict
-
-
 def _check(policy: Policy, n, cap):
     """The horizon as an int, after refusing thinned FCFS and bad horizons."""
     if policy.kind == "fcfs" and policy.alpha != 1.0:
         raise InvalidConfig("oracle enumerates unthinned FCFS only")
-    n = _check_int(n, 0, "horizon")
+    n = _as_int(n, "horizon", InvalidConfig)
     if n > cap:
         raise HorizonTooLarge(f"horizon {n} exceeds enumeration cap {cap}")
     return n
@@ -228,21 +215,14 @@ def _scan(policy: Policy, n, cap):
     return best, designated
 
 
-def channel_table(policy: Policy, n) -> ChannelTable:
-    """Max-likelihood table over all 2^n inputs."""
-    best, _ = _scan(policy, n, MAX_HORIZON)
-    ys = np.flatnonzero(best)
-    return ChannelTable(int(n), dict(zip(ys.tolist(), best[ys].tolist())))
-
-
 def brute_force_maxl(policy: Policy, n) -> LeakageResult:
     """Maximal leakage by direct evaluation of its definition.
 
     log2 of the sum, over achievable outputs, of the best conditional
     probability any of the 2^n inputs assigns that output.
     """
-    table = channel_table(policy, n)
-    return LeakageResult(math.log2(math.fsum(table.max_likelihood.values())), int(n))
+    best, _ = _scan(policy, n, MAX_HORIZON)
+    return LeakageResult(math.log2(math.fsum(best[best > 0])), int(n))
 
 
 def verify_ml_input(policy: Policy, n) -> bool:

@@ -14,8 +14,12 @@ from .errors import (
     DuplicateDuration,
     NegativeProbability,
     NonPositiveDuration,
+    PmfError,
     TailTooHeavy,
     UnnormalizedMass,
+    _as_finite,
+    _as_int,
+    _as_probability,
 )
 
 #: Tolerance on |sum of probabilities - 1|.  Stricter would reject folded
@@ -95,14 +99,6 @@ class Moments:
     variance: float
 
 
-def _convert(kind, value):
-    """``kind(value)``, or None where the value is not a number at all."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 def make_pmf(entries) -> FinitePmf:
     """Validate and normalize (duration, probability) pairs into a pmf.
 
@@ -119,13 +115,13 @@ def make_pmf(entries) -> FinitePmf:
         raise UnnormalizedMass("pmf needs at least one entry")
     cleaned = []
     for d, p in items:
-        di = _convert(int, d)
-        if di is None or di != d or di < 1:
-            raise NonPositiveDuration(f"duration {d!r} is not a positive integer")
-        pf = _convert(float, p)
-        if pf is None or not math.isfinite(pf) or pf < 0.0:
-            raise NegativeProbability(f"probability {p!r} at duration {di} is not in [0, 1]")
-        cleaned.append((di, pf))
+        # plain int and float entries skip the rule calls: this loop runs
+        # for every entry of every pmf, about 7 * 10^5 times in one `ageleak check`
+        if type(d) is not int or d < 1:
+            d = _as_int(d, "duration", NonPositiveDuration, low=1)
+        if type(p) is not float or not 0.0 <= p <= 1.0:
+            p = _as_finite(p, "probability", NegativeProbability, low=0.0)
+        cleaned.append((d, p))
     cleaned.sort(key=lambda e: e[0])
     for (d0, _), (d1, _) in zip(cleaned, cleaned[1:]):
         if d0 == d1:
@@ -168,16 +164,13 @@ def geometric_pmf(mu, d_max=None, allow_heavy_tail=False) -> FinitePmf:
     Raises :class:`TailTooHeavy` if the requested truncation would fold more
     than 1e-12 of mass and ``allow_heavy_tail`` is not set.
     """
-    if not 0.0 < mu <= 1.0:
-        raise NegativeProbability(f"geometric parameter {mu!r} outside (0, 1]")
+    mu = _as_probability(mu, "geometric parameter", NegativeProbability)
     if mu == 1.0:
         return FinitePmf(((1, 1.0),))
     if d_max is None:
-        d_max = max(1, math.ceil(math.log(GEOMETRIC_TAIL_TOL) / math.log(1.0 - mu)))
-        d_max = min(d_max, DEFAULT_D_MAX)
-    d_max = int(d_max)
-    if d_max < 1:
-        raise NonPositiveDuration(f"d_max {d_max} is not a positive integer")
+        ln_q = math.log(1.0 - mu)  # 0.0 once mu is below half an ulp of 1
+        d_max = min(math.ceil(math.log(GEOMETRIC_TAIL_TOL) / ln_q), DEFAULT_D_MAX) if ln_q else DEFAULT_D_MAX
+    d_max = _as_int(d_max, "d_max", NonPositiveDuration, low=1)
     tail = (1.0 - mu) ** d_max
     if tail > GEOMETRIC_TAIL_TOL and not allow_heavy_tail:
         raise TailTooHeavy(
@@ -189,16 +182,13 @@ def geometric_pmf(mu, d_max=None, allow_heavy_tail=False) -> FinitePmf:
 
 
 def uniform_pmf(k) -> FinitePmf:
-    """Uniform pmf on {1, ..., k}; mean (k+1)/2."""
-    k = int(k)
-    if k < 1:
-        raise NonPositiveDuration(f"uniform width {k} is not a positive integer")
+    """Uniform pmf on {1, ..., k}; mean (k+1)/2.  Widths past DEFAULT_D_MAX are refused."""
+    k = _as_int(k, "uniform width", NonPositiveDuration, low=1)
+    if k > DEFAULT_D_MAX:
+        raise PmfError(f"uniform width {k} exceeds the {DEFAULT_D_MAX}-slot support cap")
     return make_pmf([(d, 1.0 / k) for d in range(1, k + 1)])
 
 
 def deterministic_pmf(tau) -> FinitePmf:
     """Point mass at duration ``tau``."""
-    taui = int(tau)
-    if taui != tau or taui < 1:
-        raise NonPositiveDuration(f"duration {tau!r} is not a positive integer")
-    return FinitePmf(((taui, 1.0),))
+    return FinitePmf(((_as_int(tau, "duration", NonPositiveDuration, low=1), 1.0),))

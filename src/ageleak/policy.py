@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .age import AgeResult, fcfs_age, lcfs_age, rad_age
-from .errors import InvalidConfig, InvalidLambda, InvalidTau
+from .errors import (
+    InvalidConfig, InvalidLambda, InvalidTau, _as_dict, _as_finite, _as_int, _as_probability,
+)
 from .leakage import (
-    LeakageResult, _check_int, _log2_recurrence, _rad_coefficients, _root, _smp_coefficients,
-    _uniform_width,
+    LeakageResult, _log2_recurrence, _rad_coefficients, _root, _smp_coefficients, _uniform_width,
 )
 from .optimize import ddad_policy, greedy_smp_pmf
 from .pmf import FinitePmf, deterministic_pmf, geometric_pmf, is_smp, make_pmf, uniform_pmf
@@ -43,8 +44,8 @@ class Policy:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidConfig(f"unknown policy kind {self.kind!r}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise InvalidLambda(f"admission probability {self.alpha!r} outside (0, 1]")
+        alpha = _as_probability(self.alpha, "admission probability", InvalidLambda)
+        object.__setattr__(self, "alpha", alpha)
         if self.alpha != 1.0 and self.kind != "fcfs":
             raise InvalidConfig("thinning applies to FCFS only")
 
@@ -66,7 +67,7 @@ class Policy:
 
     @classmethod
     def dad(cls, tau):
-        return cls("rad", deterministic_pmf(_check_int(tau, 1, "dump period", InvalidTau)))
+        return cls("rad", deterministic_pmf(_as_int(tau, "dump period", InvalidTau, low=1)))
 
     def mean_age(self, lam) -> AgeResult:
         """Long-run average age at the monitor under a Bernoulli(lam) source."""
@@ -90,7 +91,7 @@ class Policy:
 
     def leakage_bits(self, n) -> LeakageResult:
         """Maximal leakage over an n-slot horizon, in bits."""
-        n = _check_int(n, 0, "horizon")
+        n = _as_int(n, "horizon", InvalidConfig)
         return LeakageResult(_log2_recurrence(*self._recurrence(), n), n)
 
     def rate(self) -> float:
@@ -107,23 +108,25 @@ def _explicit(spec):
 
 
 def _greedy(spec):
-    return greedy_smp_pmf(float(spec["beta"]))
+    return greedy_smp_pmf(spec["beta"])
 
 
 def _geometric(spec):
-    return geometric_pmf(float(spec["mu"]) if "mu" in spec else 1.0 / float(spec["tau"]))
+    if "mu" in spec:
+        return geometric_pmf(spec["mu"])
+    return geometric_pmf(1.0 / _as_finite(spec["tau"], "mean service time", InvalidTau, low=1.0))
 
 
 def _deterministic(spec):
-    return Policy.dad(float(spec["tau"])).pmf
+    return Policy.dad(spec["tau"]).pmf
 
 
 def _uniform(spec):
-    return uniform_pmf(_uniform_width(float(spec["tau"])))
+    return uniform_pmf(_uniform_width(spec["tau"]))
 
 
 def _dither(spec):
-    return ddad_policy(float(spec["rate"])).to_pmf()
+    return ddad_policy(spec["rate"]).to_pmf()
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ FAMILIES = {
 
 def family(name) -> Family:
     """The registry entry for ``name``; :class:`InvalidConfig` if there is none."""
-    if name not in FAMILIES:
+    if not isinstance(name, str) or name not in FAMILIES:
         raise InvalidConfig(f"unknown policy kind {name!r}")
     return FAMILIES[name]
 
@@ -174,11 +177,11 @@ def policy_from_config(spec: dict) -> Policy:
     (tau), "rad-uniform" (tau), "ddad" (rate).  ``alpha`` other than 1 is
     refused for every kind but FCFS.
     """
-    if "kind" not in spec:
+    if "kind" not in _as_dict(spec, "policy config"):
         raise InvalidConfig("policy config needs a 'kind'")
     entry = family(spec["kind"])
     try:
         pmf = entry.pmf(spec)
     except KeyError as missing:
         raise InvalidConfig(f"policy {spec['kind']!r} needs {entry.param!r}; {missing} is missing") from None
-    return Policy(entry.kind, pmf, float(spec.get("alpha", 1.0)))
+    return Policy(entry.kind, pmf, spec.get("alpha", 1.0))

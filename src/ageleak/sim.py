@@ -33,7 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, _as_dict, _as_int
 from .pmf import FinitePmf
 from .policy import Policy, policy_from_config
 from .sources import BernoulliSource, MarkovSource
@@ -55,7 +55,8 @@ _log = logging.getLogger(__name__)
 class SimConfig:
     """One simulation run: policy, source, horizon, warmup and seed.
 
-    ``policy`` may be None for source-only measurements.
+    ``policy`` may be None for source-only measurements.  The three counts
+    are whole numbers; an integral float such as JSON's 6e4 is kept as an int.
     """
 
     policy: Optional[Policy]
@@ -65,14 +66,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.horizon, int) or not isinstance(self.warmup, int):
-            raise InvalidConfig("horizon and warmup must be integers")
-        if not self.horizon > self.warmup >= 0:
+        for name in ("horizon", "warmup", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, InvalidConfig))
+        if not self.horizon > self.warmup:
             raise InvalidConfig(
                 f"need horizon > warmup >= 0, got horizon={self.horizon}, warmup={self.warmup}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidConfig(f"seed {self.seed!r} is not an integer >= 0")
         if not isinstance(self.source, (BernoulliSource, MarkovSource)):
             raise InvalidConfig(f"unsupported source {self.source!r}")
 
@@ -356,33 +355,12 @@ def empirical_source_age(cfg: SimConfig, return_pmf=False):
     return stats, pmf
 
 
-def _whole(value, what):
-    """A scenario integer: JSON integers and integral numbers, never truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InvalidConfig(f"scenario {what} {value!r} is not an integer")
-
-
-def _number(value, what):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise InvalidConfig(f"scenario {what} {value!r} is not a number")
-
-
-def _object(value, what):
-    if isinstance(value, dict):
-        return value
-    raise InvalidConfig(f"scenario {what} is a JSON {type(value).__name__}, not an object")
-
-
 def _source_from_config(spec: dict):
-    kind = _object(spec, "source").get("kind")
+    kind = _as_dict(spec, "scenario source").get("kind")
     if kind == "bernoulli":
-        return BernoulliSource(_number(spec["lambda"], "lambda"))
+        return BernoulliSource(spec["lambda"])
     if kind == "markov":
-        return MarkovSource(_number(spec["p01"], "p01"), _number(spec["p10"], "p10"))
+        return MarkovSource(spec["p01"], spec["p10"])
     raise InvalidConfig(f"unknown source kind {kind!r}")
 
 
@@ -392,23 +370,21 @@ def load_scenario(path) -> SimConfig:
     Schema: {"policy": {...}, "source": {"kind": "bernoulli", "lambda": x}
     or {"kind": "markov", "p01": x, "p10": y}, "horizon": n,
     "warmup": n, "seed": n}.  Counts must be whole numbers and rates
-    numbers; anything else is refused with :class:`InvalidConfig`.
+    probabilities; anything else is refused with a typed error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"scenario file {path!r} is not JSON: {exc}") from None
-    spec = _object(spec, f"file {path!r}")
+    spec = _as_dict(spec, f"scenario file {path!r}")
     try:
-        policy = policy_from_config(_object(spec["policy"], "policy")) if spec.get("policy") else None
-        source = _source_from_config(spec["source"])
         return SimConfig(
-            policy=policy,
-            source=source,
-            horizon=_whole(spec["horizon"], "horizon"),
-            warmup=_whole(spec.get("warmup", DEFAULT_WARMUP), "warmup"),
-            seed=_whole(spec.get("seed", 0), "seed"),
+            policy=policy_from_config(spec["policy"]) if spec.get("policy") else None,
+            source=_source_from_config(spec["source"]),
+            horizon=spec["horizon"],
+            warmup=spec.get("warmup", DEFAULT_WARMUP),
+            seed=spec.get("seed", 0),
         )
     except KeyError as missing:
         raise InvalidConfig(f"scenario file is missing {missing}") from None

@@ -6,7 +6,7 @@ leakage analysis needs; the age analysis additionally uses their statistics.
 
 from dataclasses import dataclass
 
-from .errors import InvalidConfig, InvalidLambda
+from .errors import InvalidConfig, InvalidLambda, _as_probability
 
 
 @dataclass(frozen=True)
@@ -16,8 +16,7 @@ class BernoulliSource:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam <= 1.0:
-            raise InvalidLambda(f"arrival rate {self.lam!r} outside (0, 1]")
+        object.__setattr__(self, "lam", _as_probability(self.lam, "arrival rate", InvalidLambda))
 
     @property
     def effective_rate(self):
@@ -37,9 +36,9 @@ class MarkovSource:
     p10: float
 
     def __post_init__(self):
-        for name, p in (("p01", self.p01), ("p10", self.p10)):
-            if not 0.0 < p <= 1.0:
-                raise InvalidConfig(f"transition probability {name}={p!r} outside (0, 1]")
+        for name in ("p01", "p10"):
+            p = _as_probability(getattr(self, name), f"transition probability {name}", InvalidConfig)
+            object.__setattr__(self, name, p)
 
     @property
     def effective_rate(self):

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BaselinePoint, InvalidConfig, NoOverlap, TooFewPoints
+from .errors import BaselinePoint, InvalidConfig, NoOverlap, TooFewPoints, _as_int, _as_probability
 from .leakage import leakage_time
 from .optimize import optimal_alpha_for_fcfs
 from .policy import family, policy_from_config
@@ -71,6 +71,8 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # the seed reaches SeedSequence before any SimConfig sees it
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", InvalidConfig))
         if family(self.family).param == "pmf":
             raise InvalidConfig(f"family {self.family!r} has no scalar parameter to sweep")
         if len(self.grid) == 0:
@@ -161,8 +163,7 @@ def asymptotic_slope(series, tail_fraction) -> float:
     """Least-squares slope of leakage time vs. age over the high-age tail."""
     if len(series) < 10:
         raise TooFewPoints(f"need at least 10 points, got {len(series)}")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise InvalidConfig(f"tail fraction {tail_fraction!r} outside (0, 1]")
+    tail_fraction = _as_probability(tail_fraction, "tail fraction", InvalidConfig)
     ordered = sorted(series, key=lambda p: p.delta)
     count = max(2, math.ceil(tail_fraction * len(ordered)))
     tail = ordered[-count:]

@@ -205,6 +205,18 @@ SCENARIO = {
         ("simulate", "--scenario", dict(SCENARIO, source={"kind": "bernoulli", "lambda": "x"})),
         ("simulate", "--scenario", dict(SCENARIO, horizon="abc")),
         ("simulate", "--scenario", [SCENARIO]),
+        ("sweep", "--policy", "dad", "--grid", "2", "--simulate", "--slots", "20000", "--seed", "-1"),
+        ("optimize", "--policy", "fcfs-greedy", "--beta", "0.5", "--lambda", "0"),
+        ("age", "--policy", "dad", "--tau", "inf"),
+        ("rate", "--policy", "rad-uniform", "--tau", "inf"),
+        ("age", "--policy", "lcfs-geo", "--tau", "1e17"),
+        ("rate", "--policy", "ddad", "--rate", "5e-324"),
+        ("age", "--policy", "lcfs", "--pmf", '{"entries": [[1, "1"]]}'),
+        ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "dad", "tau": "abc"})),
+        ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "dad", "tau": "5"})),
+        ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "mbt", "mu": 0.5, "alpha": "0.5"})),
+        ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "lcfs-greedy", "beta": True})),
+        ("simulate", "--scenario", dict(SCENARIO, policy={"kind": ["dad"], "tau": 4})),
     ],
 )
 def test_refused_inputs_exit_2(capsys, tmp_path, argv):

@@ -248,8 +248,9 @@ def test_closed_form_rates():
 
 def test_leakage_time():
     assert leakage_time(0.2) == 5.0
-    with pytest.raises(ZeroRate):
-        leakage_time(0.0)
+    for rate in (0.0, math.nan):
+        with pytest.raises(ZeroRate):
+            leakage_time(rate)
 
 
 @settings(max_examples=60, deadline=None)
