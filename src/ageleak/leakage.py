@@ -97,35 +97,61 @@ def _log2_recurrence(c, f, n):
     return math.log2(hist[-1]) + shed
 
 
-def _smp_coefficients(s1, beta):
-    """(c, f) of a coupled server whose SMP service pmf has minimum s1 with mass beta."""
-    c = np.zeros(s1 + 1)
-    c[1] = 1.0
-    c[s1] += beta
-    return c, np.zeros(0)
+def _smp_terms(s1, beta):
+    """Lags and weights of the nonzero c_d of a coupled server whose SMP
+    service pmf has minimum s1 with mass beta: c_1 = 1, c_s1 += beta."""
+    if s1 == 1:
+        return np.array([1]), np.array([1.0 + beta])
+    return np.array([1, s1]), np.array([1.0, beta])
 
 
-def _rad_coefficients(dump_pmf: FinitePmf):
-    """(c, f) of a dump schedule: c_d = 2 g(d), f(t) = P(D > t)."""
-    mass = np.zeros(dump_pmf.d_max + 1)
-    mass[list(dump_pmf.durations)] = dump_pmf.probabilities
-    tail = np.cumsum(mass[::-1])[::-1]  # P(D >= t), summed from the top
-    return 2.0 * mass, tail[1:]
+def _rad_terms(dump_pmf: FinitePmf):
+    """Lags and weights of the nonzero c_d = 2 g(d) of a dump schedule."""
+    return np.array(dump_pmf.durations), 2.0 * np.array(dump_pmf.probabilities)
 
 
-def _root(c):
+def _coefficients(lags, weights, n):
+    """Dense c_0, ..., c_top for x(1..n): lags past n never reach x(n).
+
+    ``top`` is min(largest lag, n), and at least 1 so the history is never
+    empty.
+    """
+    c = np.zeros(min(int(lags[-1]), max(n, 1)) + 1)
+    keep = lags < len(c)
+    c[lags[keep]] = weights[keep]
+    return c
+
+
+def _rad_forcing(dump_pmf: FinitePmf, n):
+    """f(t) = P(D > t) for t = 0 .. min(d_max - 1, n).
+
+    The tail is summed from the top, and the mass past the kept lags enters
+    that sum first in the same order, so every kept value equals the one a
+    support-long array gives.
+    """
+    durations, probs = np.array(dump_pmf.durations), np.array(dump_pmf.probabilities)
+    top = min(dump_pmf.d_max, max(n, 1))
+    mass = np.zeros(top + 1)
+    inside = durations <= top
+    mass[durations[inside]] = probs[inside]
+    beyond = np.cumsum(probs[~inside][::-1])[-1:]  # P(D > top), if the support goes past it
+    tail = np.cumsum(np.concatenate((beyond, mass[::-1])))[::-1]  # P(D >= t)
+    return tail[1:]
+
+
+def _root(lags, weights):
     """log2 z0 for the root z0 >= 1 of sum_d c_d z0^-d = 1, with sum_d c_d <= 2.
 
-    A single nonzero c_d gives z0^d = c_d exactly.  Otherwise, on w = ln z,
-    phi(w) = sum_d (c_d / 2) exp(-d w) - 1/2 is convex and strictly
+    The nonzero c_d are given as increasing ``lags`` d with their
+    ``weights``.  A single one gives z0^d = c_d exactly.  Otherwise, on
+    w = ln z, phi(w) = sum_d (c_d / 2) exp(-d w) - 1/2 is convex and strictly
     decreasing, with phi(0) >= 0 and phi(ln 2) <= 0 (every d >= 1).  Newton
     steps from w = 0 therefore rise monotonically to the root without
     passing it; the iterate is clamped to ln 2 against rounding.
     """
-    d = np.flatnonzero(c)
-    if len(d) == 1:
-        return float(math.log2(c[d[0]]) / d[0])
-    p = c[d] / 2.0
+    if len(lags) == 1:
+        return float(math.log2(weights[0]) / lags[0])
+    d, p = lags, weights / 2.0
     w = 0.0
     for step in range(1, ROOT_MAX_ITER + 1):
         terms = p * np.exp(-d * w)
@@ -153,7 +179,7 @@ def smp_leakage_bits(n, s1, beta) -> LeakageResult:
     n = _as_int(n, "horizon", InvalidConfig)
     s1 = _as_int(s1, "minimum service time", InvalidConfig, low=1)
     beta = _as_probability(beta, "top service probability", InvalidBeta)
-    return LeakageResult(_log2_recurrence(*_smp_coefficients(s1, beta), n), n)
+    return LeakageResult(_log2_recurrence(_coefficients(*_smp_terms(s1, beta), n), np.zeros(0), n), n)
 
 
 def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
@@ -165,12 +191,13 @@ def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
         m(n) = 2 * sum_{d=1}^{n} g(d) m(n-d) + P(D > n),   m(0) = 1.
     """
     n = _as_int(n, "horizon", InvalidConfig)
-    return LeakageResult(_log2_recurrence(*_rad_coefficients(dump_pmf), n), n)
+    c = _coefficients(*_rad_terms(dump_pmf), n)
+    return LeakageResult(_log2_recurrence(c, _rad_forcing(dump_pmf, n), n), n)
 
 
 def rad_rate(dump_pmf: FinitePmf) -> float:
     """Asymptotic leakage rate log2(z0) of a dump schedule, E[z0^-D] = 1/2."""
-    return _root(_rad_coefficients(dump_pmf)[0])
+    return _root(*_rad_terms(dump_pmf))
 
 
 def _uniform_width(tau):

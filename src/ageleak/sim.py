@@ -8,16 +8,24 @@ d + 1.  The dynamics are evaluated vectorially but follow those rules
 exactly, so a run is deterministic given its seed and bit-identical across
 repeats.
 
-No array has one entry per slot.  Arrivals are drawn in chunks of
-:data:`_CHUNK` slots (Bernoulli) or expanded from geometric run lengths
-(Markov), and the age statistics are built from the sawtooth the age
-traces: between two deliveries it rises by one per slot, so the sum of ages
-over each inter-delivery interval has a closed form.  Prefix sums of those
-areas, in exact int64 arithmetic, give the sum of ages up to any slot, and
-the statistics read them at the batch boundaries only.  Memory and work are
-O(arrivals + deliveries).  While the sum of ages over the horizon stays
-below 2^53, every partial sum of per-slot ages is exact in float64 too, so
-the mean and the batch means equal those of the per-slot ages bit for bit.
+A run streams through windows of :data:`_CHUNK` slots.  Each window draws
+its arrivals, the server turns them into deliveries, and a running
+accumulator adds up the sawtooth the age traces: between two deliveries it
+rises by one per slot, so the sum of ages over each inter-delivery interval
+has a closed form.  The running sum of those areas, in exact int64
+arithmetic, is read at the batch boundaries only.  The server state crosses
+window boundaries (the held-back LCFS arrival, the last FCFS departure, the
+last RAD attempt and the freshest arrival), so memory is O(_CHUNK) whatever
+the horizon.  While the sum of ages over the horizon stays below 2^53, every
+partial sum of per-slot ages is exact in float64 too, so the mean and the
+batch means equal those of the per-slot ages bit for bit.
+
+The random numbers keep their whole-run order: first every arrival draw
+(one per slot for Bernoulli sources; the initial state and whole blocks of
+run lengths for Markov ones), then the policy's draws (LCFS and FCFS
+service times, after one admission draw per arrival when FCFS thins, or
+the RAD timer).  Each sub-stream reads a copy of the run's PCG64 generator
+moved to its offset with ``advance``, where every double takes one step.
 
 Confidence intervals use batch means over 30 batches of the post-warmup
 slots at the 95% level.  The default warmup is 10^4 slots; the age process
@@ -25,6 +33,7 @@ mixes fast at the parameters of interest, but the warmup guards low-rate
 Markov runs.
 """
 
+import copy
 import json
 import logging
 import math
@@ -44,9 +53,9 @@ DEFAULT_WARMUP = 10_000
 #: Student-t quantile at 97.5% with BATCHES - 1 = 29 degrees of freedom.
 _T_29 = 2.0452296421327034
 
-#: Slots per draw of Bernoulli arrivals; consecutive draws give the same
-#: stream as one draw over the whole horizon.
-_CHUNK = 1 << 20
+#: Slots per window of a run, and the most draws taken at once; any value
+#: gives the same run.
+_CHUNK = 1 << 16
 
 _log = logging.getLogger(__name__)
 
@@ -92,18 +101,31 @@ class SimStats:
             raise InvalidConfig(f"output rate {self.output_rate!r} outside [0, 1]")
 
 
-def _sample_durations(rng, pmf: FinitePmf, size):
+def _fork(rng, offset):
+    """A generator ``offset`` draws ahead of ``rng`` on its stream; ``rng`` is left as it is."""
+    bits = copy.deepcopy(rng.bit_generator)
+    bits.advance(offset)
+    return np.random.Generator(bits)
+
+
+def _sampler(pmf: FinitePmf):
+    """sample(rng, size): draws of ``pmf`` by inversion, one double each.
+
+    The pmf's arrays are built once per run, not once per chunk.
+    """
     durations = np.array(pmf.durations, dtype=np.int64)
     cdf = np.cumsum(pmf.probabilities)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return durations[np.minimum(idx, len(durations) - 1)]
+
+    def sample(rng, size):
+        idx = np.searchsorted(cdf, rng.random(size), side="right")
+        return durations[np.minimum(idx, len(durations) - 1)]
+
+    return sample
 
 
-def _bernoulli_arrivals(rng, lam, horizon):
-    return np.concatenate([
-        np.flatnonzero(rng.random(min(_CHUNK, horizon - start)) < lam) + (start + 1)
-        for start in range(0, horizon, _CHUNK)
-    ])
+def _bernoulli_chunks(rng, lam, horizon):
+    for start in range(0, horizon, _CHUNK):
+        yield np.flatnonzero(rng.random(min(_CHUNK, horizon - start)) < lam) + (start + 1)
 
 
 def _geometric_lengths(rng, p, size):
@@ -113,33 +135,76 @@ def _geometric_lengths(rng, p, size):
     return np.ceil(np.log(u) / np.log(1.0 - p)).astype(np.int64).clip(min=1)
 
 
-def _markov_arrivals(rng, src: MarkovSource, horizon):
-    """Arrival slots of the two-state source over slots 1..horizon.
+def _markov_runs(rng, src: MarkovSource, horizon):
+    """Active runs of the two-state source that start before ``horizon``.
 
-    The state path is made of alternating geometric sojourns (leave
+    Yields batches of (first arrival slots, lengths clipped to the horizon,
+    covered): every later run starts at or after time ``covered``.  The
+    state path is made of alternating geometric sojourns (leave
     probabilities p10 from active, p01 from inactive), starting from the
     stationary distribution.  Slot t receives an update generated at t - 1,
     i.e. when the state at time t - 1 was active, so an active run starting
-    at time s with length L gives the arrivals s + 1, ..., s + L.  Each chunk
-    draws n_runs active then n_runs inactive lengths and pairs them, the
-    leading state's run first, so every chunk starts in the same state.
+    at time s with length L gives the arrivals s + 1, ..., s + L.
+
+    Each block draws n_runs active then n_runs inactive lengths and pairs
+    them, the leading state's run first, so every block starts in the same
+    state.  Two generators read the two halves of a block side by side,
+    about one window of :data:`_CHUNK` slots at a time.  When exhausted,
+    ``rng`` stands after the last block's draws, as if every block had been
+    drawn whole.
     """
-    state = 1 if rng.random() < src.effective_rate else 0
-    run_starts, run_lengths = [], []
-    total = 0
+    leads = rng.random() < src.effective_rate
+    n_runs = max(64, int(horizon / 8))
+    per_block = n_runs * ((src.p10 < 1.0) + (src.p01 < 1.0))
+    per_batch = max(1, int(_CHUNK / (1.0 / src.p10 + 1.0 / src.p01)))  # pairs of mean length
+    blocks = total = 0
     while total < horizon:
-        n_runs = max(64, int(horizon / 8))
-        active = _geometric_lengths(rng, src.p10, n_runs)
-        inactive = _geometric_lengths(rng, src.p01, n_runs)
-        pair_ends = total + np.cumsum(active + inactive)
-        starts = pair_ends - active  # the active run closes its pair ...
-        if state == 1:
-            starts -= inactive  # ... unless the chunk leads with it
-        inside = starts < horizon
-        run_starts.append(starts[inside])
-        run_lengths.append(np.minimum(active[inside], horizon - starts[inside]))
-        total = int(pair_ends[-1])
-    return _expand_runs(np.concatenate(run_starts) + 1, np.concatenate(run_lengths))
+        offset = blocks * per_block
+        active_rng, inactive_rng = _fork(rng, offset), _fork(rng, offset + n_runs * (src.p10 < 1.0))
+        blocks += 1
+        for done in range(0, n_runs, per_batch):
+            size = min(per_batch, n_runs - done)
+            active = _geometric_lengths(active_rng, src.p10, size)
+            inactive = _geometric_lengths(inactive_rng, src.p01, size)
+            pair_ends = total + np.cumsum(active + inactive)
+            starts = pair_ends - active  # the active run closes its pair ...
+            if leads:
+                starts -= inactive  # ... unless it leads
+            inside = starts < horizon
+            total = int(pair_ends[-1])
+            yield starts[inside] + 1, np.minimum(active[inside], horizon - starts[inside]), total
+            if total >= horizon:
+                break
+    rng.bit_generator.advance(blocks * per_block)
+
+
+def _markov_chunks(rng, src: MarkovSource, horizon):
+    """Arrival slots of each window of :data:`_CHUNK` slots.
+
+    A run that crosses a window's end carries its remainder into the next
+    window.  Runs are drawn a batch at a time, and a batch is only drawn once
+    the runs before it are used up: a run that reaches past a window's end
+    lies before the end of its own batch.
+    """
+    runs = _markov_runs(rng, src, horizon)
+    firsts = lengths = np.zeros(0, dtype=np.int64)
+    covered = 0  # every run not yet drawn starts at or after this slot
+    for start in range(0, horizon, _CHUNK):
+        end = min(start + _CHUNK, horizon)
+        pieces = []
+        while True:
+            take = np.searchsorted(firsts, end, side="right")
+            clipped = np.minimum(lengths[:take], end - firsts[:take] + 1)
+            pieces.append(_expand_runs(firsts[:take], clipped))
+            if take and clipped[-1] < lengths[take - 1]:
+                take -= 1
+                firsts[take] = end + 1
+                lengths[take] -= clipped[-1]
+            if covered >= end:
+                firsts, lengths = firsts[take:], lengths[take:]
+                break
+            firsts, lengths, covered = next(runs)
+        yield np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
 
 def _expand_runs(firsts, lengths):
@@ -157,86 +222,111 @@ def _expand_runs(firsts, lengths):
     return np.cumsum(out, out=out)
 
 
-def _arrivals(rng, source, horizon):
-    if isinstance(source, BernoulliSource):
-        return _bernoulli_arrivals(rng, source.lam, horizon)
-    return _markov_arrivals(rng, source, horizon)
+def _arrival_chunks(cfg: SimConfig):
+    """Arrival slots of each window of :data:`_CHUNK` slots, drawn from the
+    start of the run's stream."""
+    rng = np.random.default_rng(cfg.seed)
+    if isinstance(cfg.source, BernoulliSource):
+        return _bernoulli_chunks(rng, cfg.source.lam, cfg.horizon)
+    return _markov_chunks(rng, cfg.source, cfg.horizon)
 
 
-def _lcfs_deliveries(rng, policy, arrivals, horizon):
+def _policy_stream(cfg: SimConfig):
+    """The run's generator, moved past every draw the arrivals take.
+
+    Bernoulli arrivals take one draw per slot; Markov arrivals take one for
+    the initial state and whole blocks of run lengths, which a pass over the
+    run lengths (not the slots) counts.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    if isinstance(cfg.source, BernoulliSource):
+        rng.bit_generator.advance(cfg.horizon)
+    else:
+        for _ in _markov_runs(rng, cfg.source, cfg.horizon):
+            pass
+    return rng
+
+
+def _lcfs(rng, cfg, chunks):
     """Preemptive LCFS: an arrival replaces the in-service update.
 
     The update arriving in slot t with draw s departs in slot t + s - 1
-    unless a later arrival lands on or before that slot.
+    unless a later arrival lands on or before that slot.  The last arrival
+    of a chunk is held back until the next chunk's first arrival decides.
     """
-    draws = _sample_durations(rng, policy.pmf, len(arrivals))
-    departures = arrivals + draws - 1
-    next_arrival = np.append(arrivals[1:], horizon + 1)
-    done = (next_arrival > departures) & (departures <= horizon)
-    return departures[done], arrivals[done] - 1
+    sample = _sampler(cfg.policy.pmf)
+    held = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)  # arrival, departure
+    for fresh in chunks:
+        arrivals = np.concatenate((held[0], fresh))
+        departures = np.concatenate((held[1], fresh + sample(rng, len(fresh)) - 1))
+        done = (arrivals[1:] > departures[:-1]) & (departures[:-1] <= cfg.horizon)
+        slots = departures[:-1][done]
+        yield slots, arrivals[:-1][done] - 1, slots
+        held = arrivals[-1:], departures[-1:]
+    done = held[1] <= cfg.horizon
+    yield held[1][done], held[0][done] - 1, held[1][done]
 
 
-def _fcfs_deliveries(rng, policy, arrivals, horizon):
+def _fcfs(rng, cfg, chunks):
     """FCFS with optional Bernoulli(alpha) admission thinning.
 
     Departures follow the waiting-time recursion dep_k = max(arr_k,
-    dep_{k-1} + 1) + s_k - 1, unrolled into a cumulative maximum so the
-    whole run evaluates vectorially.
+    dep_{k-1} + 1) + s_k - 1.  With x_k = dep_k - k - sum_{i<=k} (s_i - 1)
+    it reads x_k = max(x_{k-1}, arr_k - k - sum_{i<k} (s_i - 1)), a
+    cumulative maximum that a chunk starts from the last departure.  Thinning
+    takes one admission draw per arrival, and the service draws follow all of
+    them, so a pass over the arrival draws first counts the arrivals.
     """
-    if policy.alpha < 1.0:
-        arrivals = arrivals[rng.random(len(arrivals)) < policy.alpha]
-    if len(arrivals) == 0:
-        return arrivals, arrivals
-    draws = _sample_durations(rng, policy.pmf, len(arrivals))
-    k = np.arange(1, len(arrivals) + 1)
-    csum = np.cumsum(draws - 1)
-    csum_prev = np.concatenate(([0], csum[:-1]))
-    departures = np.maximum.accumulate(arrivals - k - csum_prev) + csum + k
-    done = departures <= horizon
-    return departures[done], arrivals[done] - 1
+    alpha, sample = cfg.policy.alpha, _sampler(cfg.policy.pmf)
+    coins = rng
+    if alpha < 1.0:
+        rng = _fork(rng, sum(len(arrivals) for arrivals in _arrival_chunks(cfg)))
+    last = np.iinfo(np.int64).min  # departure slot of the previous update
+    for arrivals in chunks:
+        if alpha < 1.0:
+            arrivals = arrivals[coins.random(len(arrivals)) < alpha]
+        if len(arrivals) == 0:
+            continue
+        steps = sample(rng, len(arrivals)) - 1
+        k = np.arange(1, len(arrivals) + 1)
+        csum = np.cumsum(steps)
+        departures = np.maximum(np.maximum.accumulate(arrivals - k - (csum - steps)), last) + csum + k
+        last = int(departures[-1])
+        done = departures <= cfg.horizon
+        yield departures[done], arrivals[done] - 1, departures[done]
 
 
-def _rad_attempts(rng, pmf, horizon):
-    mean_d = sum(d * p for d, p in pmf.entries)
-    block = max(64, int(horizon / mean_d * 1.1) + 16)
-    attempts = np.cumsum(_sample_durations(rng, pmf, block))
-    while attempts[-1] <= horizon:
-        more = np.cumsum(_sample_durations(rng, pmf, block)) + attempts[-1]
-        attempts = np.concatenate((attempts, more))
-    return attempts[attempts <= horizon]
-
-
-def _rad_deliveries(rng, policy, arrivals, horizon):
+def _rad(rng, cfg, chunks):
     """Accumulate-and-dump: the timer runs from slot 0, first attempt at D1.
 
     An attempt transmits the freshest update that arrived since the previous
     attempt (the buffer only ever holds the freshest update and is empty
-    after every attempt); an empty-buffer attempt produces no output.
+    after every attempt); an empty-buffer attempt produces no output.  Timer
+    draws run ahead of the arrivals by up to :data:`_CHUNK` attempts.
     """
-    attempts = _rad_attempts(rng, policy.pmf, horizon)
-    last_arrival_idx = np.searchsorted(arrivals, attempts, side="right") - 1
-    previous_attempt = np.concatenate(([0], attempts[:-1]))
-    filled = np.zeros(len(attempts), dtype=bool)
-    seen = last_arrival_idx >= 0
-    filled[seen] = arrivals[last_arrival_idx[seen]] > previous_attempt[seen]
-    timestamps = arrivals[last_arrival_idx[filled]] - 1
-    return attempts[filled], timestamps, attempts
+    sample = _sampler(cfg.policy.pmf)
+    pending = np.zeros(0, dtype=np.int64)  # attempt slots drawn, not yet reached
+    timer = 0  # the last attempt slot drawn
+    previous = latest = 0  # the last attempt reached, the freshest arrival (0: none)
+    ends = range(_CHUNK, cfg.horizon + _CHUNK, _CHUNK)
+    for end, arrivals in zip(ends, chunks):
+        end = min(end, cfg.horizon)
+        while timer <= end:
+            pending = np.concatenate((pending, timer + np.cumsum(sample(rng, _CHUNK))))
+            timer = int(pending[-1])
+        reached = np.searchsorted(pending, end, side="right")
+        attempts, pending = pending[:reached], pending[reached:]
+        seen = np.concatenate(([latest], arrivals))
+        freshest = seen[np.searchsorted(arrivals, attempts, side="right")]
+        filled = freshest > np.concatenate(([previous], attempts[:-1]))
+        yield attempts[filled], freshest[filled] - 1, attempts
+        previous = int(attempts[-1]) if len(attempts) else previous
+        latest = int(seen[-1])
 
 
-_DELIVERY_FNS = {"lcfs": _lcfs_deliveries, "fcfs": _fcfs_deliveries}
-
-
-def _teeth(delivery_slots, timestamps, first_timestamp):
-    """Start slot and timestamp of every sawtooth interval.
-
-    The age in slot t is t minus the timestamp of the last update delivered
-    in a slot before t, or minus ``first_timestamp`` before the first
-    delivery.  Interval k covers the slots starts[k] + 1 through the next
-    delivery slot (the horizon for the last) at timestamp stamps[k].
-    """
-    starts = np.concatenate(([0], delivery_slots))
-    stamps = np.concatenate(([first_timestamp], timestamps))
-    return starts, stamps
+#: Per chunk of arrivals, each server yields its delivery slots, their
+#: timestamps and its transmission attempts (the deliveries, bar RAD).
+_SERVERS = {"lcfs": _lcfs, "fcfs": _fcfs, "rad": _rad}
 
 
 def _tooth_areas(starts, lengths, stamps):
@@ -244,63 +334,93 @@ def _tooth_areas(starts, lengths, stamps):
     return lengths * (2 * starts + lengths + 1) // 2 - lengths * stamps
 
 
-def _age_sums(delivery_slots, timestamps, first_timestamp, points):
-    """Sum of the age over slots 1..T for each sorted T in ``points``.
+class _Ages:
+    """Running age statistics over deliveries fed in slot order.
 
-    Whole intervals come from prefix sums of their areas; the interval that
-    holds T contributes its part up to T.
+    The age in slot t is t minus the timestamp of the last update delivered
+    in a slot before t, or minus ``first_timestamp`` before the first
+    delivery.  Each delivery closes a sawtooth interval whose sum of ages
+    has a closed form; the running int64 sum of those areas gives the sum of
+    ages up to any slot, read at the batch boundaries.  With ``counts`` set,
+    a difference array over age values counts the post-warmup slots at each
+    age.  Memory is O(deliveries per feed).
     """
-    starts, stamps = _teeth(delivery_slots, timestamps, first_timestamp)
-    areas = _tooth_areas(starts[:-1], np.diff(starts), stamps[:-1])
-    whole = np.concatenate(([0], np.cumsum(areas)))
-    j = np.searchsorted(delivery_slots, points, side="left")
-    return whole[j] + _tooth_areas(starts[j], points - starts[j], stamps[j])
+
+    def __init__(self, horizon, warmup, first_timestamp=0, counts=False):
+        self.horizon, self.warmup = horizon, warmup
+        self.per_batch = (horizon - warmup) // BATCHES
+        self.points = np.append(warmup + self.per_batch * np.arange(BATCHES + 1), horizon)
+        self.sums = np.zeros(len(self.points), dtype=np.int64)  # age sums over 1..point
+        self.settled = 0  # points before it are summed
+        self.start, self.stamp, self.area = 0, first_timestamp, 0  # open interval; sum to start
+        self.steps = np.zeros(0, dtype=np.int64) if counts else None
+        self.deliveries = self.late = 0  # all deliveries, those after the warmup
+
+    def feed(self, slots, stamps):
+        """Deliveries in ``slots`` (increasing, none before the last fed) with their timestamps."""
+        if len(slots) == 0:
+            return
+        starts = np.concatenate(([self.start], slots[:-1]))  # interval k ends at slots[k]
+        marks = np.concatenate(([self.stamp], stamps[:-1]))
+        areas = _tooth_areas(starts, slots - starts, marks)
+        settled = np.searchsorted(self.points, slots[-1], side="right")
+        if settled > self.settled:  # points up to the last delivery lie in intervals fed here
+            points = self.points[self.settled : settled]
+            j = np.searchsorted(slots, points, side="left")
+            whole = self.area + np.concatenate(([0], np.cumsum(areas)))
+            tails = _tooth_areas(starts[j], points - starts[j], marks[j])
+            self.sums[self.settled : settled] = whole[j] + tails
+            self.settled = settled
+        if self.steps is not None:
+            self._count(starts, slots, marks)
+        self.start, self.stamp, self.area = int(slots[-1]), int(stamps[-1]), self.area + int(areas.sum())
+        self.deliveries += len(slots)
+        self.late += len(slots) - int(np.searchsorted(slots, self.warmup, side="right"))
+
+    def _count(self, starts, ends, marks):
+        first = np.maximum(starts, self.warmup) + 1
+        last = np.minimum(ends, self.horizon)
+        inside = first <= last
+        if not inside.any():
+            return
+        low = first[inside] - marks[inside]
+        high = last[inside] - marks[inside]
+        size = int(high.max()) + 2
+        if size > len(self.steps):
+            self.steps = np.pad(self.steps, (0, size - len(self.steps)))
+        self.steps[:size] += np.bincount(low, minlength=size) - np.bincount(high + 1, minlength=size)
+
+    def stats(self):
+        """Mean age and batch-means CI over the post-warmup slots.
+
+        The interval open at the horizon is summed up to it; the warmup
+        absorbs the artificial first update.  Batch k's sum of ages is the
+        difference of the age sums at its two boundaries, so the mean and the
+        batch means are those of the per-slot ages.  Fewer slots than batches
+        leave the spread unknown: the half-width is inf.
+        """
+        points = self.points[self.settled :]
+        self.sums[self.settled :] = self.area + _tooth_areas(self.start, points - self.start, self.stamp)
+        self.settled = len(self.points)
+        sums, measured = self.sums, self.horizon - self.warmup
+        mean = float((sums[-1] - sums[0]) / measured)
+        if self.per_batch == 0:
+            return mean, math.inf
+        batch_means = np.diff(sums[:-1]) / self.per_batch
+        return mean, float(_T_29 * batch_means.std(ddof=1) / math.sqrt(BATCHES))
+
+    def counts(self):
+        """Number of post-warmup slots at each age value, indexed by the age."""
+        self._count(np.array([self.start]), np.array([self.horizon]), np.array([self.stamp]))
+        return np.cumsum(self.steps)
 
 
-def _age_stats(delivery_slots, timestamps, horizon, warmup, first_timestamp=0):
-    """Mean age and batch-means CI over the post-warmup slots.
-
-    An artificial update with ``first_timestamp`` stands in until the first
-    real delivery; the warmup absorbs it.  Batch k's sum of ages is the
-    difference of the age sums at its two boundaries, so the mean and the
-    batch means are those of the per-slot ages.  Fewer slots than batches
-    leave the spread unknown: the half-width is inf.
-    """
-    measured = horizon - warmup
-    per_batch = measured // BATCHES
-    points = np.append(warmup + per_batch * np.arange(BATCHES + 1), horizon)
-    sums = _age_sums(delivery_slots, timestamps, first_timestamp, points)
-    mean = float((sums[-1] - sums[0]) / measured)
-    if per_batch == 0:
-        return mean, math.inf
-    batch_means = np.diff(sums[:-1]) / per_batch
-    return mean, float(_T_29 * batch_means.std(ddof=1) / math.sqrt(BATCHES))
-
-
-def _age_counts(delivery_slots, timestamps, first_timestamp, warmup, horizon):
-    """Number of post-warmup slots at each age value, indexed by the age.
-
-    Within an interval the ages run up by one per slot, so each clipped
-    interval adds one to a contiguous range of age values: a difference
-    array over the age values, summed once.
-    """
-    starts, stamps = _teeth(delivery_slots, timestamps, first_timestamp)
-    first = np.maximum(starts, warmup) + 1
-    last = np.append(np.minimum(delivery_slots, horizon), horizon)
-    inside = first <= last
-    low = first[inside] - stamps[inside]
-    high = last[inside] - stamps[inside]
-    size = int(high.max()) + 2
-    steps = np.bincount(low, minlength=size) - np.bincount(high + 1, minlength=size)
-    return np.cumsum(steps)
-
-
-def _log_run(what, cfg, arrivals, delivery_slots):
+def _log_run(what, cfg, arrivals, ages):
     if _log.isEnabledFor(logging.DEBUG):
-        # interval j(t) = #{deliveries before t} holds slot t
-        first, last = np.searchsorted(delivery_slots, [cfg.warmup + 1, cfg.horizon], side="left")
-        _log.debug("sim %s horizon=%d: %d arrivals, %d deliveries, %d intervals summed",
-                   what, cfg.horizon, len(arrivals), len(delivery_slots), last - first + 1)
+        # the post-warmup intervals: one per late delivery before the horizon, plus the open one
+        intervals = ages.late - (ages.start == cfg.horizon) + 1
+        _log.debug("sim %s horizon=%d: %d arrivals, %d deliveries, %d intervals summed, %d chunks",
+                   what, cfg.horizon, arrivals, ages.deliveries, intervals, -(-cfg.horizon // _CHUNK))
 
 
 def simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
@@ -312,19 +432,24 @@ def simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
     """
     if cfg.policy is None:
         raise InvalidConfig("simulate needs a policy; use empirical_source_age for sources")
-    rng = np.random.default_rng(cfg.seed)
-    arrivals = _arrivals(rng, cfg.source, cfg.horizon)
-    if cfg.policy.kind == "rad":
-        slots, timestamps, attempts = _rad_deliveries(rng, cfg.policy, arrivals, cfg.horizon)
-        if fake_dump_updates and len(slots):
-            delivered = int(np.count_nonzero(attempts[attempts > cfg.warmup] >= slots[0]))
-        else:
-            delivered = int(np.count_nonzero(slots > cfg.warmup))
-    else:
-        slots, timestamps = _DELIVERY_FNS[cfg.policy.kind](rng, cfg.policy, arrivals, cfg.horizon)
-        delivered = int(np.count_nonzero(slots > cfg.warmup))
-    mean, ci = _age_stats(slots, timestamps, cfg.horizon, cfg.warmup)
-    _log_run(cfg.policy.kind, cfg, arrivals, slots)
+    arrived = [0]
+
+    def chunks():
+        for arrivals in _arrival_chunks(cfg):
+            arrived[0] += len(arrivals)
+            yield arrivals
+
+    ages = _Ages(cfg.horizon, cfg.warmup)
+    sent, first = 0, None  # with fake dumps every attempt from the first delivery on transmits
+    for slots, stamps, attempts in _SERVERS[cfg.policy.kind](_policy_stream(cfg), cfg, chunks()):
+        ages.feed(slots, stamps)
+        if fake_dump_updates:
+            first = slots[0] if first is None and len(slots) else first
+            if first is not None:
+                sent += int(np.count_nonzero(attempts[attempts > cfg.warmup] >= first))
+    delivered = sent if fake_dump_updates else ages.late
+    mean, ci = ages.stats()
+    _log_run(cfg.policy.kind, cfg, arrived[0], ages)
     measured = cfg.horizon - cfg.warmup
     return SimStats(mean, ci, delivered, delivered / measured)
 
@@ -340,17 +465,19 @@ def empirical_source_age(cfg: SimConfig, return_pmf=False):
     delivery in slot a - 1 with timestamp a - 1, so the age in slot t >= a
     is t - a + 1.  Before the first arrival the age is t + 1 (timestamp -1).
     """
-    rng = np.random.default_rng(cfg.seed)
-    generated_at = _arrivals(rng, cfg.source, cfg.horizon)
-    generated_at -= 1
-    mean, ci = _age_stats(generated_at, generated_at, cfg.horizon, cfg.warmup, first_timestamp=-1)
-    _log_run("source", cfg, generated_at, generated_at)
-    generated = int(np.count_nonzero(generated_at >= cfg.warmup))
+    ages = _Ages(cfg.horizon, cfg.warmup, first_timestamp=-1, counts=return_pmf)
+    generated = 0
+    for generated_at in _arrival_chunks(cfg):
+        generated_at -= 1
+        ages.feed(generated_at, generated_at)
+        generated += int(np.count_nonzero(generated_at >= cfg.warmup))
+    mean, ci = ages.stats()
+    _log_run("source", cfg, ages.deliveries, ages)
     measured = cfg.horizon - cfg.warmup
     stats = SimStats(mean, ci, generated, generated / measured)
     if not return_pmf:
         return stats
-    counts = _age_counts(generated_at, generated_at, -1, cfg.warmup, cfg.horizon)
+    counts = ages.counts()
     pmf = {int(a): float(counts[a]) / measured for a in np.flatnonzero(counts)}
     return stats, pmf
 

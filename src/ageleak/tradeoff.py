@@ -9,12 +9,15 @@ interpolate piecewise-linearly.
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import BaselinePoint, InvalidConfig, NoOverlap, TooFewPoints, _as_int, _as_probability
+from .errors import (
+    BaselinePoint, InvalidConfig, InvalidLambda, NoOverlap, TooFewPoints, _as_int, _as_probability, _is_real,
+)
 from .leakage import leakage_time
 from .optimize import optimal_alpha_for_fcfs
 from .policy import family, policy_from_config
@@ -75,13 +78,16 @@ class SweepSpec:
         object.__setattr__(self, "seed", _as_int(self.seed, "seed", InvalidConfig))
         if family(self.family).param == "pmf":
             raise InvalidConfig(f"family {self.family!r} has no scalar parameter to sweep")
+        sequence = isinstance(self.grid, (Sequence, np.ndarray)) and not isinstance(self.grid, str)
+        if not sequence or not all(_is_real(value) for value in self.grid):
+            raise InvalidConfig(f"sweep grid {self.grid!r} is not a sequence of numbers")
         if len(self.grid) == 0:
             raise InvalidConfig("sweep grid is empty")
 
 
 def efficiency(point: TradeoffPoint, lam) -> float:
     """Server efficiency eta = (T - 1) / (delta - delta_1), delta_1 = 1 + 1/lam."""
-    baseline = 1.0 + 1.0 / lam
+    baseline = 1.0 + 1.0 / _as_probability(lam, "arrival rate", InvalidLambda)
     if point.delta <= baseline + 1e-12:
         raise BaselinePoint(f"age {point.delta!r} is at the zero-delay baseline")
     return (point.leak_time - 1.0) / (point.delta - baseline)

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ageleak
 from ageleak import SweepSpec, optimal_alpha_for_fcfs, policy_from_config, read_csv, sweep
 from ageleak.cli import main
 from ageleak.policy import FAMILIES
@@ -272,3 +278,24 @@ def test_cli_and_sweep_agree_for_every_family(capsys, family, value, flag):
     _, out = run(capsys, "rate", *argv)
     assert float(value_of(out, "rate")) == point.rate_bits
     assert float(value_of(out, "leak_time")) == point.leak_time
+
+
+#: Address space of the child below: far under the 74.5 GiB a float64 array
+#: as long as a 10^10-slot support would take.
+CHILD_ADDRESS_SPACE = 2 << 30
+
+
+def limited_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["rate", "--policy", "dad", "--tau", "1e10"], ("rate", "1e-10")),
+    (["leakage", "--policy", "lcfs", "--pmf", '{"entries": [[10000000000, 1.0]]}', "--n", "5"], ("bits", "0.0")),
+])
+def test_huge_supports_answer_in_bounded_memory(argv, expected):
+    env = {**os.environ, "PYTHONPATH": str(Path(ageleak.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-m", "ageleak.cli", *argv], capture_output=True, text=True,
+                         env=env, preexec_fn=limited_address_space, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert value_of(out.stdout, expected[0]) == expected[1]

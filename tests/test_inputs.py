@@ -13,7 +13,10 @@ from ageleak import (
     LeakageResult,
     MarkovSource,
     Policy,
+    SweepSpec,
+    TradeoffPoint,
     ddad_policy,
+    efficiency,
     geometric_pmf,
     greedy_smp_pmf,
     lcfs_age,
@@ -75,6 +78,11 @@ REFUSED = {
     "LeakageResult(-1, 3)": (lambda: LeakageResult(-1.0, 3), InvalidConfig),
     "search_d_max=13": (lambda: verify_two_point_optimality(0.4, 13), InvalidConfig),
     "run_criterion(11)": (lambda: run_criterion(11), InvalidConfig),
+    "efficiency(point, 0)": (
+        lambda: efficiency(TradeoffPoint("dad", 2.0, 0.5, 3.5, 0.5, 2.0, None), 0), InvalidLambda
+    ),
+    "SweepSpec('dad', 5)": (lambda: SweepSpec("dad", 5), InvalidConfig),
+    "SweepSpec('dad', ('2',))": (lambda: SweepSpec("dad", ("2",)), InvalidConfig),
 }
 
 

@@ -1,8 +1,10 @@
+import itertools
 import json
 import logging
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,14 +13,18 @@ from hypothesis import strategies as st
 
 from ageleak import (
     BernoulliSource,
+    FinitePmf,
     MarkovSource,
     Policy,
     SimConfig,
+    SimStats,
     deterministic_pmf,
     empirical_source_age,
     geometric_pmf,
+    greedy_smp_pmf,
     lcfs_age,
     load_scenario,
+    make_pmf,
     markov_source_age,
     optimal_alpha_for_fcfs,
     pmf_moments,
@@ -295,18 +301,32 @@ def delivery_runs(draw):
     return slots, slots - np.array(delays, dtype=np.int64), horizon, warmup
 
 
+def fed_age_stats(slots, timestamps, horizon, warmup, first_timestamp=0, pieces=1):
+    ages = sim._Ages(horizon, warmup, first_timestamp)
+    for part in np.array_split(np.arange(len(slots)), pieces):
+        ages.feed(slots[part], timestamps[part])
+    return ages.stats()
+
+
+def fed_age_counts(stamps, horizon, warmup, pieces=1):
+    ages = sim._Ages(horizon, warmup, -1, counts=True)
+    for part in np.array_split(np.arange(len(stamps)), pieces):
+        ages.feed(stamps[part], stamps[part])
+    return ages.counts()
+
+
 @settings(max_examples=300, deadline=None)
-@given(delivery_runs())
-def test_sawtooth_statistics_equal_per_slot_ages(run):
+@given(delivery_runs(), st.integers(1, 4))
+def test_sawtooth_statistics_equal_per_slot_ages(run, pieces):
     slots, timestamps, horizon, warmup = run
-    assert sim._age_stats(slots, timestamps, horizon, warmup) == per_slot_age_stats(
+    assert fed_age_stats(slots, timestamps, horizon, warmup, pieces=pieces) == per_slot_age_stats(
         slots, timestamps, horizon, warmup
     )
     arrivals = slots[slots < horizon] + 1  # arrival a is a delivery in slot a - 1
     ages = per_slot_source_ages(arrivals, horizon, warmup)
     stamps = arrivals - 1
-    assert sim._age_stats(stamps, stamps, horizon, warmup, first_timestamp=-1) == per_slot_batch_means(ages)
-    counts = sim._age_counts(stamps, stamps, -1, warmup, horizon)
+    assert fed_age_stats(stamps, stamps, horizon, warmup, -1, pieces) == per_slot_batch_means(ages)
+    counts = fed_age_counts(stamps, horizon, warmup, pieces)
     values, expected = np.unique(ages.astype(np.int64), return_counts=True)
     assert np.array_equal(np.flatnonzero(counts), values)
     assert np.array_equal(counts[values], expected)
@@ -315,7 +335,7 @@ def test_sawtooth_statistics_equal_per_slot_ages(run):
 def test_sawtooth_statistics_without_deliveries():
     none = np.zeros(0, dtype=np.int64)
     for horizon, warmup in ((1, 0), (29, 0), (30, 0), (1000, 0), (1000, 999), (10_000, 37)):
-        assert sim._age_stats(none, none, horizon, warmup) == per_slot_age_stats(none, none, horizon, warmup)
+        assert fed_age_stats(none, none, horizon, warmup) == per_slot_age_stats(none, none, horizon, warmup)
 
 
 def path_markov_arrivals(rng, src, horizon):
@@ -343,10 +363,12 @@ def path_markov_arrivals(rng, src, horizon):
 def test_markov_arrivals_from_run_lengths_equal_the_state_path(src):
     for seed in range(6):
         for horizon in (1, 7, 64, 513, 100_003):
-            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            arrivals = sim._markov_arrivals(rng, src, horizon)
+            reference = np.random.default_rng(seed)
+            cfg = SimConfig(None, src, horizon=horizon, warmup=0, seed=seed)
+            arrivals = np.concatenate(list(sim._arrival_chunks(cfg)))
             assert np.array_equal(arrivals, path_markov_arrivals(reference, src, horizon))
-            assert rng.random() == reference.random()  # the same draws were consumed
+            # the policy's draws start where the whole-run arrivals ended
+            assert sim._policy_stream(cfg).random() == reference.random()
 
 
 def test_bernoulli_arrivals_in_chunks_equal_one_draw(monkeypatch):
@@ -354,7 +376,7 @@ def test_bernoulli_arrivals_in_chunks_equal_one_draw(monkeypatch):
     for horizon in (1, 6, 7, 8, 50, 1001):
         rng, reference = np.random.default_rng(horizon), np.random.default_rng(horizon)
         expected = np.flatnonzero(reference.random(horizon) < 0.3) + 1
-        assert np.array_equal(sim._bernoulli_arrivals(rng, 0.3, horizon), expected)
+        assert np.array_equal(np.concatenate(list(sim._bernoulli_chunks(rng, 0.3, horizon))), expected)
         assert rng.random() == reference.random()
 
 
@@ -383,3 +405,358 @@ def test_runs_report_counters_at_debug(caplog):
         empirical_source_age(SimConfig(None, BernoulliSource(1.0), horizon=1_000, warmup=0))
     assert "sim rad horizon=1000: 1000 arrivals, 250 deliveries, 250 intervals summed" in caplog.text
     assert "sim source horizon=1000: 1000 arrivals, 1000 deliveries, 1000 intervals summed" in caplog.text
+
+
+# --- the whole-run simulator the chunked one replaces ---------------------
+# A verbatim copy of the simulator that held every arrival and delivery of a
+# run at once (helpers renamed whole_*, debug logging left out).  The
+# chunked simulator must reproduce its results exactly, whatever _CHUNK is.
+
+WHOLE_CHUNK = 1 << 20
+
+
+def whole_sample_durations(rng, pmf: FinitePmf, size):
+    durations = np.array(pmf.durations, dtype=np.int64)
+    cdf = np.cumsum(pmf.probabilities)
+    idx = np.searchsorted(cdf, rng.random(size), side="right")
+    return durations[np.minimum(idx, len(durations) - 1)]
+
+
+def whole_bernoulli_arrivals(rng, lam, horizon):
+    return np.concatenate([
+        np.flatnonzero(rng.random(min(WHOLE_CHUNK, horizon - start)) < lam) + (start + 1)
+        for start in range(0, horizon, WHOLE_CHUNK)
+    ])
+
+
+def whole_geometric_lengths(rng, p, size):
+    if p >= 1.0:
+        return np.ones(size, dtype=np.int64)
+    u = np.maximum(rng.random(size), 1e-300)
+    return np.ceil(np.log(u) / np.log(1.0 - p)).astype(np.int64).clip(min=1)
+
+
+def whole_markov_arrivals(rng, src: MarkovSource, horizon):
+    """Arrival slots of the two-state source over slots 1..horizon.
+
+    The state path is made of alternating geometric sojourns (leave
+    probabilities p10 from active, p01 from inactive), starting from the
+    stationary distribution.  Slot t receives an update generated at t - 1,
+    i.e. when the state at time t - 1 was active, so an active run starting
+    at time s with length L gives the arrivals s + 1, ..., s + L.  Each chunk
+    draws n_runs active then n_runs inactive lengths and pairs them, the
+    leading state's run first, so every chunk starts in the same state.
+    """
+    state = 1 if rng.random() < src.effective_rate else 0
+    run_starts, run_lengths = [], []
+    total = 0
+    while total < horizon:
+        n_runs = max(64, int(horizon / 8))
+        active = whole_geometric_lengths(rng, src.p10, n_runs)
+        inactive = whole_geometric_lengths(rng, src.p01, n_runs)
+        pair_ends = total + np.cumsum(active + inactive)
+        starts = pair_ends - active  # the active run closes its pair ...
+        if state == 1:
+            starts -= inactive  # ... unless the chunk leads with it
+        inside = starts < horizon
+        run_starts.append(starts[inside])
+        run_lengths.append(np.minimum(active[inside], horizon - starts[inside]))
+        total = int(pair_ends[-1])
+    return whole_expand_runs(np.concatenate(run_starts) + 1, np.concatenate(run_lengths))
+
+
+def whole_expand_runs(firsts, lengths):
+    """The integers firsts[k], ..., firsts[k] + lengths[k] - 1 for every k, in order.
+
+    ``lengths`` are >= 1; the output is a cumulative sum of unit steps with
+    a jump where each run begins.
+    """
+    out = np.ones(int(lengths.sum()), dtype=np.int64)
+    if len(out) == 0:
+        return out
+    heads = np.cumsum(lengths) - lengths
+    out[heads[1:]] = firsts[1:] - (firsts[:-1] + lengths[:-1] - 1)
+    out[0] = firsts[0]
+    return np.cumsum(out, out=out)
+
+
+def whole_arrivals(rng, source, horizon):
+    if isinstance(source, BernoulliSource):
+        return whole_bernoulli_arrivals(rng, source.lam, horizon)
+    return whole_markov_arrivals(rng, source, horizon)
+
+
+def whole_lcfs_deliveries(rng, policy, arrivals, horizon):
+    """Preemptive LCFS: an arrival replaces the in-service update.
+
+    The update arriving in slot t with draw s departs in slot t + s - 1
+    unless a later arrival lands on or before that slot.
+    """
+    draws = whole_sample_durations(rng, policy.pmf, len(arrivals))
+    departures = arrivals + draws - 1
+    next_arrival = np.append(arrivals[1:], horizon + 1)
+    done = (next_arrival > departures) & (departures <= horizon)
+    return departures[done], arrivals[done] - 1
+
+
+def whole_fcfs_deliveries(rng, policy, arrivals, horizon):
+    """FCFS with optional Bernoulli(alpha) admission thinning.
+
+    Departures follow the waiting-time recursion dep_k = max(arr_k,
+    dep_{k-1} + 1) + s_k - 1, unrolled into a cumulative maximum so the
+    whole run evaluates vectorially.
+    """
+    if policy.alpha < 1.0:
+        arrivals = arrivals[rng.random(len(arrivals)) < policy.alpha]
+    if len(arrivals) == 0:
+        return arrivals, arrivals
+    draws = whole_sample_durations(rng, policy.pmf, len(arrivals))
+    k = np.arange(1, len(arrivals) + 1)
+    csum = np.cumsum(draws - 1)
+    csum_prev = np.concatenate(([0], csum[:-1]))
+    departures = np.maximum.accumulate(arrivals - k - csum_prev) + csum + k
+    done = departures <= horizon
+    return departures[done], arrivals[done] - 1
+
+
+def whole_rad_attempts(rng, pmf, horizon):
+    mean_d = sum(d * p for d, p in pmf.entries)
+    block = max(64, int(horizon / mean_d * 1.1) + 16)
+    attempts = np.cumsum(whole_sample_durations(rng, pmf, block))
+    while attempts[-1] <= horizon:
+        more = np.cumsum(whole_sample_durations(rng, pmf, block)) + attempts[-1]
+        attempts = np.concatenate((attempts, more))
+    return attempts[attempts <= horizon]
+
+
+def whole_rad_deliveries(rng, policy, arrivals, horizon):
+    """Accumulate-and-dump: the timer runs from slot 0, first attempt at D1.
+
+    An attempt transmits the freshest update that arrived since the previous
+    attempt (the buffer only ever holds the freshest update and is empty
+    after every attempt); an empty-buffer attempt produces no output.
+    """
+    attempts = whole_rad_attempts(rng, policy.pmf, horizon)
+    last_arrival_idx = np.searchsorted(arrivals, attempts, side="right") - 1
+    previous_attempt = np.concatenate(([0], attempts[:-1]))
+    filled = np.zeros(len(attempts), dtype=bool)
+    seen = last_arrival_idx >= 0
+    filled[seen] = arrivals[last_arrival_idx[seen]] > previous_attempt[seen]
+    timestamps = arrivals[last_arrival_idx[filled]] - 1
+    return attempts[filled], timestamps, attempts
+
+
+whole_DELIVERY_FNS = {"lcfs": whole_lcfs_deliveries, "fcfs": whole_fcfs_deliveries}
+
+
+def whole_teeth(delivery_slots, timestamps, first_timestamp):
+    """Start slot and timestamp of every sawtooth interval.
+
+    The age in slot t is t minus the timestamp of the last update delivered
+    in a slot before t, or minus ``first_timestamp`` before the first
+    delivery.  Interval k covers the slots starts[k] + 1 through the next
+    delivery slot (the horizon for the last) at timestamp stamps[k].
+    """
+    starts = np.concatenate(([0], delivery_slots))
+    stamps = np.concatenate(([first_timestamp], timestamps))
+    return starts, stamps
+
+
+def whole_tooth_areas(starts, lengths, stamps):
+    """Sum of t - stamp over the slots start + 1 .. start + length, exactly."""
+    return lengths * (2 * starts + lengths + 1) // 2 - lengths * stamps
+
+
+def whole_age_sums(delivery_slots, timestamps, first_timestamp, points):
+    """Sum of the age over slots 1..T for each sorted T in ``points``.
+
+    Whole intervals come from prefix sums of their areas; the interval that
+    holds T contributes its part up to T.
+    """
+    starts, stamps = whole_teeth(delivery_slots, timestamps, first_timestamp)
+    areas = whole_tooth_areas(starts[:-1], np.diff(starts), stamps[:-1])
+    whole = np.concatenate(([0], np.cumsum(areas)))
+    j = np.searchsorted(delivery_slots, points, side="left")
+    return whole[j] + whole_tooth_areas(starts[j], points - starts[j], stamps[j])
+
+
+def whole_age_stats(delivery_slots, timestamps, horizon, warmup, first_timestamp=0):
+    """Mean age and batch-means CI over the post-warmup slots.
+
+    An artificial update with ``first_timestamp`` stands in until the first
+    real delivery; the warmup absorbs it.  Batch k's sum of ages is the
+    difference of the age sums at its two boundaries, so the mean and the
+    batch means are those of the per-slot ages.  Fewer slots than batches
+    leave the spread unknown: the half-width is inf.
+    """
+    measured = horizon - warmup
+    per_batch = measured // sim.BATCHES
+    points = np.append(warmup + per_batch * np.arange(sim.BATCHES + 1), horizon)
+    sums = whole_age_sums(delivery_slots, timestamps, first_timestamp, points)
+    mean = float((sums[-1] - sums[0]) / measured)
+    if per_batch == 0:
+        return mean, math.inf
+    batch_means = np.diff(sums[:-1]) / per_batch
+    return mean, float(sim._T_29 * batch_means.std(ddof=1) / math.sqrt(sim.BATCHES))
+
+
+def whole_age_counts(delivery_slots, timestamps, first_timestamp, warmup, horizon):
+    """Number of post-warmup slots at each age value, indexed by the age.
+
+    Within an interval the ages run up by one per slot, so each clipped
+    interval adds one to a contiguous range of age values: a difference
+    array over the age values, summed once.
+    """
+    starts, stamps = whole_teeth(delivery_slots, timestamps, first_timestamp)
+    first = np.maximum(starts, warmup) + 1
+    last = np.append(np.minimum(delivery_slots, horizon), horizon)
+    inside = first <= last
+    low = first[inside] - stamps[inside]
+    high = last[inside] - stamps[inside]
+    size = int(high.max()) + 2
+    steps = np.bincount(low, minlength=size) - np.bincount(high + 1, minlength=size)
+    return np.cumsum(steps)
+
+
+def whole_simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
+    """Run one policy simulation; deterministic given the seed.
+
+    ``fake_dump_updates`` only affects RAD-family policies: empty-buffer
+    attempts re-send the previously dumped update, which leaves the monitor
+    age unchanged but counts as a transmission.
+    """
+    if cfg.policy is None:
+        raise InvalidConfig("simulate needs a policy; use empirical_source_age for sources")
+    rng = np.random.default_rng(cfg.seed)
+    arrivals = whole_arrivals(rng, cfg.source, cfg.horizon)
+    if cfg.policy.kind == "rad":
+        slots, timestamps, attempts = whole_rad_deliveries(rng, cfg.policy, arrivals, cfg.horizon)
+        if fake_dump_updates and len(slots):
+            delivered = int(np.count_nonzero(attempts[attempts > cfg.warmup] >= slots[0]))
+        else:
+            delivered = int(np.count_nonzero(slots > cfg.warmup))
+    else:
+        slots, timestamps = whole_DELIVERY_FNS[cfg.policy.kind](rng, cfg.policy, arrivals, cfg.horizon)
+        delivered = int(np.count_nonzero(slots > cfg.warmup))
+    mean, ci = whole_age_stats(slots, timestamps, cfg.horizon, cfg.warmup)
+    measured = cfg.horizon - cfg.warmup
+    return SimStats(mean, ci, delivered, delivered / measured)
+
+
+def whole_source_age(cfg: SimConfig, return_pmf=False):
+    """Age of the raw update process at the server input, no policy.
+
+    Returns SimStats whose ``delivered`` counts generated updates and whose
+    ``output_rate`` is the empirical source rate; with ``return_pmf`` also
+    returns the empirical age pmf as a dict.
+
+    The update arriving in slot a was generated in slot a - 1; it acts as a
+    delivery in slot a - 1 with timestamp a - 1, so the age in slot t >= a
+    is t - a + 1.  Before the first arrival the age is t + 1 (timestamp -1).
+    """
+    rng = np.random.default_rng(cfg.seed)
+    generated_at = whole_arrivals(rng, cfg.source, cfg.horizon)
+    generated_at -= 1
+    mean, ci = whole_age_stats(generated_at, generated_at, cfg.horizon, cfg.warmup, first_timestamp=-1)
+    generated = int(np.count_nonzero(generated_at >= cfg.warmup))
+    measured = cfg.horizon - cfg.warmup
+    stats = SimStats(mean, ci, generated, generated / measured)
+    if not return_pmf:
+        return stats
+    counts = whole_age_counts(generated_at, generated_at, -1, cfg.warmup, cfg.horizon)
+    pmf = {int(a): float(counts[a]) / measured for a in np.flatnonzero(counts)}
+    return stats, pmf
+
+
+SERVICE_PMFS = (
+    geometric_pmf(0.25),
+    greedy_smp_pmf(0.4),
+    uniform_pmf(3),
+    deterministic_pmf(1),
+    deterministic_pmf(5),
+    make_pmf([(2, 0.3), (7, 0.7)]),
+)
+PROBABILITIES = st.just(1.0) | st.floats(0.01, 1.0)
+
+
+@st.composite
+def chunked_runs(draw):
+    """(cfg, fake_dump_updates): a policy run, or a source run when cfg.policy is None."""
+    pmf = draw(st.sampled_from(SERVICE_PMFS))
+    policy = draw(st.sampled_from([
+        None,
+        Policy.lcfs(pmf),
+        Policy.fcfs(pmf),
+        Policy.fcfs(pmf, alpha=draw(st.floats(0.05, 0.95))),
+        Policy.rad(pmf),
+    ]))
+    source = draw(st.builds(BernoulliSource, PROBABILITIES) | st.builds(MarkovSource, PROBABILITIES, PROBABILITIES))
+    horizon = draw(st.integers(1, 2_000))
+    warmup = draw(st.just(0) | st.integers(0, horizon - 1))
+    cfg = SimConfig(policy, source, horizon=horizon, warmup=warmup, seed=draw(st.integers(0, 2**32 - 1)))
+    return cfg, draw(st.booleans())
+
+
+def chunked_and_whole(cfg, fake, chunk):
+    """repr of the chunked and the whole-run result of one run."""
+    with mock.patch.object(sim, "_CHUNK", chunk):
+        if cfg.policy is None:
+            return repr(empirical_source_age(cfg, return_pmf=True)), repr(whole_source_age(cfg, return_pmf=True))
+        return repr(simulate(cfg, fake)), repr(whole_simulate(cfg, fake))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunked_runs(), st.sampled_from([7, 64]))
+def test_chunked_simulator_equals_the_whole_run_one(run, chunk):
+    chunked, whole = chunked_and_whole(*run, chunk)
+    assert chunked == whole
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_server_state_crosses_chunk_boundaries(chunk):
+    """Every server, source kind and warmup edge, on a horizon no chunk divides.
+
+    With chunks of 7 or 64 slots, LCFS departures, FCFS backlogs, RAD
+    attempts (period 5 and 9), Markov runs (p01 = 1 or p10 = 1 included)
+    and the warmup all reach across chunk boundaries.
+    """
+    greedy = greedy_smp_pmf(0.5)
+    policies = [
+        (Policy.lcfs(geometric_pmf(0.25)), False),
+        (Policy.fcfs(geometric_pmf(0.4)), False),
+        (Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0]), False),
+        (Policy.rad(make_pmf([(5, 0.5), (9, 0.5)])), False),
+        (Policy.rad(make_pmf([(5, 0.5), (9, 0.5)])), True),
+        (None, False),
+    ]
+    sources = [BERN, MarkovSource(0.05, 0.2), MarkovSource(1.0, 0.3), MarkovSource(0.3, 1.0)]
+    for (policy, fake), source, warmup in itertools.product(policies, sources, (0, 37, 500)):
+        cfg = SimConfig(policy, source, horizon=1_003, warmup=warmup, seed=chunk + warmup)
+        chunked, whole = chunked_and_whole(cfg, fake, chunk)
+        assert chunked == whole, (cfg, fake)
+
+
+def traced_peak(run, cfg):
+    tracemalloc.start()
+    try:
+        run(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["lcfs-geo", "thinned-fcfs", "dad5-markov", "markov-source"])
+def test_traced_memory_does_not_grow_with_the_horizon(name):
+    greedy = greedy_smp_pmf(0.5)
+    policy, source = {
+        "lcfs-geo": (Policy.lcfs(geometric_pmf(0.25)), BERN),
+        "thinned-fcfs": (Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0]), BERN),
+        "dad5-markov": (Policy.dad(5), MarkovSource(0.05, 0.2)),
+        "markov-source": (None, MarkovSource(0.05, 0.2)),
+    }[name]
+    run = empirical_source_age if policy is None else simulate
+    short, long = (SimConfig(policy, source, horizon=h, seed=1) for h in (10**6, 8 * 10**6))
+    run(short)  # the first call pays one-off allocations
+    short_peak, long_peak = traced_peak(run, short), traced_peak(run, long)
+    assert long_peak <= 1.25 * short_peak
+    assert long_peak < 16 * 2**20
