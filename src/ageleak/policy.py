@@ -13,15 +13,12 @@ sweeps accept to the parameter it reads and the policy it builds.
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .age import AgeResult, fcfs_age, lcfs_age, rad_age
 from .errors import (
     InvalidConfig, InvalidLambda, InvalidTau, _as_dict, _as_finite, _as_int, _as_probability,
 )
 from .leakage import (
-    LeakageResult, _coefficients, _log2_recurrence, _rad_forcing, _rad_terms, _root, _smp_terms,
-    _uniform_width,
+    LeakageResult, _root, _smp_terms, _uniform_width, rad_leakage_bits, rad_rate, smp_leakage_bits,
 )
 from .optimize import ddad_policy, greedy_smp_pmf
 from .pmf import FinitePmf, deterministic_pmf, geometric_pmf, is_smp, make_pmf, uniform_pmf
@@ -80,28 +77,27 @@ class Policy:
             return fcfs_age(lam, self.pmf, self.alpha)
         return rad_age(lam, self.pmf)
 
-    def _terms(self):
-        """Lags and weights of the nonzero c_d of the leakage recurrence
-        x(t) = sum_d c_d x(t-d) + f(t)."""
-        if self.kind == "rad":
-            return _rad_terms(self.pmf)
+    def _smp(self):
+        """Minimum service time s1 and its mass of a coupled kind's SMP pmf."""
         smp, s_min = is_smp(self.pmf)
         if not smp:
             raise InvalidConfig("service pmf is not shortest-most-probable; the SMP form does not apply")
         # Thinned FCFS keeps the unthinned coefficients: the admission lottery
         # is presumed invisible to the timing adversary.  The exact oracle
-        # shows this is only an upper bound; ROADMAP.md item 4 replaces it.
-        return _smp_terms(s_min, self.pmf.prob(s_min))
+        # shows this is only an upper bound; ROADMAP.md item 1(d) replaces it.
+        return s_min, self.pmf.prob(s_min)
 
     def leakage_bits(self, n) -> LeakageResult:
         """Maximal leakage over an n-slot horizon, in bits."""
-        n = _as_int(n, "horizon", InvalidConfig)
-        f = _rad_forcing(self.pmf, n) if self.kind == "rad" else np.zeros(0)
-        return LeakageResult(_log2_recurrence(_coefficients(*self._terms(), n), f, n), n)
+        if self.kind == "rad":
+            return rad_leakage_bits(n, self.pmf)
+        return smp_leakage_bits(n, *self._smp())
 
     def rate(self) -> float:
         """Asymptotic leakage rate in bits per slot."""
-        return _root(*self._terms())
+        if self.kind == "rad":
+            return rad_rate(self.pmf)
+        return _root(*_smp_terms(*self._smp()))
 
 
 def _explicit(spec):

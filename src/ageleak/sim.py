@@ -20,12 +20,10 @@ the horizon.  While the sum of ages over the horizon stays below 2^53, every
 partial sum of per-slot ages is exact in float64 too, so the mean and the
 batch means equal those of the per-slot ages bit for bit.
 
-The random numbers keep their whole-run order: first every arrival draw
-(one per slot for Bernoulli sources; the initial state and whole blocks of
-run lengths for Markov ones), then the policy's draws (LCFS and FCFS
-service times, after one admission draw per arrival when FCFS thins, or
-the RAD timer).  Each sub-stream reads a copy of the run's PCG64 generator
-moved to its offset with ``advance``, where every double takes one step.
+Each random role of a run (arrivals, Markov inactive run lengths, FCFS
+admission coins, service or timer draws) reads its own generator seeded
+with (seed, role), strictly in sequence.  A run is therefore the same
+whatever the window size, with no stream offsets to compute.
 
 Confidence intervals use batch means over 30 batches of the post-warmup
 slots at the 95% level.  The default warmup is 10^4 slots; the age process
@@ -33,7 +31,6 @@ mixes fast at the parameters of interest, but the warmup guards low-rate
 Markov runs.
 """
 
-import copy
 import json
 import logging
 import math
@@ -56,6 +53,9 @@ _T_29 = 2.0452296421327034
 #: Slots per window of a run, and the most draws taken at once; any value
 #: gives the same run.
 _CHUNK = 1 << 16
+
+#: Random roles of a run; role r draws from default_rng((seed, r)).
+_ARRIVALS, _INACTIVE, _COINS, _SERVICE = range(4)
 
 _log = logging.getLogger(__name__)
 
@@ -101,11 +101,8 @@ class SimStats:
             raise InvalidConfig(f"output rate {self.output_rate!r} outside [0, 1]")
 
 
-def _fork(rng, offset):
-    """A generator ``offset`` draws ahead of ``rng`` on its stream; ``rng`` is left as it is."""
-    bits = copy.deepcopy(rng.bit_generator)
-    bits.advance(offset)
-    return np.random.Generator(bits)
+def _stream(cfg, role):
+    return np.random.default_rng((cfg.seed, role))
 
 
 def _sampler(pmf: FinitePmf):
@@ -135,7 +132,7 @@ def _geometric_lengths(rng, p, size):
     return np.ceil(np.log(u) / np.log(1.0 - p)).astype(np.int64).clip(min=1)
 
 
-def _markov_runs(rng, src: MarkovSource, horizon):
+def _markov_runs(active_rng, inactive_rng, src: MarkovSource, horizon):
     """Active runs of the two-state source that start before ``horizon``.
 
     Yields batches of (first arrival slots, lengths clipped to the horizon,
@@ -146,39 +143,27 @@ def _markov_runs(rng, src: MarkovSource, horizon):
     i.e. when the state at time t - 1 was active, so an active run starting
     at time s with length L gives the arrivals s + 1, ..., s + L.
 
-    Each block draws n_runs active then n_runs inactive lengths and pairs
-    them, the leading state's run first, so every block starts in the same
-    state.  Two generators read the two halves of a block side by side,
-    about one window of :data:`_CHUNK` slots at a time.  When exhausted,
-    ``rng`` stands after the last block's draws, as if every block had been
-    drawn whole.
+    ``active_rng`` draws the leading state, then the active lengths;
+    ``inactive_rng`` the inactive ones.  Pair k holds the k-th length of
+    each, the leading state's run first, and a batch holds about one window
+    of :data:`_CHUNK` slots of pairs.
     """
-    leads = rng.random() < src.effective_rate
-    n_runs = max(64, int(horizon / 8))
-    per_block = n_runs * ((src.p10 < 1.0) + (src.p01 < 1.0))
+    leads = active_rng.random() < src.effective_rate
     per_batch = max(1, int(_CHUNK / (1.0 / src.p10 + 1.0 / src.p01)))  # pairs of mean length
-    blocks = total = 0
+    total = 0
     while total < horizon:
-        offset = blocks * per_block
-        active_rng, inactive_rng = _fork(rng, offset), _fork(rng, offset + n_runs * (src.p10 < 1.0))
-        blocks += 1
-        for done in range(0, n_runs, per_batch):
-            size = min(per_batch, n_runs - done)
-            active = _geometric_lengths(active_rng, src.p10, size)
-            inactive = _geometric_lengths(inactive_rng, src.p01, size)
-            pair_ends = total + np.cumsum(active + inactive)
-            starts = pair_ends - active  # the active run closes its pair ...
-            if leads:
-                starts -= inactive  # ... unless it leads
-            inside = starts < horizon
-            total = int(pair_ends[-1])
-            yield starts[inside] + 1, np.minimum(active[inside], horizon - starts[inside]), total
-            if total >= horizon:
-                break
-    rng.bit_generator.advance(blocks * per_block)
+        active = _geometric_lengths(active_rng, src.p10, per_batch)
+        inactive = _geometric_lengths(inactive_rng, src.p01, per_batch)
+        pair_ends = total + np.cumsum(active + inactive)
+        starts = pair_ends - active  # the active run closes its pair ...
+        if leads:
+            starts -= inactive  # ... unless it leads
+        inside = starts < horizon
+        total = int(pair_ends[-1])
+        yield starts[inside] + 1, np.minimum(active[inside], horizon - starts[inside]), total
 
 
-def _markov_chunks(rng, src: MarkovSource, horizon):
+def _markov_chunks(active_rng, inactive_rng, src: MarkovSource, horizon):
     """Arrival slots of each window of :data:`_CHUNK` slots.
 
     A run that crosses a window's end carries its remainder into the next
@@ -186,7 +171,7 @@ def _markov_chunks(rng, src: MarkovSource, horizon):
     the runs before it are used up: a run that reaches past a window's end
     lies before the end of its own batch.
     """
-    runs = _markov_runs(rng, src, horizon)
+    runs = _markov_runs(active_rng, inactive_rng, src, horizon)
     firsts = lengths = np.zeros(0, dtype=np.int64)
     covered = 0  # every run not yet drawn starts at or after this slot
     for start in range(0, horizon, _CHUNK):
@@ -223,28 +208,11 @@ def _expand_runs(firsts, lengths):
 
 
 def _arrival_chunks(cfg: SimConfig):
-    """Arrival slots of each window of :data:`_CHUNK` slots, drawn from the
-    start of the run's stream."""
-    rng = np.random.default_rng(cfg.seed)
+    """Arrival slots of each window of :data:`_CHUNK` slots."""
+    rng = _stream(cfg, _ARRIVALS)
     if isinstance(cfg.source, BernoulliSource):
         return _bernoulli_chunks(rng, cfg.source.lam, cfg.horizon)
-    return _markov_chunks(rng, cfg.source, cfg.horizon)
-
-
-def _policy_stream(cfg: SimConfig):
-    """The run's generator, moved past every draw the arrivals take.
-
-    Bernoulli arrivals take one draw per slot; Markov arrivals take one for
-    the initial state and whole blocks of run lengths, which a pass over the
-    run lengths (not the slots) counts.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    if isinstance(cfg.source, BernoulliSource):
-        rng.bit_generator.advance(cfg.horizon)
-    else:
-        for _ in _markov_runs(rng, cfg.source, cfg.horizon):
-            pass
-    return rng
+    return _markov_chunks(rng, _stream(cfg, _INACTIVE), cfg.source, cfg.horizon)
 
 
 def _lcfs(rng, cfg, chunks):
@@ -274,13 +242,9 @@ def _fcfs(rng, cfg, chunks):
     dep_{k-1} + 1) + s_k - 1.  With x_k = dep_k - k - sum_{i<=k} (s_i - 1)
     it reads x_k = max(x_{k-1}, arr_k - k - sum_{i<k} (s_i - 1)), a
     cumulative maximum that a chunk starts from the last departure.  Thinning
-    takes one admission draw per arrival, and the service draws follow all of
-    them, so a pass over the arrival draws first counts the arrivals.
+    takes one admission draw per arrival.
     """
-    alpha, sample = cfg.policy.alpha, _sampler(cfg.policy.pmf)
-    coins = rng
-    if alpha < 1.0:
-        rng = _fork(rng, sum(len(arrivals) for arrivals in _arrival_chunks(cfg)))
+    alpha, sample, coins = cfg.policy.alpha, _sampler(cfg.policy.pmf), _stream(cfg, _COINS)
     last = np.iinfo(np.int64).min  # departure slot of the previous update
     for arrivals in chunks:
         if alpha < 1.0:
@@ -441,7 +405,7 @@ def simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
 
     ages = _Ages(cfg.horizon, cfg.warmup)
     sent, first = 0, None  # with fake dumps every attempt from the first delivery on transmits
-    for slots, stamps, attempts in _SERVERS[cfg.policy.kind](_policy_stream(cfg), cfg, chunks()):
+    for slots, stamps, attempts in _SERVERS[cfg.policy.kind](_stream(cfg, _SERVICE), cfg, chunks()):
         ages.feed(slots, stamps)
         if fake_dump_updates:
             first = slots[0] if first is None and len(slots) else first

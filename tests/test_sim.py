@@ -338,15 +338,20 @@ def test_sawtooth_statistics_without_deliveries():
         assert fed_age_stats(none, none, horizon, warmup) == per_slot_age_stats(none, none, horizon, warmup)
 
 
-def path_markov_arrivals(rng, src, horizon):
+def role_streams(seed, *roles):
+    """The generators the simulator reads for ``roles`` of a run with ``seed``."""
+    return [np.random.default_rng((seed, role)) for role in roles]
+
+
+def path_markov_arrivals(active_rng, inactive_rng, src, horizon):
     """The arrivals read off a state path expanded with np.repeat."""
-    state = 1 if rng.random() < src.effective_rate else 0
+    state = 1 if active_rng.random() < src.effective_rate else 0
     chunks = []
     total = 0
     while total < horizon:
         n_runs = max(64, int(horizon / 8))
-        active = sim._geometric_lengths(rng, src.p10, n_runs)
-        inactive = sim._geometric_lengths(rng, src.p01, n_runs)
+        active = sim._geometric_lengths(active_rng, src.p10, n_runs)
+        inactive = sim._geometric_lengths(inactive_rng, src.p01, n_runs)
         lengths = np.empty(2 * n_runs, dtype=np.int64)
         lengths[0::2], lengths[1::2] = (active, inactive) if state == 1 else (inactive, active)
         values = np.empty(2 * n_runs, dtype=np.int64)
@@ -363,12 +368,10 @@ def path_markov_arrivals(rng, src, horizon):
 def test_markov_arrivals_from_run_lengths_equal_the_state_path(src):
     for seed in range(6):
         for horizon in (1, 7, 64, 513, 100_003):
-            reference = np.random.default_rng(seed)
             cfg = SimConfig(None, src, horizon=horizon, warmup=0, seed=seed)
             arrivals = np.concatenate(list(sim._arrival_chunks(cfg)))
-            assert np.array_equal(arrivals, path_markov_arrivals(reference, src, horizon))
-            # the policy's draws start where the whole-run arrivals ended
-            assert sim._policy_stream(cfg).random() == reference.random()
+            reference = path_markov_arrivals(*role_streams(seed, sim._ARRIVALS, sim._INACTIVE), src, horizon)
+            assert np.array_equal(arrivals, reference)
 
 
 def test_bernoulli_arrivals_in_chunks_equal_one_draw(monkeypatch):
@@ -408,9 +411,10 @@ def test_runs_report_counters_at_debug(caplog):
 
 
 # --- the whole-run simulator the chunked one replaces ---------------------
-# A verbatim copy of the simulator that held every arrival and delivery of a
-# run at once (helpers renamed whole_*, debug logging left out).  The
-# chunked simulator must reproduce its results exactly, whatever _CHUNK is.
+# A copy of the simulator that held every arrival and delivery of a run at
+# once (helpers renamed whole_*, debug logging left out), reading the same
+# per-role streams in its own block sizes.  The chunked simulator must
+# reproduce its results exactly, whatever _CHUNK is.
 
 WHOLE_CHUNK = 1 << 20
 
@@ -436,7 +440,7 @@ def whole_geometric_lengths(rng, p, size):
     return np.ceil(np.log(u) / np.log(1.0 - p)).astype(np.int64).clip(min=1)
 
 
-def whole_markov_arrivals(rng, src: MarkovSource, horizon):
+def whole_markov_arrivals(active_rng, inactive_rng, src: MarkovSource, horizon):
     """Arrival slots of the two-state source over slots 1..horizon.
 
     The state path is made of alternating geometric sojourns (leave
@@ -447,13 +451,13 @@ def whole_markov_arrivals(rng, src: MarkovSource, horizon):
     draws n_runs active then n_runs inactive lengths and pairs them, the
     leading state's run first, so every chunk starts in the same state.
     """
-    state = 1 if rng.random() < src.effective_rate else 0
+    state = 1 if active_rng.random() < src.effective_rate else 0
     run_starts, run_lengths = [], []
     total = 0
     while total < horizon:
         n_runs = max(64, int(horizon / 8))
-        active = whole_geometric_lengths(rng, src.p10, n_runs)
-        inactive = whole_geometric_lengths(rng, src.p01, n_runs)
+        active = whole_geometric_lengths(active_rng, src.p10, n_runs)
+        inactive = whole_geometric_lengths(inactive_rng, src.p01, n_runs)
         pair_ends = total + np.cumsum(active + inactive)
         starts = pair_ends - active  # the active run closes its pair ...
         if state == 1:
@@ -480,10 +484,11 @@ def whole_expand_runs(firsts, lengths):
     return np.cumsum(out, out=out)
 
 
-def whole_arrivals(rng, source, horizon):
+def whole_arrivals(seed, source, horizon):
+    active_rng, inactive_rng = role_streams(seed, sim._ARRIVALS, sim._INACTIVE)
     if isinstance(source, BernoulliSource):
-        return whole_bernoulli_arrivals(rng, source.lam, horizon)
-    return whole_markov_arrivals(rng, source, horizon)
+        return whole_bernoulli_arrivals(active_rng, source.lam, horizon)
+    return whole_markov_arrivals(active_rng, inactive_rng, source, horizon)
 
 
 def whole_lcfs_deliveries(rng, policy, arrivals, horizon):
@@ -500,14 +505,12 @@ def whole_lcfs_deliveries(rng, policy, arrivals, horizon):
 
 
 def whole_fcfs_deliveries(rng, policy, arrivals, horizon):
-    """FCFS with optional Bernoulli(alpha) admission thinning.
+    """FCFS of the admitted arrivals.
 
     Departures follow the waiting-time recursion dep_k = max(arr_k,
     dep_{k-1} + 1) + s_k - 1, unrolled into a cumulative maximum so the
     whole run evaluates vectorially.
     """
-    if policy.alpha < 1.0:
-        arrivals = arrivals[rng.random(len(arrivals)) < policy.alpha]
     if len(arrivals) == 0:
         return arrivals, arrivals
     draws = whole_sample_durations(rng, policy.pmf, len(arrivals))
@@ -627,8 +630,10 @@ def whole_simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
     """
     if cfg.policy is None:
         raise InvalidConfig("simulate needs a policy; use empirical_source_age for sources")
-    rng = np.random.default_rng(cfg.seed)
-    arrivals = whole_arrivals(rng, cfg.source, cfg.horizon)
+    rng, coins = role_streams(cfg.seed, sim._SERVICE, sim._COINS)
+    arrivals = whole_arrivals(cfg.seed, cfg.source, cfg.horizon)
+    if cfg.policy.alpha < 1.0:  # FCFS admission thinning
+        arrivals = arrivals[coins.random(len(arrivals)) < cfg.policy.alpha]
     if cfg.policy.kind == "rad":
         slots, timestamps, attempts = whole_rad_deliveries(rng, cfg.policy, arrivals, cfg.horizon)
         if fake_dump_updates and len(slots):
@@ -654,8 +659,7 @@ def whole_source_age(cfg: SimConfig, return_pmf=False):
     delivery in slot a - 1 with timestamp a - 1, so the age in slot t >= a
     is t - a + 1.  Before the first arrival the age is t + 1 (timestamp -1).
     """
-    rng = np.random.default_rng(cfg.seed)
-    generated_at = whole_arrivals(rng, cfg.source, cfg.horizon)
+    generated_at = whole_arrivals(cfg.seed, cfg.source, cfg.horizon)
     generated_at -= 1
     mean, ci = whole_age_stats(generated_at, generated_at, cfg.horizon, cfg.warmup, first_timestamp=-1)
     generated = int(np.count_nonzero(generated_at >= cfg.warmup))
@@ -734,6 +738,34 @@ def test_server_state_crosses_chunk_boundaries(chunk):
         cfg = SimConfig(policy, source, horizon=1_003, warmup=warmup, seed=chunk + warmup)
         chunked, whole = chunked_and_whole(cfg, fake, chunk)
         assert chunked == whole, (cfg, fake)
+
+
+def test_random_streams_are_pinned():
+    """Literal results of short runs, so that a change of the random streams shows.
+
+    The chunked simulator and the whole-run reference share the role keys,
+    so their equality cannot catch such a change.
+    """
+    greedy = greedy_smp_pmf(0.5)
+    thinned = Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0])
+    runs = {
+        (Policy.lcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=5.886666666666667, "
+        "ci_half_width=0.5531230483299243, delivered=177, output_rate=0.19666666666666666)",
+        (thinned, BERN): "SimStats(mean_age=4.07, ci_half_width=0.23478680748168113, delivered=427, "
+        "output_rate=0.47444444444444445)",
+        (Policy.dad(5), MarkovSource(0.05, 0.2)): "SimStats(mean_age=25.544444444444444, "
+        "ci_half_width=7.494934334621209, delivered=49, output_rate=0.05444444444444444)",
+    }
+    for (policy, source), expected in runs.items():
+        assert repr(simulate(SimConfig(policy, source, horizon=1_000, warmup=100, seed=1))) == expected
+    cfg = SimConfig(None, MarkovSource(0.4, 0.6), horizon=1_000, warmup=100, seed=1)
+    assert repr(empirical_source_age(cfg, return_pmf=True)) == (
+        "(SimStats(mean_age=2.42, ci_half_width=0.16624202939498867, delivered=361, "
+        "output_rate=0.4011111111111111), {1: 0.4011111111111111, 2: 0.24555555555555555, "
+        "3: 0.14444444444444443, 4: 0.08888888888888889, 5: 0.052222222222222225, 6: 0.03, "
+        "7: 0.02, 8: 0.0077777777777777776, 9: 0.005555555555555556, 10: 0.0033333333333333335, "
+        "11: 0.0011111111111111111})"
+    )
 
 
 def traced_peak(run, cfg):
