@@ -119,11 +119,7 @@ def _cmd_sweep(args):
         warmup=args.warmup,
         seed=args.seed,
     )
-    points = sweep(spec)
-    if args.out:
-        write_csv(points, args.out)
-    else:
-        write_csv(points, sys.stdout)
+    write_csv(sweep(spec), args.out or sys.stdout)
     return 0
 
 
@@ -133,10 +129,7 @@ def _cmd_simulate(args):
     else:
         if (args.p01 is None) != (args.p10 is None):
             raise InvalidConfig("a Markov source needs both --p01 and --p10")
-        if args.p01 is not None:
-            source = MarkovSource(args.p01, args.p10)
-        else:
-            source = BernoulliSource(args.lam)
+        source = BernoulliSource(args.lam) if args.p01 is None else MarkovSource(args.p01, args.p10)
         cfg = SimConfig(_policy(args), source, horizon=args.slots, warmup=args.warmup, seed=args.seed)
     stats = simulate(cfg)
     _emit(

@@ -3,7 +3,7 @@
 Everything raised on bad inputs or infeasible requests derives from
 :class:`AgeLeakError`, so callers (and the CLI) can distinguish validation
 failures from genuine numerical non-convergence (:class:`ConvergenceFailure`).
-The four input rules at the end decide what a valid whole number,
+The input rules at the end decide what a valid whole number, seed,
 probability, finite number and JSON object are; each public entry point
 applies one rule per value it takes, with the error class it raises.
 """
@@ -121,6 +121,17 @@ def _as_int(value, what, error, low=0):
     if integral and value >= low:
         return int(value)
     raise error(f"{what} {value!r} is not an integer >= {low}")
+
+
+def _as_seed(value):
+    """``value`` as a seed below 2^32, one word of SeedSequence entropy.
+
+    A larger seed s + 2^32 r would split into (s, r), role r's key for seed s.
+    """
+    seed = _as_int(value, "seed", InvalidConfig)
+    if seed >= 1 << 32:
+        raise InvalidConfig(f"seed {seed} is not below 2**32")
+    return seed
 
 
 def _as_probability(value, what, error):

@@ -204,7 +204,7 @@ def _uniform_width(tau):
     """Support width 2*tau - 1 of the uniform pmf on {1, 2, ...} with mean ``tau``."""
     tau = _as_finite(tau, "mean inter-dump time", InvalidTau, low=1.0)
     k = 2.0 * tau - 1.0
-    if abs(k - round(k)) > 1e-9:
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
         raise NonHalfIntegerTau(f"2*tau-1 = {k!r} is not a positive integer")
     return round(k)
 

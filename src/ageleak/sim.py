@@ -16,14 +16,16 @@ has a closed form.  The running sum of those areas, in exact int64
 arithmetic, is read at the batch boundaries only.  The server state crosses
 window boundaries (the held-back LCFS arrival, the last FCFS departure, the
 last RAD attempt and the freshest arrival), so memory is O(_CHUNK) whatever
-the horizon.  While the sum of ages over the horizon stays below 2^53, every
-partial sum of per-slot ages is exact in float64 too, so the mean and the
-batch means equal those of the per-slot ages bit for bit.
+the horizon; Markov arrivals and RAD attempts are renewal processes whose
+events drawn past a window wait for it.  While the sum of ages over the
+horizon stays below 2^53, every partial sum of per-slot ages is exact in
+float64 too, so the mean and the batch means equal those of the per-slot
+ages bit for bit.
 
-Each random role of a run (arrivals, Markov inactive run lengths, FCFS
-admission coins, service or timer draws) reads its own generator seeded
-with (seed, role), strictly in sequence.  A run is therefore the same
-whatever the window size, with no stream offsets to compute.
+Each random role of a run (Bernoulli arrivals or Markov stay-or-leave
+coins, Markov idle lengths, FCFS admission coins, service or timer draws)
+reads its own generator seeded with (seed, role), strictly in sequence.  A
+run is therefore the same whatever the window size.
 
 Confidence intervals use batch means over 30 batches of the post-warmup
 slots at the 95% level.  The default warmup is 10^4 slots; the age process
@@ -39,7 +41,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import InvalidConfig, _as_dict, _as_int
+from .errors import InvalidConfig, _as_dict, _as_int, _as_seed
 from .pmf import FinitePmf
 from .policy import Policy, policy_from_config
 from .sources import BernoulliSource, MarkovSource
@@ -75,8 +77,9 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("horizon", "warmup", "seed"):
+        for name in ("horizon", "warmup"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, InvalidConfig))
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         if not self.horizon > self.warmup:
             raise InvalidConfig(
                 f"need horizon > warmup >= 0, got horizon={self.horizon}, warmup={self.warmup}"
@@ -105,15 +108,15 @@ def _stream(cfg, role):
     return np.random.default_rng((cfg.seed, role))
 
 
-def _sampler(pmf: FinitePmf):
-    """sample(rng, size): draws of ``pmf`` by inversion, one double each.
+def _sampler(pmf: FinitePmf, rng):
+    """sample(size): draws of ``pmf`` by inversion, one double of ``rng`` each.
 
     The pmf's arrays are built once per run, not once per chunk.
     """
     durations = np.array(pmf.durations, dtype=np.int64)
     cdf = np.cumsum(pmf.probabilities)
 
-    def sample(rng, size):
+    def sample(size):
         idx = np.searchsorted(cdf, rng.random(size), side="right")
         return durations[np.minimum(idx, len(durations) - 1)]
 
@@ -125,94 +128,65 @@ def _bernoulli_chunks(rng, lam, horizon):
         yield np.flatnonzero(rng.random(min(_CHUNK, horizon - start)) < lam) + (start + 1)
 
 
-def _geometric_lengths(rng, p, size):
+def _geometric_lengths(rng, p, size, cap):
+    """``size`` Geometric(p) draws on {1, 2, ...} by inversion, each clipped to ``cap``."""
     if p >= 1.0:
         return np.ones(size, dtype=np.int64)
     u = np.maximum(rng.random(size), 1e-300)
-    return np.ceil(np.log(u) / np.log(1.0 - p)).astype(np.int64).clip(min=1)
+    with np.errstate(over="ignore"):  # a p near the smallest double overflows; the cap takes inf
+        lengths = np.ceil(np.log(u) / np.log1p(-p))
+    return np.minimum(lengths, cap).astype(np.int64)
 
 
-def _markov_runs(active_rng, inactive_rng, src: MarkovSource, horizon):
-    """Active runs of the two-state source that start before ``horizon``.
+def _renewals(gaps, horizon):
+    """Event slots of a renewal process from slot 0, per window of :data:`_CHUNK` slots.
 
-    Yields batches of (first arrival slots, lengths clipped to the horizon,
-    covered): every later run starts at or after time ``covered``.  The
-    state path is made of alternating geometric sojourns (leave
-    probabilities p10 from active, p01 from inactive), starting from the
-    stationary distribution.  Slot t receives an update generated at t - 1,
-    i.e. when the state at time t - 1 was active, so an active run starting
-    at time s with length L gives the arrivals s + 1, ..., s + L.
-
-    ``active_rng`` draws the leading state, then the active lengths;
-    ``inactive_rng`` the inactive ones.  Pair k holds the k-th length of
-    each, the leading state's run first, and a batch holds about one window
-    of :data:`_CHUNK` slots of pairs.
+    ``gaps(size)`` gives the next ``size`` gaps, each at least one slot; they
+    are drawn :data:`_CHUNK` at a time, and the events past a window's end
+    wait for the next window.
     """
-    leads = active_rng.random() < src.effective_rate
-    per_batch = max(1, int(_CHUNK / (1.0 / src.p10 + 1.0 / src.p01)))  # pairs of mean length
-    total = 0
-    while total < horizon:
-        active = _geometric_lengths(active_rng, src.p10, per_batch)
-        inactive = _geometric_lengths(inactive_rng, src.p01, per_batch)
-        pair_ends = total + np.cumsum(active + inactive)
-        starts = pair_ends - active  # the active run closes its pair ...
-        if leads:
-            starts -= inactive  # ... unless it leads
-        inside = starts < horizon
-        total = int(pair_ends[-1])
-        yield starts[inside] + 1, np.minimum(active[inside], horizon - starts[inside]), total
-
-
-def _markov_chunks(active_rng, inactive_rng, src: MarkovSource, horizon):
-    """Arrival slots of each window of :data:`_CHUNK` slots.
-
-    A run that crosses a window's end carries its remainder into the next
-    window.  Runs are drawn a batch at a time, and a batch is only drawn once
-    the runs before it are used up: a run that reaches past a window's end
-    lies before the end of its own batch.
-    """
-    runs = _markov_runs(active_rng, inactive_rng, src, horizon)
-    firsts = lengths = np.zeros(0, dtype=np.int64)
-    covered = 0  # every run not yet drawn starts at or after this slot
+    pending = np.zeros(0, dtype=np.int64)  # events drawn, not yet reached
+    last = 0  # the last event drawn
     for start in range(0, horizon, _CHUNK):
         end = min(start + _CHUNK, horizon)
-        pieces = []
-        while True:
-            take = np.searchsorted(firsts, end, side="right")
-            clipped = np.minimum(lengths[:take], end - firsts[:take] + 1)
-            pieces.append(_expand_runs(firsts[:take], clipped))
-            if take and clipped[-1] < lengths[take - 1]:
-                take -= 1
-                firsts[take] = end + 1
-                lengths[take] -= clipped[-1]
-            if covered >= end:
-                firsts, lengths = firsts[take:], lengths[take:]
-                break
-            firsts, lengths, covered = next(runs)
-        yield np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+        while last <= end:
+            pending = np.concatenate((pending, last + np.cumsum(gaps(_CHUNK))))
+            last = int(pending[-1])
+        reached = np.searchsorted(pending, end, side="right")
+        yield pending[:reached]
+        pending = pending[reached:]
 
 
-def _expand_runs(firsts, lengths):
-    """The integers firsts[k], ..., firsts[k] + lengths[k] - 1 for every k, in order.
+def _markov_gaps(cfg: SimConfig):
+    """gaps(size): the next gaps between the two-state source's arrivals.
 
-    ``lengths`` are >= 1; the output is a cumulative sum of unit steps with
-    a jump where each run begins.
+    Slot t receives an update generated at t - 1, when the state was active.
+    A gap is one slot, plus a Geometric(p01) idle stretch if the source
+    leaves: the arrivals stream gives one coin per gap, leaving below p10
+    (for the first gap, not below the stationary active probability), and
+    the inactive stream one idle length per leave.
     """
-    out = np.ones(int(lengths.sum()), dtype=np.int64)
-    if len(out) == 0:
+    src, coins, idles = cfg.source, _stream(cfg, _ARRIVALS), _stream(cfg, _INACTIVE)
+    first = True
+
+    def gaps(size):
+        nonlocal first
+        u = coins.random(size)
+        leave = u < src.p10
+        if first:
+            leave[0], first = u[0] >= src.effective_rate, False
+        out = np.ones(size, dtype=np.int64)
+        out[leave] += _geometric_lengths(idles, src.p01, int(np.count_nonzero(leave)), cfg.horizon + 1)
         return out
-    heads = np.cumsum(lengths) - lengths
-    out[heads[1:]] = firsts[1:] - (firsts[:-1] + lengths[:-1] - 1)
-    out[0] = firsts[0]
-    return np.cumsum(out, out=out)
+
+    return gaps
 
 
 def _arrival_chunks(cfg: SimConfig):
     """Arrival slots of each window of :data:`_CHUNK` slots."""
-    rng = _stream(cfg, _ARRIVALS)
     if isinstance(cfg.source, BernoulliSource):
-        return _bernoulli_chunks(rng, cfg.source.lam, cfg.horizon)
-    return _markov_chunks(rng, _stream(cfg, _INACTIVE), cfg.source, cfg.horizon)
+        return _bernoulli_chunks(_stream(cfg, _ARRIVALS), cfg.source.lam, cfg.horizon)
+    return _renewals(_markov_gaps(cfg), cfg.horizon)
 
 
 def _lcfs(rng, cfg, chunks):
@@ -222,11 +196,11 @@ def _lcfs(rng, cfg, chunks):
     unless a later arrival lands on or before that slot.  The last arrival
     of a chunk is held back until the next chunk's first arrival decides.
     """
-    sample = _sampler(cfg.policy.pmf)
+    sample = _sampler(cfg.policy.pmf, rng)
     held = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)  # arrival, departure
     for fresh in chunks:
         arrivals = np.concatenate((held[0], fresh))
-        departures = np.concatenate((held[1], fresh + sample(rng, len(fresh)) - 1))
+        departures = np.concatenate((held[1], fresh + sample(len(fresh)) - 1))
         done = (arrivals[1:] > departures[:-1]) & (departures[:-1] <= cfg.horizon)
         slots = departures[:-1][done]
         yield slots, arrivals[:-1][done] - 1, slots
@@ -244,14 +218,14 @@ def _fcfs(rng, cfg, chunks):
     cumulative maximum that a chunk starts from the last departure.  Thinning
     takes one admission draw per arrival.
     """
-    alpha, sample, coins = cfg.policy.alpha, _sampler(cfg.policy.pmf), _stream(cfg, _COINS)
+    alpha, sample, coins = cfg.policy.alpha, _sampler(cfg.policy.pmf, rng), _stream(cfg, _COINS)
     last = np.iinfo(np.int64).min  # departure slot of the previous update
     for arrivals in chunks:
         if alpha < 1.0:
             arrivals = arrivals[coins.random(len(arrivals)) < alpha]
         if len(arrivals) == 0:
             continue
-        steps = sample(rng, len(arrivals)) - 1
+        steps = sample(len(arrivals)) - 1
         k = np.arange(1, len(arrivals) + 1)
         csum = np.cumsum(steps)
         departures = np.maximum(np.maximum.accumulate(arrivals - k - (csum - steps)), last) + csum + k
@@ -265,21 +239,11 @@ def _rad(rng, cfg, chunks):
 
     An attempt transmits the freshest update that arrived since the previous
     attempt (the buffer only ever holds the freshest update and is empty
-    after every attempt); an empty-buffer attempt produces no output.  Timer
-    draws run ahead of the arrivals by up to :data:`_CHUNK` attempts.
+    after every attempt); an empty-buffer attempt produces no output.  The
+    attempts are a renewal process of timer draws.
     """
-    sample = _sampler(cfg.policy.pmf)
-    pending = np.zeros(0, dtype=np.int64)  # attempt slots drawn, not yet reached
-    timer = 0  # the last attempt slot drawn
     previous = latest = 0  # the last attempt reached, the freshest arrival (0: none)
-    ends = range(_CHUNK, cfg.horizon + _CHUNK, _CHUNK)
-    for end, arrivals in zip(ends, chunks):
-        end = min(end, cfg.horizon)
-        while timer <= end:
-            pending = np.concatenate((pending, timer + np.cumsum(sample(rng, _CHUNK))))
-            timer = int(pending[-1])
-        reached = np.searchsorted(pending, end, side="right")
-        attempts, pending = pending[:reached], pending[reached:]
+    for attempts, arrivals in zip(_renewals(_sampler(cfg.policy.pmf, rng), cfg.horizon), chunks):
         seen = np.concatenate(([latest], arrivals))
         freshest = seen[np.searchsorted(arrivals, attempts, side="right")]
         filled = freshest > np.concatenate(([previous], attempts[:-1]))

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    BaselinePoint, InvalidConfig, InvalidLambda, NoOverlap, TooFewPoints, _as_int, _as_probability, _is_real,
+    BaselinePoint, InvalidConfig, InvalidLambda, NoOverlap, TooFewPoints, _as_probability, _as_seed, _is_real,
 )
 from .leakage import leakage_time
 from .optimize import optimal_alpha_for_fcfs
@@ -75,7 +75,7 @@ class SweepSpec:
 
     def __post_init__(self):
         # the seed reaches SeedSequence before any SimConfig sees it
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed", InvalidConfig))
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         if family(self.family).param == "pmf":
             raise InvalidConfig(f"family {self.family!r} has no scalar parameter to sweep")
         sequence = isinstance(self.grid, (Sequence, np.ndarray)) and not isinstance(self.grid, str)

@@ -215,6 +215,9 @@ SCENARIO = {
         ("optimize", "--policy", "fcfs-greedy", "--beta", "0.5", "--lambda", "0"),
         ("age", "--policy", "dad", "--tau", "inf"),
         ("rate", "--policy", "rad-uniform", "--tau", "inf"),
+        ("age", "--policy", "rad-uniform", "--tau", "8.98846567431158e+307"),
+        ("simulate", "--policy", "dad", "--tau", "5", "--slots", "20000", "--seed", "4294967296"),
+        ("sweep", "--policy", "dad", "--grid", "2", "--simulate", "--slots", "20000", "--seed", "4294967296"),
         ("age", "--policy", "lcfs-geo", "--tau", "1e17"),
         ("rate", "--policy", "ddad", "--rate", "5e-324"),
         ("age", "--policy", "lcfs", "--pmf", '{"entries": [[1, "1"]]}'),

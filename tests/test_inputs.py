@@ -13,6 +13,7 @@ from ageleak import (
     LeakageResult,
     MarkovSource,
     Policy,
+    SimConfig,
     SweepSpec,
     TradeoffPoint,
     ddad_policy,
@@ -32,6 +33,7 @@ from ageleak.errors import (
     InvalidLambda,
     InvalidRate,
     NegativeProbability,
+    NonHalfIntegerTau,
     NonPositiveDuration,
     PmfError,
     TailTooHeavy,
@@ -83,6 +85,13 @@ REFUSED = {
     ),
     "SweepSpec('dad', 5)": (lambda: SweepSpec("dad", 5), InvalidConfig),
     "SweepSpec('dad', ('2',))": (lambda: SweepSpec("dad", ("2",)), InvalidConfig),
+    "SweepSpec(seed=2**32)": (lambda: SweepSpec("dad", (2,), seed=2**32), InvalidConfig),
+    "SimConfig(seed=2**32)": (
+        lambda: SimConfig(None, BernoulliSource(0.5), horizon=100, warmup=0, seed=2**32), InvalidConfig
+    ),
+    "rad-uniform tau=8.98846567431158e+307": (
+        lambda: policy_from_config({"kind": "rad-uniform", "tau": 8.98846567431158e307}), NonHalfIntegerTau
+    ),
 }
 
 

@@ -189,6 +189,17 @@ def test_empirical_source_age_markov():
     assert stats.output_rate == pytest.approx(0.2, abs=0.01)
 
 
+@pytest.mark.parametrize("p01,p10,rate", [(1e-17, 0.5, 0.0), (0.5, 1e-17, 1.0), (5e-324, 0.5, 0.0)])
+def test_markov_source_at_tiny_transition_probabilities(p01, p10, rate):
+    """A transition too rare for 1 - p to differ from 1 still gives the source's rate."""
+    src = MarkovSource(p01, p10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = empirical_source_age(SimConfig(None, src, horizon=100_000, seed=4))
+    assert stats.output_rate == pytest.approx(rate, abs=1e-3)
+    assert src.effective_rate == pytest.approx(rate, abs=1e-3)
+
+
 def test_fewer_slots_than_batches_give_an_unknown_spread():
     for source in (BERN, MarkovSource(0.5, 0.5)):
         with warnings.catch_warnings():
@@ -343,34 +354,40 @@ def role_streams(seed, *roles):
     return [np.random.default_rng((seed, role)) for role in roles]
 
 
-def path_markov_arrivals(active_rng, inactive_rng, src, horizon):
-    """The arrivals read off a state path expanded with np.repeat."""
-    state = 1 if active_rng.random() < src.effective_rate else 0
-    chunks = []
-    total = 0
-    while total < horizon:
-        n_runs = max(64, int(horizon / 8))
-        active = sim._geometric_lengths(active_rng, src.p10, n_runs)
-        inactive = sim._geometric_lengths(inactive_rng, src.p01, n_runs)
-        lengths = np.empty(2 * n_runs, dtype=np.int64)
-        lengths[0::2], lengths[1::2] = (active, inactive) if state == 1 else (inactive, active)
-        values = np.empty(2 * n_runs, dtype=np.int64)
-        values[0::2] = state
-        values[1::2] = 1 - state
-        chunks.append(np.repeat(values, lengths))
-        total += int(lengths.sum())
-    path = np.concatenate(chunks)[:horizon]
-    return np.flatnonzero(path) + 1
+def chain_idle_length(idles, p):
+    """One Geometric(p) idle length on {1, 2, ...}, by inversion of one double."""
+    if p >= 1.0:
+        return 1
+    return math.ceil(math.log(max(idles.random(), 1e-300)) / math.log1p(-p))
+
+
+def chain_markov_arrivals(coins, idles, src, horizon):
+    """The arrivals of the two-state chain, stepped with one scalar draw at a time.
+
+    The state at time 0 is active when its coin is below the stationary
+    active probability; after each active time, a coin below p10 sends the
+    chain idle for one idle length.  Slot t receives an arrival when the
+    state at time t - 1 is active.
+    """
+    arrivals = []
+    t, active = 0, coins.random() < src.effective_rate
+    while t < horizon:
+        if active:
+            arrivals.append(t + 1)
+            t, active = t + 1, not coins.random() < src.p10
+        else:
+            t, active = t + chain_idle_length(idles, src.p01), True
+    return np.array(arrivals, dtype=np.int64)
 
 
 @pytest.mark.parametrize("src", [MarkovSource(0.05, 0.2), MarkovSource(0.5, 0.5),
                                  MarkovSource(1.0, 1.0), MarkovSource(0.01, 0.9)])
-def test_markov_arrivals_from_run_lengths_equal_the_state_path(src):
+def test_markov_arrivals_equal_the_scalar_chain(src):
     for seed in range(6):
         for horizon in (1, 7, 64, 513, 100_003):
             cfg = SimConfig(None, src, horizon=horizon, warmup=0, seed=seed)
             arrivals = np.concatenate(list(sim._arrival_chunks(cfg)))
-            reference = path_markov_arrivals(*role_streams(seed, sim._ARRIVALS, sim._INACTIVE), src, horizon)
+            reference = chain_markov_arrivals(*role_streams(seed, sim._ARRIVALS, sim._INACTIVE), src, horizon)
             assert np.array_equal(arrivals, reference)
 
 
@@ -433,62 +450,44 @@ def whole_bernoulli_arrivals(rng, lam, horizon):
     ])
 
 
-def whole_geometric_lengths(rng, p, size):
+def whole_geometric_lengths(rng, p, size, cap):
     if p >= 1.0:
         return np.ones(size, dtype=np.int64)
     u = np.maximum(rng.random(size), 1e-300)
-    return np.ceil(np.log(u) / np.log(1.0 - p)).astype(np.int64).clip(min=1)
+    with np.errstate(over="ignore"):
+        lengths = np.ceil(np.log(u) / np.log1p(-p))
+    return np.minimum(lengths, cap).astype(np.int64)
 
 
-def whole_markov_arrivals(active_rng, inactive_rng, src: MarkovSource, horizon):
+def whole_markov_arrivals(coins, idles, src: MarkovSource, horizon):
     """Arrival slots of the two-state source over slots 1..horizon.
 
-    The state path is made of alternating geometric sojourns (leave
-    probabilities p10 from active, p01 from inactive), starting from the
-    stationary distribution.  Slot t receives an update generated at t - 1,
-    i.e. when the state at time t - 1 was active, so an active run starting
-    at time s with length L gives the arrivals s + 1, ..., s + L.  Each chunk
-    draws n_runs active then n_runs inactive lengths and pairs them, the
-    leading state's run first, so every chunk starts in the same state.
+    The arrivals are a renewal process from slot 0.  One coin per gap leaves
+    the active state (below p10, or for the first gap not below the
+    stationary active probability), and a leave adds one Geometric(p01) idle
+    length to the gap of one slot.  Every gap is at least one slot, so
+    horizon - total more gaps reach past the horizon.
     """
-    state = 1 if active_rng.random() < src.effective_rate else 0
-    run_starts, run_lengths = [], []
-    total = 0
+    gaps, total = [], 0
     while total < horizon:
-        n_runs = max(64, int(horizon / 8))
-        active = whole_geometric_lengths(active_rng, src.p10, n_runs)
-        inactive = whole_geometric_lengths(inactive_rng, src.p01, n_runs)
-        pair_ends = total + np.cumsum(active + inactive)
-        starts = pair_ends - active  # the active run closes its pair ...
-        if state == 1:
-            starts -= inactive  # ... unless the chunk leads with it
-        inside = starts < horizon
-        run_starts.append(starts[inside])
-        run_lengths.append(np.minimum(active[inside], horizon - starts[inside]))
-        total = int(pair_ends[-1])
-    return whole_expand_runs(np.concatenate(run_starts) + 1, np.concatenate(run_lengths))
-
-
-def whole_expand_runs(firsts, lengths):
-    """The integers firsts[k], ..., firsts[k] + lengths[k] - 1 for every k, in order.
-
-    ``lengths`` are >= 1; the output is a cumulative sum of unit steps with
-    a jump where each run begins.
-    """
-    out = np.ones(int(lengths.sum()), dtype=np.int64)
-    if len(out) == 0:
-        return out
-    heads = np.cumsum(lengths) - lengths
-    out[heads[1:]] = firsts[1:] - (firsts[:-1] + lengths[:-1] - 1)
-    out[0] = firsts[0]
-    return np.cumsum(out, out=out)
+        size = min(WHOLE_CHUNK, horizon - total)
+        u = coins.random(size)
+        leave = u < src.p10
+        if not gaps:
+            leave[0] = u[0] >= src.effective_rate
+        block = np.ones(size, dtype=np.int64)
+        block[leave] += whole_geometric_lengths(idles, src.p01, int(leave.sum()), horizon + 1)
+        gaps.append(block)
+        total += int(block.sum())
+    arrivals = np.cumsum(np.concatenate(gaps))
+    return arrivals[arrivals <= horizon]
 
 
 def whole_arrivals(seed, source, horizon):
-    active_rng, inactive_rng = role_streams(seed, sim._ARRIVALS, sim._INACTIVE)
+    coins, idles = role_streams(seed, sim._ARRIVALS, sim._INACTIVE)
     if isinstance(source, BernoulliSource):
-        return whole_bernoulli_arrivals(active_rng, source.lam, horizon)
-    return whole_markov_arrivals(active_rng, inactive_rng, source, horizon)
+        return whole_bernoulli_arrivals(coins, source.lam, horizon)
+    return whole_markov_arrivals(coins, idles, source, horizon)
 
 
 def whole_lcfs_deliveries(rng, policy, arrivals, horizon):
@@ -753,16 +752,16 @@ def test_random_streams_are_pinned():
         "ci_half_width=0.5531230483299243, delivered=177, output_rate=0.19666666666666666)",
         (thinned, BERN): "SimStats(mean_age=4.07, ci_half_width=0.23478680748168113, delivered=427, "
         "output_rate=0.47444444444444445)",
-        (Policy.dad(5), MarkovSource(0.05, 0.2)): "SimStats(mean_age=25.544444444444444, "
-        "ci_half_width=7.494934334621209, delivered=49, output_rate=0.05444444444444444)",
+        (Policy.dad(5), MarkovSource(0.05, 0.2)): "SimStats(mean_age=25.05, "
+        "ci_half_width=6.8153777856270965, delivered=59, output_rate=0.06555555555555556)",
     }
     for (policy, source), expected in runs.items():
         assert repr(simulate(SimConfig(policy, source, horizon=1_000, warmup=100, seed=1))) == expected
     cfg = SimConfig(None, MarkovSource(0.4, 0.6), horizon=1_000, warmup=100, seed=1)
     assert repr(empirical_source_age(cfg, return_pmf=True)) == (
-        "(SimStats(mean_age=2.42, ci_half_width=0.16624202939498867, delivered=361, "
-        "output_rate=0.4011111111111111), {1: 0.4011111111111111, 2: 0.24555555555555555, "
-        "3: 0.14444444444444443, 4: 0.08888888888888889, 5: 0.052222222222222225, 6: 0.03, "
+        "(SimStats(mean_age=2.4166666666666665, ci_half_width=0.1627065129829961, delivered=363, "
+        "output_rate=0.4033333333333333), {1: 0.4033333333333333, 2: 0.24444444444444444, "
+        "3: 0.14333333333333334, 4: 0.08888888888888889, 5: 0.052222222222222225, 6: 0.03, "
         "7: 0.02, 8: 0.0077777777777777776, 9: 0.005555555555555556, 10: 0.0033333333333333335, "
         "11: 0.0011111111111111111})"
     )
