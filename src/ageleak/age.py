@@ -35,7 +35,7 @@ def lcfs_age(lam, service_pmf: FinitePmf) -> AgeResult:
     """
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
     lbar = 1.0 - lam
-    expectation = math.fsum(p * lbar ** (s - 1) for s, p in service_pmf.entries)
+    expectation = math.fsum(p * lbar ** (s - 1) for s, p in zip(service_pmf.durations, service_pmf.probabilities))
     if expectation <= 0.0:
         return AgeResult(math.inf)
     return AgeResult(1.0 + 1.0 / (lam * expectation))
@@ -60,7 +60,7 @@ def fcfs_age(lam, service_pmf: FinitePmf, alpha=1.0) -> AgeResult:
     if rho >= 1.0:
         raise Unstable(f"effective load {rho!r} >= 1 for FCFS")
     lbar = 1.0 - rate
-    mg = math.fsum(p * lbar ** s for s, p in service_pmf.entries)
+    mg = math.fsum(p * lbar ** s for s, p in zip(service_pmf.durations, service_pmf.probabilities))
     delta = (
         1.0
         + m.mean

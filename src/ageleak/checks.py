@@ -105,7 +105,7 @@ def _criterion_4():
 
 def _transform(pmf, rate):
     z0 = 2.0 ** rate
-    return math.fsum(p * z0 ** -d for d, p in pmf.entries)
+    return math.fsum(p * z0 ** -d for d, p in zip(pmf.durations, pmf.probabilities))
 
 
 _SIM_CASES = (
@@ -179,7 +179,7 @@ def _criterion_8():
     """Dithering schedule at rate 0.4: support, rate, certificate, exhaustive check."""
     policy = ddad_policy(0.4)
     pmf = policy.to_pmf()
-    support_ok = tuple(d for d, _ in pmf.entries) == (2, 3)
+    support_ok = pmf.durations == (2, 3)
     constraint = abs(policy.p_i * policy.z0 ** -2 + policy.p_j * policy.z0 ** -3 - 0.5)
     achieved = rad_rate(pmf)
     cert = dinkelbach_certify(policy)

@@ -43,7 +43,7 @@ def _parse_grid(text):
     try:
         if ":" in text:
             start, stop, step = (float(x) for x in text.split(":"))
-            return tuple(np.arange(start, stop + step / 2, step))
+            return tuple(np.arange(start, stop + step / 2, step).tolist())
         return tuple(float(x) for x in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise InvalidConfig(f"--grid {text!r} is neither start:stop:step nor a comma list") from None

@@ -14,6 +14,7 @@ each block keeps horizons of 10^6 slots finite.  Both rates are log2 z0
 with sum_d c_d z0^-d = 1, found by Newton's method on w = ln z.
 """
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -101,24 +102,26 @@ def _smp_terms(s1, beta):
     """Lags and weights of the nonzero c_d of a coupled server whose SMP
     service pmf has minimum s1 with mass beta: c_1 = 1, c_s1 += beta."""
     if s1 == 1:
-        return np.array([1]), np.array([1.0 + beta])
-    return np.array([1, s1]), np.array([1.0, beta])
+        return (1,), np.array([1.0 + beta])
+    return (1, s1), np.array([1.0, beta])
 
 
 def _rad_terms(dump_pmf: FinitePmf):
     """Lags and weights of the nonzero c_d = 2 g(d) of a dump schedule."""
-    return np.array(dump_pmf.durations), 2.0 * np.array(dump_pmf.probabilities)
+    return dump_pmf.durations, 2.0 * np.array(dump_pmf.probabilities)
 
 
 def _coefficients(lags, weights, n):
     """Dense c_0, ..., c_top for x(1..n): lags past n never reach x(n).
 
     ``top`` is min(largest lag, n), and at least 1 so the history is never
-    empty.
+    empty.  The increasing ``lags`` past it are dropped before they become
+    int64 indices, which a lag of 2^63 or more would not fit.
     """
-    c = np.zeros(min(int(lags[-1]), max(n, 1)) + 1)
-    keep = lags < len(c)
-    c[lags[keep]] = weights[keep]
+    top = min(lags[-1], max(n, 1))
+    keep = bisect.bisect_right(lags, top)
+    c = np.zeros(top + 1)
+    c[np.array(lags[:keep], dtype=np.int64)] = weights[:keep]
     return c
 
 
@@ -129,12 +132,12 @@ def _rad_forcing(dump_pmf: FinitePmf, n):
     that sum first in the same order, so every kept value equals the one a
     support-long array gives.
     """
-    durations, probs = np.array(dump_pmf.durations), np.array(dump_pmf.probabilities)
     top = min(dump_pmf.d_max, max(n, 1))
+    keep = bisect.bisect_right(dump_pmf.durations, top)
+    probs = np.array(dump_pmf.probabilities)
     mass = np.zeros(top + 1)
-    inside = durations <= top
-    mass[durations[inside]] = probs[inside]
-    beyond = np.cumsum(probs[~inside][::-1])[-1:]  # P(D > top), if the support goes past it
+    mass[np.array(dump_pmf.durations[:keep], dtype=np.int64)] = probs[:keep]
+    beyond = np.cumsum(probs[keep:][::-1])[-1:]  # P(D > top), if the support goes past it
     tail = np.cumsum(np.concatenate((beyond, mass[::-1])))[::-1]  # P(D >= t)
     return tail[1:]
 
@@ -151,7 +154,7 @@ def _root(lags, weights):
     """
     if len(lags) == 1:
         return float(math.log2(weights[0]) / lags[0])
-    d, p = lags, weights / 2.0
+    d, p = np.array(lags), weights / 2.0
     w = 0.0
     for step in range(1, ROOT_MAX_ITER + 1):
         terms = p * np.exp(-d * w)

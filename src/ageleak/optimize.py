@@ -17,7 +17,7 @@ from .errors import (
     InvalidBeta, InvalidConfig, InvalidLambda, InvalidRate, NoFeasibleAlpha, Unstable, _as_int,
     _as_probability,
 )
-from .pmf import DEFAULT_D_MAX, FinitePmf, make_pmf, pmf_moments
+from .pmf import DEFAULT_D_MAX, FinitePmf, _pmf, pmf_moments
 
 #: 1/rate within this distance of an integer collapses to a pure DAD policy
 #: instead of emitting a near-zero dither weight.
@@ -56,8 +56,8 @@ class DitherPolicy:
 
     def to_pmf(self) -> FinitePmf:
         if self.p_j <= 0.0:
-            return FinitePmf(((self.i, 1.0),))
-        return make_pmf([(self.i, self.p_i), (self.j, self.p_j)])
+            return _pmf((self.i,), (1.0,))
+        return _pmf((self.i, self.j), (self.p_i, self.p_j))
 
     @property
     def mean(self):
@@ -92,11 +92,10 @@ def greedy_smp_pmf(beta) -> FinitePmf:
     if beta * DEFAULT_D_MAX < 1.0:
         raise InvalidBeta(f"leakage budget {beta!r} spreads past the {DEFAULT_D_MAX}-slot support cap")
     k = int(1.0 / beta + _INTEGER_TOL)
-    entries = [(s, beta) for s in range(1, k + 1)]
     remainder = 1.0 - k * beta
     if remainder > 1e-12:
-        entries.append((k + 1, remainder))
-    return make_pmf(entries)
+        return _pmf(tuple(range(1, k + 2)), (beta,) * k + (remainder,))
+    return _pmf(tuple(range(1, k + 1)), (beta,) * k)
 
 
 def ddad_policy(target_rate) -> DitherPolicy:
@@ -220,7 +219,7 @@ def verify_two_point_optimality(target_rate, search_d_max) -> bool:
         return False
     gamma_star, minimizer = _dinkelbach_search(candidates, gamma0=reference)
     support = tuple(d for d, _ in minimizer)
-    expected = tuple(d for d, _ in policy.to_pmf().entries)
+    expected = policy.to_pmf().durations
     return support == expected and abs(gamma_star - reference) <= 1e-9
 
 

@@ -157,10 +157,16 @@ def _blocks(policy: Policy, n, word=None):
         x, state, y, p = step(t, x, state, y, p)
         if t == n:  # the final state is not part of the output
             state = np.zeros_like(state)
-        keys, inverse = np.unique((((x << state_bits) | state) << n) | y, return_inverse=True)
+        # a stable sort keeps equal keys in row order, so each merged row sums
+        # in that order; after a doubling the table is two presorted halves
+        keys = (((x << state_bits) | state) << n) | y
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        keys = keys[new]
         expanded, peak = expanded + len(p), max(peak, len(keys))
         return (keys >> (state_bits + n), (keys >> n) & ((1 << state_bits) - 1),
-                keys & ((1 << n) - 1), np.bincount(inverse, weights=p))
+                keys & ((1 << n) - 1), np.bincount(np.cumsum(new) - 1, weights=p[order]))
 
     shared = n if word is not None else max(n - _BLOCK_BITS, 0)
     table = (np.zeros(1, np.int64),) * 3 + (np.ones(1),)

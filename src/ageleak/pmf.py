@@ -6,8 +6,10 @@ stored sparsely: only durations with positive mass are kept, so a
 deterministic pmf at a huge duration costs O(1).
 """
 
+import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -38,43 +40,37 @@ DEFAULT_D_MAX = 10_000
 class FinitePmf:
     """Probability mass function with finite support on {1, 2, 3, ...}.
 
-    ``entries`` is a tuple of (duration, probability) pairs with strictly
+    ``durations`` and ``probabilities`` are parallel tuples: strictly
     increasing durations and strictly positive probabilities summing to 1
     within :data:`MASS_TOL`.  Instances are immutable and safe to share.
     """
 
-    entries: tuple
+    durations: tuple
+    probabilities: tuple
 
     @property
-    def durations(self):
-        return tuple(d for d, _ in self.entries)
-
-    @property
-    def probabilities(self):
-        return tuple(p for _, p in self.entries)
+    def entries(self):
+        """The (duration, probability) pairs, in increasing duration."""
+        return tuple(zip(self.durations, self.probabilities))
 
     @property
     def s_min(self):
         """Minimum supported duration."""
-        return self.entries[0][0]
+        return self.durations[0]
 
     @property
     def d_max(self):
         """Maximum supported duration."""
-        return self.entries[-1][0]
+        return self.durations[-1]
 
     def prob(self, duration):
         """Mass at ``duration`` (0.0 off support)."""
-        for d, p in self.entries:
-            if d == duration:
-                return p
-            if d > duration:
-                break
-        return 0.0
+        i = bisect.bisect_left(self.durations, duration)
+        return self.probabilities[i] if i < len(self.durations) and self.durations[i] == duration else 0.0
 
     def tail(self, r):
         """P(D > r), exact for the finite support."""
-        return math.fsum(p for d, p in self.entries if d > r)
+        return math.fsum(self.probabilities[bisect.bisect_right(self.durations, r) :])
 
     def to_json(self):
         """Serialize as ``{"entries": [[duration, probability], ...]}``.
@@ -99,6 +95,23 @@ class Moments:
     variance: float
 
 
+def _pmf(durations, probabilities) -> FinitePmf:
+    """The pmf of int durations and float probabilities in [0, 1], as parallel tuples.
+
+    Every constructor ends here.  Durations must strictly increase and the
+    mass must be 1; zero-mass entries are dropped.
+    """
+    if not all(map(operator.lt, durations, durations[1:])):
+        d = next(d0 for d0, d1 in zip(durations, durations[1:]) if d0 >= d1)
+        raise DuplicateDuration(f"duration {d} listed twice")
+    total = math.fsum(probabilities)
+    if not abs(total - 1.0) <= MASS_TOL:  # also NaN
+        raise UnnormalizedMass(f"probabilities sum to {total!r}, not 1")
+    if 0.0 in probabilities:
+        durations, probabilities = zip(*((d, p) for d, p in zip(durations, probabilities) if p > 0.0))
+    return FinitePmf(durations, probabilities)
+
+
 def make_pmf(entries) -> FinitePmf:
     """Validate and normalize (duration, probability) pairs into a pmf.
 
@@ -110,35 +123,28 @@ def make_pmf(entries) -> FinitePmf:
     NonPositiveDuration, DuplicateDuration, NegativeProbability,
     UnnormalizedMass
     """
-    items = list(entries)
-    if not items:
-        raise UnnormalizedMass("pmf needs at least one entry")
     cleaned = []
-    for d, p in items:
-        # plain int and float entries skip the rule calls: this loop runs
-        # for every entry of every pmf, about 7 * 10^5 times in one `ageleak check`
+    for d, p in entries:
+        # plain int and float entries skip the rule calls
         if type(d) is not int or d < 1:
             d = _as_int(d, "duration", NonPositiveDuration, low=1)
         if type(p) is not float or not 0.0 <= p <= 1.0:
             p = _as_finite(p, "probability", NegativeProbability, low=0.0)
         cleaned.append((d, p))
-    cleaned.sort(key=lambda e: e[0])
-    for (d0, _), (d1, _) in zip(cleaned, cleaned[1:]):
-        if d0 == d1:
-            raise DuplicateDuration(f"duration {d0} listed twice")
-    total = math.fsum(p for _, p in cleaned)
-    if abs(total - 1.0) > MASS_TOL:
-        raise UnnormalizedMass(f"probabilities sum to {total!r}, not 1")
-    support = tuple((d, p) for d, p in cleaned if p > 0.0)
-    if not support:
-        raise UnnormalizedMass("pmf has no positive-mass duration")
-    return FinitePmf(support)
+    if not cleaned:
+        raise UnnormalizedMass("pmf needs at least one entry")
+    cleaned.sort(key=operator.itemgetter(0))
+    return _pmf(*zip(*cleaned))
 
 
 def pmf_moments(pmf: FinitePmf) -> Moments:
-    """Exact mean, second moment and variance of a finite pmf."""
-    mean = math.fsum(d * p for d, p in pmf.entries)
-    second = math.fsum(d * d * p for d, p in pmf.entries)
+    """Exact mean, second moment and variance; :class:`PmfError` past the float range."""
+    durations, probabilities = pmf.durations, pmf.probabilities
+    try:
+        mean = math.fsum(map(operator.mul, durations, probabilities))
+        second = math.fsum(map(operator.mul, map(operator.mul, durations, durations), probabilities))
+    except OverflowError:
+        raise PmfError("the second moment of this pmf is past the float range") from None
     return Moments(mean=mean, second_moment=second, variance=second - mean * mean)
 
 
@@ -148,9 +154,7 @@ def is_smp(pmf: FinitePmf):
     Returns ``(smp, s_min)`` where ``smp`` is true iff the mass at the
     minimum supported duration is >= the mass at every supported duration.
     """
-    s_min, p_min = pmf.entries[0]
-    smp = all(p <= p_min for _, p in pmf.entries)
-    return smp, s_min
+    return max(pmf.probabilities) <= pmf.probabilities[0], pmf.s_min
 
 
 def geometric_pmf(mu, d_max=None, allow_heavy_tail=False) -> FinitePmf:
@@ -166,7 +170,7 @@ def geometric_pmf(mu, d_max=None, allow_heavy_tail=False) -> FinitePmf:
     """
     mu = _as_probability(mu, "geometric parameter", NegativeProbability)
     if mu == 1.0:
-        return FinitePmf(((1, 1.0),))
+        return _pmf((1,), (1.0,))
     if d_max is None:
         ln_q = math.log(1.0 - mu)  # 0.0 once mu is below half an ulp of 1
         d_max = min(math.ceil(math.log(GEOMETRIC_TAIL_TOL) / ln_q), DEFAULT_D_MAX) if ln_q else DEFAULT_D_MAX
@@ -176,9 +180,9 @@ def geometric_pmf(mu, d_max=None, allow_heavy_tail=False) -> FinitePmf:
         raise TailTooHeavy(
             f"tail mass {tail:.3e} beyond d_max={d_max} exceeds {GEOMETRIC_TAIL_TOL}"
         )
-    entries = [(d, (1.0 - mu) ** (d - 1) * mu) for d in range(1, d_max)]
-    entries.append((d_max, (1.0 - mu) ** (d_max - 1)))  # folded tail
-    return make_pmf(entries)
+    probabilities = [(1.0 - mu) ** (d - 1) * mu for d in range(1, d_max)]
+    probabilities.append((1.0 - mu) ** (d_max - 1))  # folded tail
+    return _pmf(tuple(range(1, d_max + 1)), tuple(probabilities))
 
 
 def uniform_pmf(k) -> FinitePmf:
@@ -186,9 +190,9 @@ def uniform_pmf(k) -> FinitePmf:
     k = _as_int(k, "uniform width", NonPositiveDuration, low=1)
     if k > DEFAULT_D_MAX:
         raise PmfError(f"uniform width {k} exceeds the {DEFAULT_D_MAX}-slot support cap")
-    return make_pmf([(d, 1.0 / k) for d in range(1, k + 1)])
+    return _pmf(tuple(range(1, k + 1)), (1.0 / k,) * k)
 
 
 def deterministic_pmf(tau) -> FinitePmf:
     """Point mass at duration ``tau``."""
-    return FinitePmf(((_as_int(tau, "duration", NonPositiveDuration, low=1), 1.0),))
+    return _pmf((_as_int(tau, "duration", NonPositiveDuration, low=1),), (1.0,))

@@ -33,6 +33,7 @@ mixes fast at the parameters of interest, but the warmup guards low-rate
 Markov runs.
 """
 
+import bisect
 import json
 import logging
 import math
@@ -42,7 +43,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidConfig, _as_dict, _as_int, _as_seed
-from .pmf import FinitePmf
 from .policy import Policy, policy_from_config
 from .sources import BernoulliSource, MarkovSource
 
@@ -108,12 +108,15 @@ def _stream(cfg, role):
     return np.random.default_rng((cfg.seed, role))
 
 
-def _sampler(pmf: FinitePmf, rng):
-    """sample(size): draws of ``pmf`` by inversion, one double of ``rng`` each.
+def _sampler(cfg: SimConfig, rng):
+    """sample(size): draws of the policy's pmf by inversion, one double of ``rng`` each.
 
-    The pmf's arrays are built once per run, not once per chunk.
+    The pmf's arrays are built once per run, not once per chunk.  A draw past
+    the horizon never fires, so it is clipped to horizon + 1 to fit int64.
     """
-    durations = np.array(pmf.durations, dtype=np.int64)
+    pmf, cap = cfg.policy.pmf, cfg.horizon + 1
+    keep = bisect.bisect_right(pmf.durations, cap)
+    durations = np.array(pmf.durations[:keep] + (cap,) * (len(pmf.durations) - keep), dtype=np.int64)
     cdf = np.cumsum(pmf.probabilities)
 
     def sample(size):
@@ -196,7 +199,7 @@ def _lcfs(rng, cfg, chunks):
     unless a later arrival lands on or before that slot.  The last arrival
     of a chunk is held back until the next chunk's first arrival decides.
     """
-    sample = _sampler(cfg.policy.pmf, rng)
+    sample = _sampler(cfg, rng)
     held = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)  # arrival, departure
     for fresh in chunks:
         arrivals = np.concatenate((held[0], fresh))
@@ -218,7 +221,7 @@ def _fcfs(rng, cfg, chunks):
     cumulative maximum that a chunk starts from the last departure.  Thinning
     takes one admission draw per arrival.
     """
-    alpha, sample, coins = cfg.policy.alpha, _sampler(cfg.policy.pmf, rng), _stream(cfg, _COINS)
+    alpha, sample, coins = cfg.policy.alpha, _sampler(cfg, rng), _stream(cfg, _COINS)
     last = np.iinfo(np.int64).min  # departure slot of the previous update
     for arrivals in chunks:
         if alpha < 1.0:
@@ -243,7 +246,7 @@ def _rad(rng, cfg, chunks):
     attempts are a renewal process of timer draws.
     """
     previous = latest = 0  # the last attempt reached, the freshest arrival (0: none)
-    for attempts, arrivals in zip(_renewals(_sampler(cfg.policy.pmf, rng), cfg.horizon), chunks):
+    for attempts, arrivals in zip(_renewals(_sampler(cfg, rng), cfg.horizon), chunks):
         seen = np.concatenate(([latest], arrivals))
         freshest = seen[np.searchsorted(arrivals, attempts, side="right")]
         filled = freshest > np.concatenate(([previous], attempts[:-1]))

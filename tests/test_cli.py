@@ -226,6 +226,7 @@ SCENARIO = {
         ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "mbt", "mu": 0.5, "alpha": "0.5"})),
         ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "lcfs-greedy", "beta": True})),
         ("simulate", "--scenario", dict(SCENARIO, policy={"kind": ["dad"], "tau": 4})),
+        ("age", "--policy", "dad", "--tau", "1e300"),
     ],
 )
 def test_refused_inputs_exit_2(capsys, tmp_path, argv):
@@ -239,6 +240,11 @@ def test_refused_inputs_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_stepped_grid_reports_plain_floats(capsys):
+    assert main(["sweep", "--policy", "mbt", "--grid", "1.5:3:0.5"]) == 2
+    assert capsys.readouterr().err == "error: geometric parameter 1.5 outside (0, 1]\n"
 
 
 def test_oracle_non_smp_coupled_reports_no_closed_form(capsys):
@@ -295,6 +301,8 @@ def limited_address_space():
 @pytest.mark.parametrize("argv,expected", [
     (["rate", "--policy", "dad", "--tau", "1e10"], ("rate", "1e-10")),
     (["leakage", "--policy", "lcfs", "--pmf", '{"entries": [[10000000000, 1.0]]}', "--n", "5"], ("bits", "0.0")),
+    (["leakage", "--policy", "dad", "--tau", "1e20", "--n", "10"], ("bits", "0.0")),
+    (["simulate", "--policy", "dad", "--tau", "1e20", "--slots", "20000"], ("delivered", "0")),
 ])
 def test_huge_supports_answer_in_bounded_memory(argv, expected):
     env = {**os.environ, "PYTHONPATH": str(Path(ageleak.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}

@@ -310,3 +310,11 @@ def test_kernel_and_root_report_counters_at_debug(caplog):
         rad_leakage_bits(2 * leakage._BLOCK + 1, uniform_pmf(3))
     assert "Newton steps, final residual" in caplog.text
     assert "3 blocks, 3 rescales" in caplog.text
+
+
+def test_durations_past_the_horizon_leak_as_at_n_plus_one():
+    n = 10
+    for far in (10 ** 20, 10 ** 300):
+        assert rad_leakage_bits(n, deterministic_pmf(far)) == rad_leakage_bits(n, deterministic_pmf(n + 1))
+        mixed = make_pmf([(2, 0.5), (far, 0.5)])
+        assert rad_leakage_bits(n, mixed) == rad_leakage_bits(n, make_pmf([(2, 0.5), (n + 1, 0.5)]))

@@ -313,7 +313,7 @@ def test_verify_ml_input_at_cap():
 
 @pytest.mark.parametrize("kind, d", [("lcfs", 1), ("fcfs", 2), ("rad", 2)])
 def test_unnormalized_pmf_is_refused(kind, d):
-    policy = Policy(kind, FinitePmf(((d, 0.5),)))  # bypasses make_pmf
+    policy = Policy(kind, FinitePmf((d,), (0.5,)))  # bypasses make_pmf
     with pytest.raises(UnnormalizedMass):
         enumerate_channel(policy, (1, 0, 0))
     with pytest.raises(AgeLeakError):
@@ -327,7 +327,7 @@ def test_unnormalized_pmf_is_refused_under_optimisation():
         "from ageleak import FinitePmf, Policy, brute_force_maxl\n"
         "from ageleak.errors import UnnormalizedMass\n"
         "try:\n"
-        "    brute_force_maxl(Policy.lcfs(FinitePmf(((1, 0.5),))), 3)\n"
+        "    brute_force_maxl(Policy.lcfs(FinitePmf((1,), (0.5,))), 3)\n"
         "except UnnormalizedMass:\n"
         "    print('refused')\n"
     )

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ageleak import (
     FinitePmf,
+    ddad_policy,
     deterministic_pmf,
     geometric_pmf,
+    greedy_smp_pmf,
     is_smp,
     make_pmf,
     pmf_moments,
@@ -16,9 +20,11 @@ from ageleak.errors import (
     DuplicateDuration,
     NegativeProbability,
     NonPositiveDuration,
+    PmfError,
     TailTooHeavy,
     UnnormalizedMass,
 )
+from ageleak.pmf import _pmf
 
 
 def test_make_pmf_point_mass():
@@ -167,3 +173,93 @@ def test_json_round_trip_is_bit_stable():
         again = FinitePmf.from_json(text)
         assert again == pmf
         assert again.to_json() == text
+
+
+def pairwise(entries):
+    """The (duration, probability) pairs as make_pmf built them from a list of pairs."""
+    return tuple((d, p) for d, p in sorted(entries, key=lambda e: e[0]) if p > 0.0)
+
+
+def geometric_pairs(mu, d_max):
+    entries = [(d, (1.0 - mu) ** (d - 1) * mu) for d in range(1, d_max)]
+    entries.append((d_max, (1.0 - mu) ** (d_max - 1)))
+    return pairwise(entries)
+
+
+@pytest.mark.parametrize("mu", [0.9, 0.5, 0.25, 0.01])
+def test_geometric_entries_match_the_pairwise_construction(mu):
+    pmf = geometric_pmf(mu)
+    assert pmf.entries == geometric_pairs(mu, pmf.d_max)
+    assert pmf.durations == tuple(range(1, pmf.d_max + 1))
+
+
+def test_geometric_folded_tail_and_mu_one_match_the_pairwise_construction():
+    assert geometric_pmf(1.0).entries == ((1, 1.0),)
+    assert geometric_pmf(0.5, d_max=45).entries == geometric_pairs(0.5, 45)
+    assert geometric_pmf(0.01, d_max=50, allow_heavy_tail=True).entries == geometric_pairs(0.01, 50)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 10_000])
+def test_uniform_entries_match_the_pairwise_construction(k):
+    assert uniform_pmf(k).entries == pairwise([(d, 1.0 / k) for d in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5, 0.37, 1.0 / 3.0, 0.3, 1e-3])
+def test_greedy_entries_match_the_pairwise_construction(beta):
+    k = int(1.0 / beta + 1e-9)
+    entries = [(s, beta) for s in range(1, k + 1)]
+    if 1.0 - k * beta > 1e-12:
+        entries.append((k + 1, 1.0 - k * beta))
+    assert greedy_smp_pmf(beta).entries == pairwise(entries)
+
+
+def test_dither_and_deterministic_entries_match_the_pairwise_construction():
+    two = ddad_policy(0.4)
+    assert two.p_j > 0.0
+    assert two.to_pmf().entries == pairwise([(two.i, two.p_i), (two.j, two.p_j)])
+    one = ddad_policy(0.25)
+    assert one.p_j == 0.0
+    assert one.to_pmf().entries == ((4, 1.0),)
+    assert deterministic_pmf(5).entries == ((5, 1.0),)
+    assert deterministic_pmf(10 ** 20).entries == ((10 ** 20, 1.0),)
+
+
+@st.composite
+def pmfs(draw):
+    durations = sorted(draw(st.sets(st.integers(1, 60), min_size=1, max_size=12)))
+    weights = draw(st.lists(st.integers(0, 1000), min_size=len(durations), max_size=len(durations)))
+    if not any(weights):
+        weights[0] = 1
+    return make_pmf([(d, w / sum(weights)) for d, w in zip(durations, weights)])
+
+
+@given(pmfs(), st.integers(-2, 65))
+def test_tail_and_prob_match_linear_scans(pmf, r):
+    assert pmf.tail(r) == math.fsum(p for d, p in pmf.entries if d > r)
+    assert pmf.prob(r) == next((p for d, p in pmf.entries if d == r), 0.0)
+
+
+def test_make_pmf_on_shuffled_entries():
+    assert make_pmf([(5, 0.0), (3, 0.5), (1, 0.0), (2, 0.5)]).entries == ((2, 0.5), (3, 0.5))
+    with pytest.raises(DuplicateDuration, match="^duration 2 listed twice$"):
+        make_pmf([(3, 0.25), (2, 0.25), (1, 0.25), (2, 0.25)])
+    with pytest.raises(NegativeProbability):
+        make_pmf([(3, math.nan), (1, 0.5), (2, 0.5)])
+    with pytest.raises(UnnormalizedMass, match="^probabilities sum to 0.0, not 1$"):
+        make_pmf([(3, 0.0), (1, 0.0)])
+
+
+def test_core_refuses_disorder_and_nan_mass():
+    with pytest.raises(DuplicateDuration, match="^duration 2 listed twice$"):
+        _pmf((1, 2, 2), (0.5, 0.25, 0.25))
+    with pytest.raises(DuplicateDuration):
+        _pmf((3, 1), (0.5, 0.5))
+    with pytest.raises(UnnormalizedMass):
+        _pmf((1, 2), (0.5, math.nan))
+    assert _pmf((1, 2, 3), (0.5, 0.0, 0.5)) == FinitePmf((1, 3), (0.5, 0.5))
+
+
+def test_moments_past_the_float_range_are_refused():
+    with pytest.raises(PmfError):
+        pmf_moments(deterministic_pmf(10 ** 300))
+    assert pmf_moments(deterministic_pmf(10 ** 150)).second_moment == float(10 ** 300)

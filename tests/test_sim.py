@@ -791,3 +791,20 @@ def test_traced_memory_does_not_grow_with_the_horizon(name):
     short_peak, long_peak = traced_peak(run, short), traced_peak(run, long)
     assert long_peak <= 1.25 * short_peak
     assert long_peak < 16 * 2**20
+
+
+def test_dump_period_past_the_horizon_runs_as_horizon_plus_one():
+    def stats(tau):
+        return repr(simulate(SimConfig(Policy.dad(tau), BERN, horizon=20_000, seed=0)))
+
+    assert stats(10 ** 20) == stats(20_001)
+    assert stats(10 ** 300) == stats(20_001)
+
+
+@pytest.mark.parametrize("kind", ["lcfs", "fcfs", "rad"])
+def test_draws_past_the_horizon_run_as_horizon_plus_one(kind):
+    def stats(far):
+        pmf = make_pmf([(2, 0.5), (far, 0.5)])
+        return repr(simulate(SimConfig(Policy(kind, pmf), BERN, horizon=20_000, warmup=1_000, seed=3)))
+
+    assert stats(10 ** 20) == stats(20_001)
