@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure, InvalidBeta, InvalidConfig, InvalidTau, NonHalfIntegerTau, ZeroRate,
+    ConvergenceFailure, InvalidBeta, InvalidConfig, InvalidTau, NonHalfIntegerTau, PmfError, ZeroRate,
     _as_finite, _as_int, _as_probability,
 )
 from .pmf import FinitePmf
@@ -30,9 +30,9 @@ from .pmf import FinitePmf
 _LN2 = math.log(2.0)
 _log = logging.getLogger(__name__)
 
-#: Newton budget and target residual on |sum_d (c_d / 2) z0^-d - 1/2|.
+#: Newton budget, and the last step's largest share of w = ln z0.
 ROOT_MAX_ITER = 100
-ROOT_RESIDUAL = 1e-12
+ROOT_STEP = 1e-12
 
 #: Slots per block of the recurrence kernel.  The in-block series grows by
 #: at most 2 per slot (sum_d c_d <= 2), so 2^256 stays far from overflow.
@@ -148,25 +148,42 @@ def _root(lags, weights):
     The nonzero c_d are given as increasing ``lags`` d with their
     ``weights``.  A single one gives z0^d = c_d exactly.  Otherwise, on
     w = ln z, phi(w) = sum_d (c_d / 2) exp(-d w) - 1/2 is convex and strictly
-    decreasing, with phi(0) >= 0 and phi(ln 2) <= 0 (every d >= 1).  Newton
-    steps from w = 0 therefore rise monotonically to the root without
-    passing it; the iterate is clamped to ln 2 against rounding.
+    decreasing.  Newton steps start from Jensen's lower bound
+    ln(sum_d c_d) / (sum_d d c_d / sum_d c_d), where phi >= 0, and so rise
+    monotonically to the root without passing it; the iterate is clamped
+    to ln 2 against rounding.  They stop once a step is at most ROOT_STEP
+    of w, that step having squared the error.
+
+    A term with d w <= 1 enters as (c_d / 2) expm1(-d w), its c_d / 2 summed
+    exactly with the -1/2, so a root far below 1 / d_max keeps its digits
+    instead of drowning in the rounding of terms near c_d / 2.
     """
     if len(lags) == 1:
         return float(math.log2(weights[0]) / lags[0])
-    d, p = np.array(lags), weights / 2.0
-    w = 0.0
+    try:
+        d, p = np.array(lags, dtype=float), weights / 2.0
+    except OverflowError:
+        raise PmfError("a duration of this pmf is past the float range") from None
+    dp = d * p
+    mass = float(p.sum())
+    w = mass * math.log(2.0 * mass) / float(dp.sum())
+    k = near = None  # lags with d w <= 1, and their halves of c_d less 1/2
     for step in range(1, ROOT_MAX_ITER + 1):
-        terms = p * np.exp(-d * w)
-        phi = terms.sum() - 0.5
-        w = min(w + phi / (d * terms).sum(), _LN2)
-        if abs(phi) <= ROOT_RESIDUAL:  # and the step just taken squares it
+        x = d * -w
+        decay = np.exp(x)
+        j = bisect.bisect_right(lags, 1.0 / w) if w else len(lags)
+        if j != k:
+            k, near = j, math.fsum(p[:j].tolist() + [-0.5])
+        phi = near + (p[:k] * np.expm1(x[:k])).sum() + (p[k:] * decay[k:]).sum()
+        rise = phi / (dp * decay).sum()
+        w = min(w + rise, _LN2)
+        if abs(rise) <= ROOT_STEP * w:
             if _log.isEnabledFor(logging.DEBUG):
                 final = (p * np.exp(-d * w)).sum() - 0.5
                 _log.debug("rate root: %d Newton steps, final residual %.3g", step, final)
             return float(w / _LN2)
     raise ConvergenceFailure(
-        f"root of sum c_d z^-d = 1 not located to {ROOT_RESIDUAL} in {ROOT_MAX_ITER} Newton steps"
+        f"root of sum c_d z^-d = 1 not located to {ROOT_STEP} of ln z in {ROOT_MAX_ITER} Newton steps"
     )
 
 

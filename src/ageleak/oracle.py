@@ -11,12 +11,20 @@ first, then the server acts, then a transmission (if any) sets that slot's
 output bit.  Sequences are keyed as n-bit machine words with slot 1 in the
 most significant bit.
 
-All inputs walk their prefix trie together: a table of numpy rows (input
-prefix, server state, output prefix, probability) advances one slot at a
-time, doubling the prefixes by the next arrival bit, branching the draws
-and merging equal rows, so each state is computed once for every input
-that shares its prefix.  Past depth n - _BLOCK_BITS each prefix's subtree
-is finished on its own, which bounds live memory.
+All inputs walk their prefix trie together: a table of numpy rows, each
+one int64 key (input prefix, output prefix, server state) and a
+probability, advances one slot at a time, doubling the prefixes by the
+next arrival bit, branching the draws and merging equal keys, so each
+state is computed once for every input that shares its prefix.  Past depth
+n - _BLOCK_BITS each prefix's subtree is finished on its own, which bounds
+live memory.
+
+The server is causal: the output up to slot t depends only on the input up
+to slot t.  So at depth t the table, once its server states are summed out,
+is the horizon-t channel, and one walk to n yields the maximal leakage at
+every horizon 0..n.  Only the lumping of what happens past the horizon
+(departures drawn beyond n, timer ages alike over the slots left) depends
+on n, so an entry differs from a walk to that horizon by rounding alone.
 """
 
 import logging
@@ -33,13 +41,15 @@ MAX_ML_HORIZON = 12
 
 _NORM_TOL = 1e-9
 
-#: Each block finishes 2^_BLOCK_BITS inputs; at n = 14 this keeps the traced
-#: peak of FCFS greedy(0.3), the largest case, below 100 MB.
+#: Each block finishes 2^_BLOCK_BITS inputs; at n = 14 the traced peak of
+#: FCFS greedy(0.3), the largest case, is 62 MB.
 _BLOCK_BITS = 6
 
 #: A server state packs two fields of _FIELD_BITS bits (values up to n + 1).
 _FIELD_BITS = 5
 _FIELD = (1 << _FIELD_BITS) - 1
+_STATE_BITS = 2 * _FIELD_BITS
+_STATE = (1 << _STATE_BITS) - 1
 
 _log = logging.getLogger(__name__)
 
@@ -72,30 +82,26 @@ def _coupled_step(policy: Policy, n):
             due.append((never, policy.pmf.tail(n - t + 1)))
         draws.append(tuple(map(np.array, zip(*due))))
 
-    def step(t, x, state, y, p):
-        pend, queue = state & _FIELD, state >> _FIELD_BITS
+    def step(t, key, p):
+        pend = key & _FIELD
+        arrived = (key >> (_STATE_BITS + n)) & 1
         if lcfs:
-            start = (x & 1) == 1
+            start = arrived == 1
         else:
-            queue = queue + (x & 1)
-            start = (pend == 0) & (queue > 0)
+            key = key + (arrived << _FIELD_BITS)
+            start = (pend == 0) & ((key & (_FIELD << _FIELD_BITS)) > 0)
         deps, weights = draws[t - 1]
         go, stay = np.flatnonzero(start), np.flatnonzero(~start)
-
-        def spread(a):
-            return np.concatenate((a[stay], np.tile(a[go], len(deps))))
-
-        x, y = spread(x), spread(y)
-        pend = np.concatenate((pend[stay], np.repeat(deps, len(go))))
+        key = np.concatenate((key[stay], np.tile(key[go] & ~_FIELD, len(deps)) | np.repeat(deps, len(go))))
         p = np.concatenate((p[stay], np.tile(p[go], len(deps)) * np.repeat(weights, len(go))))
-        out = pend == t
-        y |= out.astype(np.int64) << (n - t)
-        pend[out] = 0
+        pend = key & _FIELD
+        # a departure sets the slot's output bit and frees the server
+        done = (1 << (_STATE_BITS + n - t)) - t
         if lcfs:
-            return x, pend, y, p
-        queue = spread(queue) - out
-        queue[pend == never] = 0
-        return x, pend | (queue << _FIELD_BITS), y, p
+            return key + (pend == t) * done, p
+        key += (pend == t) * (done - (1 << _FIELD_BITS))
+        key[pend == never] &= ~(_FIELD << _FIELD_BITS)
+        return key, p
 
     return step
 
@@ -121,69 +127,90 @@ def _rad_step(policy: Policy, n):
         first = {}
         canon.append(np.array([first.setdefault(tuple(pairs[r : r + m]), r) for r in range(n + 2)]))
 
-    def step(t, x, state, y, p):
-        age = state & _FIELD
-        full = (state >> _FIELD_BITS) | (x & 1)
-        x = np.concatenate((x, x))
-        y = np.concatenate((y | (full << (n - t)), y))
+    def step(t, key, p):
+        age = key & _FIELD
+        full = ((key >> _FIELD_BITS) | (key >> (_STATE_BITS + n))) & 1
+        key &= ~_STATE
+        key = np.concatenate((key | (full << (_STATE_BITS + n - t)),
+                              key | canon[n - t][age + 1] | (full << _FIELD_BITS)))
         p = np.concatenate((p * hazard[age], p * survive[age]))
-        state = np.concatenate((np.zeros_like(age), canon[n - t][age + 1] | (full << _FIELD_BITS)))
         live = p > 0.0
         if live.all():
-            return x, state, y, p
-        return x[live], state[live], y[live], p[live]
+            return key, p
+        return key[live], p[live]
 
     return step
 
 
-def _blocks(policy: Policy, n, word=None):
-    """Yield (x, y, P(y | x)) arrays, one block of inputs at a time.
+def _run_sums(keys, weights):
+    """The first row of each run of equal sorted ``keys``, as a mask, and
+    each run's sum of ``weights``, added in row order."""
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    run = new.astype(np.intp)
+    np.cumsum(run, out=run)
+    return new, np.bincount(run, weights=weights)[1:]
 
-    With ``word``, only that n-bit input is followed.  Each input's row is
-    checked to sum to 1 within :data:`_NORM_TOL`.
+
+def _walk(policy: Policy, n, word=None):
+    """Yield (t, x, y, P(y | x)) at every depth t = 1..n (t = 0 alone when n = 0),
+    one block of inputs at a time.
+
+    x and y are t-bit prefixes, slot 1 in the most significant bit.  With
+    ``word``, only that n-bit input is followed.  Each input's row at depth n
+    is checked to sum to 1 within :data:`_NORM_TOL` before it is yielded.
     """
     step = (_coupled_step if policy.coupled else _rad_step)(policy, n)
-    state_bits, expanded, peak = 2 * _FIELD_BITS, 0, 0
+    high = _STATE_BITS + n  # a row is one key: input prefix | n-bit output | state
+    expanded = peak = 0
 
     def advance(table, t):
+        """The table at depth t, sorted by key, and its channel."""
         nonlocal expanded, peak
-        x, state, y, p = table
-        x = x << 1
+        key, p = table
+        key = key + (key >> high << high)  # the input prefix moves up a slot
         if word is None:
-            x = np.concatenate((x, x | 1))
-            state, y, p = np.tile(state, 2), np.tile(y, 2), np.tile(p, 2)
+            key, p = np.concatenate((key, key | (1 << high))), np.tile(p, 2)
         else:
-            x |= (word >> (n - t)) & 1
-        x, state, y, p = step(t, x, state, y, p)
+            key |= ((word >> (n - t)) & 1) << high
+        key, p = step(t, key, p)
         if t == n:  # the final state is not part of the output
-            state = np.zeros_like(state)
+            key &= ~_STATE
         # a stable sort keeps equal keys in row order, so each merged row sums
         # in that order; after a doubling the table is two presorted halves
-        keys = (((x << state_bits) | state) << n) | y
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        new = np.concatenate(([True], keys[1:] != keys[:-1]))
-        keys = keys[new]
-        expanded, peak = expanded + len(p), max(peak, len(keys))
-        return (keys >> (state_bits + n), (keys >> n) & ((1 << state_bits) - 1),
-                keys & ((1 << n) - 1), np.bincount(np.cumsum(new) - 1, weights=p[order]))
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new, p = _run_sums(key, p[order])
+        key = key[new]
+        expanded, peak = expanded + len(new), max(peak, len(key))
+        xy, sums = key >> _STATE_BITS, p
+        if t < n:  # each (x, y) is one run of states; its sum is P(y | x)
+            new, sums = _run_sums(xy, p)
+            xy = xy[new]
+        return (key, p), (xy >> n, (xy & ((1 << n) - 1)) >> (n - t), sums)
 
     shared = n if word is not None else max(n - _BLOCK_BITS, 0)
-    table = (np.zeros(1, np.int64),) * 3 + (np.ones(1),)
+    table = np.zeros(1, np.int64), np.ones(1)
+    channel = table[0], table[0], table[1]
     for t in range(1, shared + 1):
-        table = advance(table, t)
+        table, channel = advance(table, t)
+        if t < n:
+            yield (t, *channel)
     size = 1 << (n - shared)  # inputs per block
-    cuts = np.flatnonzero(np.diff(table[0])) + 1  # rows are sorted by prefix
+    cuts = np.flatnonzero(np.diff(table[0] >> high)) + 1  # rows are sorted by prefix
     for block in zip(*(np.split(a, cuts) for a in table)):
-        first = int(block[0][0]) << (n - shared)
+        first = int(block[0][0] >> high) << (n - shared)
         for t in range(shared + 1, n + 1):
-            block = advance(block, t)
-        x, _, y, p = block
+            block, channel = advance(block, t)
+            if t < n:
+                yield (t, *channel)
+        x, y, p = channel
         sums = np.bincount(x - first, weights=p, minlength=size)
         worst = int(np.argmax(np.abs(sums - 1.0)))
         if not abs(sums[worst] - 1.0) <= _NORM_TOL:  # also NaN
             raise UnnormalizedMass(f"row of input {first + worst:0{n}b} sums to {sums[worst]!r}, not 1")
-        yield x, y, p
+        yield n, x, y, p
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("oracle %s n=%d: %d inputs, %d states expanded, peak %d live, %d blocks",
                    policy.kind, n, size * (len(cuts) + 1), expanded, peak, len(cuts) + 1)
@@ -201,24 +228,38 @@ def enumerate_channel(policy: Policy, x_seq):
     if any(b not in (0, 1) for b in xs):
         raise InvalidConfig("input sequence must be binary")
     word = sum(int(b) << (n - t) for t, b in enumerate(xs, 1))
-    ((_, ys, ps),) = _blocks(policy, n, word)
+    *_, (_, _, ys, ps) = _walk(policy, n, word)  # the last depth is n
     return {tuple((y >> (n - t)) & 1 for t in range(1, n + 1)): p
             for y, p in zip(ys.tolist(), ps.tolist()) if p > 0.0}
 
 
 def _scan(policy: Policy, n, cap):
-    """Per output y: max_x P(y | x), and P(y | y << shift) of the designated input.
+    """Per depth t = 0..n, max_x P(y | x) for every t-slot output y; and per
+    n-slot output y, P(y | y << shift) of the designated input.
 
     The shift is s_min - 1 for coupled policies and 0 for RAD.
     """
     n = _check(policy, n, cap)
     shift = policy.pmf.s_min - 1 if policy.coupled else 0
-    best, designated = np.zeros(1 << n), np.zeros(1 << n)
-    for x, y, p in _blocks(policy, n):
-        np.maximum.at(best, y, p)
-        hit = (y << shift) == x
-        designated[y[hit]] = p[hit]
+    best = [np.zeros(1 << t) for t in range(n + 1)]
+    best[0][0] = 1.0  # the empty output, certain
+    designated = np.zeros(1 << n)
+    for t, x, y, p in _walk(policy, n):
+        np.maximum.at(best[t], y, p)
+        if t == n:
+            hit = (y << shift) == x
+            designated[y[hit]] = p[hit]
     return best, designated
+
+
+def _maxl_series(policy: Policy, n):
+    """Maximal leakage in bits at every horizon 0..n, from one walk to n.
+
+    The server is causal, so the depth-t channel of that walk is the
+    horizon-t channel.
+    """
+    best, _ = _scan(policy, n, MAX_HORIZON)
+    return [math.log2(math.fsum(b[b > 0])) for b in best]
 
 
 def brute_force_maxl(policy: Policy, n) -> LeakageResult:
@@ -227,8 +268,7 @@ def brute_force_maxl(policy: Policy, n) -> LeakageResult:
     log2 of the sum, over achievable outputs, of the best conditional
     probability any of the 2^n inputs assigns that output.
     """
-    best, _ = _scan(policy, n, MAX_HORIZON)
-    return LeakageResult(math.log2(math.fsum(best[best > 0])), int(n))
+    return LeakageResult(_maxl_series(policy, n)[-1], int(n))
 
 
 def verify_ml_input(policy: Policy, n) -> bool:
@@ -241,4 +281,4 @@ def verify_ml_input(policy: Policy, n) -> bool:
     output.
     """
     best, designated = _scan(policy, n, MAX_ML_HORIZON)
-    return bool(np.all(np.abs(designated - best) <= 1e-12))
+    return bool(np.all(np.abs(designated - best[-1]) <= 1e-12))

@@ -227,6 +227,7 @@ SCENARIO = {
         ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "lcfs-greedy", "beta": True})),
         ("simulate", "--scenario", dict(SCENARIO, policy={"kind": ["dad"], "tau": 4})),
         ("age", "--policy", "dad", "--tau", "1e300"),
+        ("rate", "--policy", "rad", "--pmf", '{"entries": [[1, 0.5], [1%s, 0.5]]}' % ("0" * 400)),
     ],
 )
 def test_refused_inputs_exit_2(capsys, tmp_path, argv):
@@ -287,6 +288,12 @@ def test_cli_and_sweep_agree_for_every_family(capsys, family, value, flag):
     _, out = run(capsys, "rate", *argv)
     assert float(value_of(out, "rate")) == point.rate_bits
     assert float(value_of(out, "leak_time")) == point.leak_time
+
+
+def test_rate_with_a_lag_past_int64_answers(capsys):
+    code, out = run(capsys, "rate", "--policy", "rad", "--pmf", '{"entries": [[1, 0.5], [1e20, 0.5]]}')
+    assert code == 0
+    assert float(value_of(out, "rate")) == ageleak.rad_rate(ageleak.make_pmf([(1, 0.5), (10**20, 0.5)]))
 
 
 #: Address space of the child below: far under the 74.5 GiB a float64 array

@@ -206,6 +206,24 @@ def test_rad_rate_uniform_against_polynomial_root():
     assert rad_rate(uniform_pmf(3)) == pytest.approx(math.log2(z0), abs=1e-9)
 
 
+def _bisect_decreasing(f, lo, hi):
+    """Root of a decreasing function on [lo, hi], halved to the last bit."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+
+
+@pytest.mark.parametrize("lag", [3, 10**3, 10**6, 10**15, 10**20, 10**40])
+def test_rate_with_a_far_lag_matches_bisection(lag):
+    # dumps after 1 or D slots, each with mass 1/2: e^-w + e^-Dw = 1 on w = ln z,
+    # i.e. e^-Dw + expm1(-w) = 0, whose root falls like ln(D) / D
+    w = _bisect_decreasing(lambda w: math.exp(-lag * w) + math.expm1(-w), 0.0, math.log(2.0))
+    want = w / math.log(2.0)
+    assert abs(rad_rate(make_pmf([(1, 0.5), (lag, 0.5)])) - want) <= 1e-12 * want
+
+
 def test_rad_rate_residual_tolerance():
     for pmf in (deterministic_pmf(17), uniform_pmf(9), geometric_pmf(0.3)):
         rate = rad_rate(pmf)

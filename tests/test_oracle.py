@@ -28,6 +28,7 @@ from ageleak import (
     verify_ml_input,
 )
 from ageleak.errors import AgeLeakError, HorizonTooLarge, InvalidConfig, UnnormalizedMass
+from ageleak.oracle import _maxl_series
 
 
 def test_zero_delay_passthrough():
@@ -98,35 +99,35 @@ def test_brute_force_matches_coupled_closed_form():
     for beta in (0.3, 1.0):
         pmf = greedy_smp_pmf(beta)
         for kind in ("lcfs", "fcfs"):
+            series = _maxl_series(Policy(kind, pmf), 7)
             for n in range(1, 8):
-                got = brute_force_maxl(Policy(kind, pmf), n).bits
                 want = smp_leakage_bits(n, 1, beta).bits
-                assert abs(got - want) <= 1e-9
+                assert abs(series[n] - want) <= 1e-9
 
 
 def test_brute_force_coupled_shifted_support():
     # deterministic two-slot service: counts follow the Fibonacci recurrence
     for kind in ("lcfs", "fcfs"):
+        series = _maxl_series(Policy(kind, deterministic_pmf(2)), 8)
         for n in range(1, 9):
-            got = brute_force_maxl(Policy(kind, deterministic_pmf(2)), n).bits
             want = smp_leakage_bits(n, 2, 1.0).bits
-            assert abs(got - want) <= 1e-9
+            assert abs(series[n] - want) <= 1e-9
 
 
 def test_queue_discipline_independence():
     for beta in (0.3, 0.5):
         pmf = greedy_smp_pmf(beta)
+        lcfs, fcfs = _maxl_series(Policy.lcfs(pmf), 7), _maxl_series(Policy.fcfs(pmf), 7)
         for n in range(1, 8):
-            lcfs = brute_force_maxl(Policy.lcfs(pmf), n).bits
-            fcfs = brute_force_maxl(Policy.fcfs(pmf), n).bits
-            assert abs(lcfs - fcfs) <= 1e-11
+            assert abs(lcfs[n] - fcfs[n]) <= 1e-11
 
 
 def test_brute_force_matches_rad_recursion():
     pmfs = [deterministic_pmf(3), uniform_pmf(2), geometric_pmf(0.5)]
     for pmf in pmfs:
+        series = _maxl_series(Policy.rad(pmf), 8)
         for n in range(1, 9):
-            got = brute_force_maxl(Policy.rad(pmf), n).bits
+            got = series[n]
             want = rad_leakage_bits(n, pmf).bits
             assert abs(got - want) <= 1e-9
             if pmf.d_max == pmf.s_min:  # deterministic: also the counting form
@@ -163,6 +164,8 @@ def test_oracle_rejects_thinned_fcfs():
 
 def test_zero_horizon():
     assert brute_force_maxl(Policy.lcfs(deterministic_pmf(1)), 0).bits == 0.0
+    for kind in ("lcfs", "fcfs", "rad"):
+        assert _maxl_series(Policy(kind, geometric_pmf(0.5)), 0) == [0.0]
 
 
 # --- independent route: one input at a time, every draw sequence in full ---
@@ -292,6 +295,19 @@ def test_kernel_covers_smp_and_non_smp_service():
                 assert {_word(y): p for y, p in got.items()} == pytest.approx(want, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["lcfs", "fcfs", "rad"]), pmf=_pmfs(6), n=st.integers(0, 8))
+def test_series_entries_are_the_horizon_answers(kind, pmf, n):
+    # one walk to n against a fresh walk to each t; the walk to n keeps apart
+    # the states that a walk to t lumps past t, so sums may differ in rounding
+    policy = Policy(kind, pmf)
+    series = _maxl_series(policy, n)
+    assert len(series) == n + 1 and series[0] == 0.0
+    assert series[n] == brute_force_maxl(policy, n).bits
+    for t in range(1, n):
+        assert abs(series[t] - brute_force_maxl(policy, t).bits) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "entries",
     [[(2, 0.5), (3, 0.3), (4, 0.2)], [(2, 0.6), (5, 0.4)], [(3, 0.4), (4, 0.4), (6, 0.2)]],
@@ -318,6 +334,8 @@ def test_unnormalized_pmf_is_refused(kind, d):
         enumerate_channel(policy, (1, 0, 0))
     with pytest.raises(AgeLeakError):
         brute_force_maxl(policy, 4)
+    with pytest.raises(UnnormalizedMass):
+        _maxl_series(policy, 4)
     with pytest.raises(AgeLeakError):
         verify_ml_input(policy, 4)
 
