@@ -10,7 +10,6 @@ from .age import (
     AgeResult,
     fcfs_age,
     lcfs_age,
-    markov_source_age,
     rad_age,
 )
 from .errors import AgeLeakError
@@ -22,7 +21,6 @@ from .leakage import (
     smp_leakage_bits,
 )
 from .optimize import (
-    DinkelbachCertificate,
     DitherPolicy,
     ddad_policy,
     dinkelbach_certify,
@@ -30,10 +28,9 @@ from .optimize import (
     optimal_alpha_for_fcfs,
     verify_two_point_optimality,
 )
-from .oracle import brute_force_maxl, enumerate_channel, verify_ml_input
+from .oracle import brute_force_maxl
 from .pmf import (
     FinitePmf,
-    Moments,
     deterministic_pmf,
     geometric_pmf,
     is_smp,
@@ -44,16 +41,7 @@ from .pmf import (
 from .policy import Policy, policy_from_config
 from .sim import SimConfig, SimStats, empirical_source_age, load_scenario, simulate
 from .sources import BernoulliSource, MarkovSource
-from .tradeoff import (
-    SweepSpec,
-    TradeoffPoint,
-    asymptotic_slope,
-    dominance_check,
-    efficiency,
-    read_csv,
-    sweep,
-    write_csv,
-)
+from .tradeoff import SweepSpec, TradeoffPoint, read_csv, sweep, write_csv
 
 __version__ = "0.1.0"
 
@@ -61,26 +49,20 @@ __all__ = [
     "AgeLeakError",
     "AgeResult",
     "BernoulliSource",
-    "DinkelbachCertificate",
     "DitherPolicy",
     "FinitePmf",
     "LeakageResult",
     "MarkovSource",
-    "Moments",
     "Policy",
     "SimConfig",
     "SimStats",
     "SweepSpec",
     "TradeoffPoint",
-    "asymptotic_slope",
     "brute_force_maxl",
     "ddad_policy",
     "deterministic_pmf",
     "dinkelbach_certify",
-    "dominance_check",
-    "efficiency",
     "empirical_source_age",
-    "enumerate_channel",
     "fcfs_age",
     "geometric_pmf",
     "greedy_smp_pmf",
@@ -89,7 +71,6 @@ __all__ = [
     "leakage_time",
     "load_scenario",
     "make_pmf",
-    "markov_source_age",
     "optimal_alpha_for_fcfs",
     "pmf_moments",
     "policy_from_config",
@@ -101,7 +82,6 @@ __all__ = [
     "smp_leakage_bits",
     "sweep",
     "uniform_pmf",
-    "verify_ml_input",
     "verify_two_point_optimality",
     "write_csv",
 ]

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .errors import InvalidConfig, InvalidLambda, Unstable, _as_probability
 from .pmf import FinitePmf, pmf_moments
-from .sources import MarkovSource
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,3 @@ def rad_age(lam, dump_pmf: FinitePmf) -> AgeResult:
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
     m = pmf_moments(dump_pmf)
     return AgeResult(1.0 / lam + m.second_moment / (2.0 * m.mean) + 0.5)
-
-
-def markov_source_age(src: MarkovSource) -> AgeResult:
-    """Average age of the freshest update at the server input.
-
-    1 + p10 / (p01 (p01 + p10)); reduces to 1/lambda when the source is
-    Bernoulli-equivalent (p01 = lambda, p10 = 1 - lambda).
-    """
-    return AgeResult(1.0 + src.p10 / (src.p01 * (src.p01 + src.p10)))

@@ -148,7 +148,7 @@ def _cmd_oracle(args):
     policy = _policy(args)
     result = brute_force_maxl(policy, args.n)
     lines = [f"bits {result.bits!r}"]
-    if not policy.coupled or is_smp(policy.pmf)[0]:  # a coupled pmf that is not SMP has none
+    if not policy.coupled or is_smp(policy.pmf):  # a coupled pmf that is not SMP has none
         ref = policy.leakage_bits(args.n).bits
         lines += [f"recursion {ref!r}", f"gap {abs(ref - result.bits)!r}"]
     _emit(args, lines)

@@ -225,8 +225,11 @@ def verify_two_point_optimality(target_rate, search_d_max) -> bool:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Width of the admission-probability bracket at which the search stops.
+_ALPHA_TOL = 1e-6
 
-def optimal_alpha_for_fcfs(lam, service_pmf: FinitePmf, tol=1e-6):
+
+def optimal_alpha_for_fcfs(lam, service_pmf: FinitePmf):
     """Admission probability minimizing the thinned FCFS age.
 
     Golden-section search over the stability interval
@@ -251,7 +254,7 @@ def optimal_alpha_for_fcfs(lam, service_pmf: FinitePmf, tol=1e-6):
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = cost(c), cost(d)
-    while b - a > tol:
+    while b - a > _ALPHA_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -76,14 +76,9 @@ class FinitePmf:
         """Serialize as ``{"entries": [[duration, probability], ...]}``.
 
         The emitted decimal representation round-trips bit-stably through
-        :meth:`from_json`.
+        :func:`make_pmf` of the parsed entries, as ``--pmf`` reads it.
         """
         return json.dumps({"entries": [[d, p] for d, p in self.entries]})
-
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        return make_pmf([(d, p) for d, p in payload["entries"]])
 
 
 @dataclass(frozen=True)
@@ -148,35 +143,34 @@ def pmf_moments(pmf: FinitePmf) -> Moments:
     return Moments(mean=mean, second_moment=second, variance=second - mean * mean)
 
 
-def is_smp(pmf: FinitePmf):
+def is_smp(pmf: FinitePmf) -> bool:
     """Shortest-most-probable predicate.
 
-    Returns ``(smp, s_min)`` where ``smp`` is true iff the mass at the
-    minimum supported duration is >= the mass at every supported duration.
+    True iff the mass at the minimum supported duration is >= the mass at
+    every supported duration.
     """
-    return max(pmf.probabilities) <= pmf.probabilities[0], pmf.s_min
+    return max(pmf.probabilities) <= pmf.probabilities[0]
 
 
-def geometric_pmf(mu, d_max=None, allow_heavy_tail=False) -> FinitePmf:
+def geometric_pmf(mu) -> FinitePmf:
     """Truncated geometric pmf with success probability ``mu``.
 
     Mass is (1-mu)^(d-1) * mu for d < d_max; the remaining tail is folded
     onto d_max so the total is exactly 1 while the mass at duration 1 (which
-    drives the leakage rate) is preserved exactly.  When ``d_max`` is omitted
-    the smallest truncation point with tail mass <= 1e-12 is chosen.
+    drives the leakage rate) is preserved exactly.  d_max is the smallest
+    truncation point with tail mass <= 1e-12, capped at :data:`DEFAULT_D_MAX`.
 
-    Raises :class:`TailTooHeavy` if the requested truncation would fold more
-    than 1e-12 of mass and ``allow_heavy_tail`` is not set.
+    Raises :class:`TailTooHeavy` if the cap would fold more than 1e-12 of mass.
     """
     mu = _as_probability(mu, "geometric parameter", NegativeProbability)
     if mu == 1.0:
         return _pmf((1,), (1.0,))
-    if d_max is None:
-        ln_q = math.log(1.0 - mu)  # 0.0 once mu is below half an ulp of 1
-        d_max = min(math.ceil(math.log(GEOMETRIC_TAIL_TOL) / ln_q), DEFAULT_D_MAX) if ln_q else DEFAULT_D_MAX
-    d_max = _as_int(d_max, "d_max", NonPositiveDuration, low=1)
+    ln_q = math.log(1.0 - mu)  # 0.0 once mu is below half an ulp of 1
+    d_max = min(math.ceil(math.log(GEOMETRIC_TAIL_TOL) / ln_q), DEFAULT_D_MAX) if ln_q else DEFAULT_D_MAX
+    if (1.0 - mu) ** d_max > GEOMETRIC_TAIL_TOL and d_max < DEFAULT_D_MAX:
+        d_max += 1  # the float power rounded above the log bound, as at mu = 0.99
     tail = (1.0 - mu) ** d_max
-    if tail > GEOMETRIC_TAIL_TOL and not allow_heavy_tail:
+    if tail > GEOMETRIC_TAIL_TOL:
         raise TailTooHeavy(
             f"tail mass {tail:.3e} beyond d_max={d_max} exceeds {GEOMETRIC_TAIL_TOL}"
         )

@@ -79,13 +79,12 @@ class Policy:
 
     def _smp(self):
         """Minimum service time s1 and its mass of a coupled kind's SMP pmf."""
-        smp, s_min = is_smp(self.pmf)
-        if not smp:
+        if not is_smp(self.pmf):
             raise InvalidConfig("service pmf is not shortest-most-probable; the SMP form does not apply")
         # Thinned FCFS keeps the unthinned coefficients: the admission lottery
         # is presumed invisible to the timing adversary.  The exact oracle
-        # shows this is only an upper bound; ROADMAP.md item 1(d) replaces it.
-        return s_min, self.pmf.prob(s_min)
+        # shows this is only an upper bound; ROADMAP.md item 3(d) replaces it.
+        return self.pmf.s_min, self.pmf.probabilities[0]
 
     def leakage_bits(self, n) -> LeakageResult:
         """Maximal leakage over an n-slot horizon, in bits."""

@@ -205,11 +205,10 @@ def _lcfs(rng, cfg, chunks):
         arrivals = np.concatenate((held[0], fresh))
         departures = np.concatenate((held[1], fresh + sample(len(fresh)) - 1))
         done = (arrivals[1:] > departures[:-1]) & (departures[:-1] <= cfg.horizon)
-        slots = departures[:-1][done]
-        yield slots, arrivals[:-1][done] - 1, slots
+        yield departures[:-1][done], arrivals[:-1][done] - 1
         held = arrivals[-1:], departures[-1:]
     done = held[1] <= cfg.horizon
-    yield held[1][done], held[0][done] - 1, held[1][done]
+    yield held[1][done], held[0][done] - 1
 
 
 def _fcfs(rng, cfg, chunks):
@@ -234,7 +233,7 @@ def _fcfs(rng, cfg, chunks):
         departures = np.maximum(np.maximum.accumulate(arrivals - k - (csum - steps)), last) + csum + k
         last = int(departures[-1])
         done = departures <= cfg.horizon
-        yield departures[done], arrivals[done] - 1, departures[done]
+        yield departures[done], arrivals[done] - 1
 
 
 def _rad(rng, cfg, chunks):
@@ -250,13 +249,13 @@ def _rad(rng, cfg, chunks):
         seen = np.concatenate(([latest], arrivals))
         freshest = seen[np.searchsorted(arrivals, attempts, side="right")]
         filled = freshest > np.concatenate(([previous], attempts[:-1]))
-        yield attempts[filled], freshest[filled] - 1, attempts
+        yield attempts[filled], freshest[filled] - 1
         previous = int(attempts[-1]) if len(attempts) else previous
         latest = int(seen[-1])
 
 
-#: Per chunk of arrivals, each server yields its delivery slots, their
-#: timestamps and its transmission attempts (the deliveries, bar RAD).
+#: Per chunk of arrivals, each server yields its delivery slots and their
+#: timestamps.
 _SERVERS = {"lcfs": _lcfs, "fcfs": _fcfs, "rad": _rad}
 
 
@@ -354,13 +353,8 @@ def _log_run(what, cfg, arrivals, ages):
                    what, cfg.horizon, arrivals, ages.deliveries, intervals, -(-cfg.horizon // _CHUNK))
 
 
-def simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
-    """Run one policy simulation; deterministic given the seed.
-
-    ``fake_dump_updates`` only affects RAD-family policies: empty-buffer
-    attempts re-send the previously dumped update, which leaves the monitor
-    age unchanged but counts as a transmission.
-    """
+def simulate(cfg: SimConfig) -> SimStats:
+    """Run one policy simulation; deterministic given the seed."""
     if cfg.policy is None:
         raise InvalidConfig("simulate needs a policy; use empirical_source_age for sources")
     arrived = [0]
@@ -371,18 +365,11 @@ def simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
             yield arrivals
 
     ages = _Ages(cfg.horizon, cfg.warmup)
-    sent, first = 0, None  # with fake dumps every attempt from the first delivery on transmits
-    for slots, stamps, attempts in _SERVERS[cfg.policy.kind](_stream(cfg, _SERVICE), cfg, chunks()):
+    for slots, stamps in _SERVERS[cfg.policy.kind](_stream(cfg, _SERVICE), cfg, chunks()):
         ages.feed(slots, stamps)
-        if fake_dump_updates:
-            first = slots[0] if first is None and len(slots) else first
-            if first is not None:
-                sent += int(np.count_nonzero(attempts[attempts > cfg.warmup] >= first))
-    delivered = sent if fake_dump_updates else ages.late
     mean, ci = ages.stats()
     _log_run(cfg.policy.kind, cfg, arrived[0], ages)
-    measured = cfg.horizon - cfg.warmup
-    return SimStats(mean, ci, delivered, delivered / measured)
+    return SimStats(mean, ci, ages.late, ages.late / (cfg.horizon - cfg.warmup))
 
 
 def empirical_source_age(cfg: SimConfig, return_pmf=False):

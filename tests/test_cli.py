@@ -38,6 +38,13 @@ def test_age_ddad(capsys):
     assert float(value_of(out, "delta")) == pytest.approx(3.5, abs=1e-9)
 
 
+def test_age_rad_geometric_near_one(capsys):
+    # (1 - 0.99)^6 rounds above 1e-12, so the geometric truncation takes 7 slots
+    code, out = run(capsys, "age", "--policy", "rad-geo", "--mu", "0.99", "--lambda", "0.5")
+    assert code == 0
+    assert float(value_of(out, "delta")) == ageleak.rad_age(0.5, ageleak.geometric_pmf(0.99)).delta
+
+
 def test_leakage_dad(capsys):
     code, out = run(capsys, "leakage", "--policy", "dad", "--tau", "3", "--n", "10")
     assert code == 0

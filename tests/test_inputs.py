@@ -17,7 +17,6 @@ from ageleak import (
     SweepSpec,
     TradeoffPoint,
     ddad_policy,
-    efficiency,
     geometric_pmf,
     greedy_smp_pmf,
     lcfs_age,
@@ -27,6 +26,7 @@ from ageleak import (
     verify_two_point_optimality,
 )
 from ageleak.checks import run_criterion
+from ageleak.tradeoff import efficiency
 from ageleak.errors import (
     InvalidBeta,
     InvalidConfig,
@@ -64,9 +64,6 @@ SCENARIO = {
 REFUSED = {
     "uniform_pmf(2.5)": (lambda: uniform_pmf(2.5), NonPositiveDuration),
     "uniform_pmf(20001)": (lambda: uniform_pmf(20_001), PmfError),
-    "geometric_pmf(d_max=7.9)": (
-        lambda: geometric_pmf(0.5, d_max=7.9, allow_heavy_tail=True), NonPositiveDuration
-    ),
     "geometric_pmf('0.5')": (lambda: geometric_pmf("0.5"), NegativeProbability),
     "geometric_pmf(1e-17)": (lambda: geometric_pmf(1e-17), TailTooHeavy),
     "greedy_smp_pmf(1e-5)": (lambda: greedy_smp_pmf(1e-5), InvalidBeta),

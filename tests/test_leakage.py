@@ -176,7 +176,7 @@ def test_rad_leakage_matches_exact_rational_recursion():
     cases = [
         uniform_pmf(3).entries,
         ((1, 0.25), (3, 0.5), (4, 0.25)),
-        geometric_pmf(0.5, d_max=45).entries,
+        tuple((d, 0.5 ** (d - 1) * 0.5) for d in range(1, 45)) + ((45, 0.5 ** 44),),
     ]
     for entries in cases:
         pmf = make_pmf(entries)

@@ -46,8 +46,7 @@ def test_greedy_pmf_is_smp_with_top_mass_beta():
     rng = np.random.default_rng(19)
     for beta in rng.uniform(0.001, 1.0, size=1000):
         pmf = greedy_smp_pmf(float(beta))
-        smp, s_min = is_smp(pmf)
-        assert smp and s_min == 1
+        assert is_smp(pmf) and pmf.s_min == 1
         assert pmf.prob(1) == pytest.approx(float(beta), abs=1e-12)
 
 

@@ -17,7 +17,6 @@ from ageleak import (
     Policy,
     brute_force_maxl,
     deterministic_pmf,
-    enumerate_channel,
     geometric_pmf,
     greedy_smp_pmf,
     is_smp,
@@ -25,10 +24,9 @@ from ageleak import (
     rad_leakage_bits,
     smp_leakage_bits,
     uniform_pmf,
-    verify_ml_input,
 )
 from ageleak.errors import AgeLeakError, HorizonTooLarge, InvalidConfig, UnnormalizedMass
-from ageleak.oracle import _maxl_series
+from ageleak.oracle import _maxl_series, enumerate_channel, verify_ml_input
 
 
 def test_zero_delay_passthrough():
@@ -314,8 +312,8 @@ def test_series_entries_are_the_horizon_answers(kind, pmf, n):
 )
 def test_brute_force_matches_smp_closed_form_past_one_slot(entries):
     pmf = make_pmf(entries)
-    smp, s_min = is_smp(pmf)
-    assert smp and s_min > 1
+    s_min = pmf.s_min
+    assert is_smp(pmf) and s_min > 1
     for kind in ("lcfs", "fcfs"):
         for n in range(1, 11):
             got = brute_force_maxl(Policy(kind, pmf), n).bits

@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ageleak import (
@@ -24,7 +25,7 @@ from ageleak.errors import (
     TailTooHeavy,
     UnnormalizedMass,
 )
-from ageleak.pmf import _pmf
+from ageleak.pmf import GEOMETRIC_TAIL_TOL, _pmf
 
 
 def test_make_pmf_point_mass():
@@ -37,7 +38,7 @@ def test_make_pmf_point_mass():
 def test_make_pmf_greedy_structure():
     pmf = make_pmf([(1, 0.4), (2, 0.4), (3, 0.2)])
     assert pmf.s_min == 1
-    assert is_smp(pmf) == (True, 1)
+    assert is_smp(pmf)
 
 
 def test_make_pmf_sorts_and_drops_zero_mass():
@@ -99,9 +100,10 @@ def test_deterministic_variance_zero_everywhere():
 
 
 def test_is_smp():
-    assert is_smp(geometric_pmf(0.5)) == (True, 1)
-    assert is_smp(make_pmf([(1, 0.2), (2, 0.8)])) == (False, 1)
-    assert is_smp(make_pmf([(3, 0.5), (4, 0.3), (7, 0.2)])) == (True, 3)
+    assert is_smp(geometric_pmf(0.5)) is True
+    assert is_smp(make_pmf([(1, 0.2), (2, 0.8)])) is False
+    wide = make_pmf([(3, 0.5), (4, 0.3), (7, 0.2)])
+    assert is_smp(wide) is True and wide.s_min == 3
 
 
 def test_smp_preserved_under_shift():
@@ -112,11 +114,10 @@ def test_smp_preserved_under_shift():
         raw = np.sort(raw)[::-1]  # decreasing masses: SMP by construction
         probs = raw / raw.sum()
         base = make_pmf([(d + 1, p) for d, p in enumerate(probs)])
-        assert is_smp(base)[0]
+        assert is_smp(base)
         offset = int(rng.integers(1, 50))
         shifted = make_pmf([(d + offset, p) for d, p in base.entries])
-        smp, s_min = is_smp(shifted)
-        assert smp and s_min == 1 + offset
+        assert is_smp(shifted) and shifted.s_min == 1 + offset
 
 
 def test_geometric_mu_one_is_deterministic():
@@ -124,26 +125,29 @@ def test_geometric_mu_one_is_deterministic():
 
 
 def test_geometric_truncation_folds_tail():
-    pmf = geometric_pmf(0.5, d_max=50)
+    pmf = geometric_pmf(0.5)
     assert pmf.prob(1) == 0.5
     assert pmf.prob(2) == 0.25
-    assert pmf.d_max == 50
+    assert pmf.d_max == 40
     assert abs(math.fsum(pmf.probabilities) - 1.0) <= 1e-15
-    # folded tail: mass at 50 is the plain tail P(D >= 50)
-    assert pmf.prob(50) == pytest.approx(0.5 ** 49, rel=1e-12)
+    # folded tail: mass at 40 is the plain tail P(D >= 40)
+    assert pmf.prob(40) == pytest.approx(0.5 ** 39, rel=1e-12)
 
 
 def test_geometric_tail_too_heavy():
+    # the 10^4-slot cap leaves 0.999^10000 ~ 4.5e-5 of tail
     with pytest.raises(TailTooHeavy):
-        geometric_pmf(0.01, d_max=50)
-    pmf = geometric_pmf(0.01, d_max=50, allow_heavy_tail=True)
-    assert pmf.d_max == 50
+        geometric_pmf(0.001)
 
 
-def test_geometric_auto_dmax_meets_tail_budget():
-    for mu in (0.1, 0.25, 0.5, 0.9):
-        pmf = geometric_pmf(mu)
-        assert (1.0 - mu) ** pmf.d_max <= 1e-12
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.003, 1.0))
+@example(0.99)
+def test_geometric_auto_dmax_meets_tail_budget(mu):
+    """The truncation is the least d_max whose float tail (1 - mu)^d_max is within the budget."""
+    pmf = geometric_pmf(mu)
+    assert (1.0 - mu) ** pmf.d_max <= GEOMETRIC_TAIL_TOL
+    assert (1.0 - mu) ** (pmf.d_max - 1) > GEOMETRIC_TAIL_TOL
 
 
 def test_uniform_and_deterministic():
@@ -170,7 +174,7 @@ def test_json_round_trip_is_bit_stable():
         durations = np.cumsum(rng.integers(1, 9, size=width))
         pmf = make_pmf([(int(d), float(p)) for d, p in zip(durations, probs)])
         text = pmf.to_json()
-        again = FinitePmf.from_json(text)
+        again = make_pmf(json.loads(text)["entries"])
         assert again == pmf
         assert again.to_json() == text
 
@@ -195,8 +199,8 @@ def test_geometric_entries_match_the_pairwise_construction(mu):
 
 def test_geometric_folded_tail_and_mu_one_match_the_pairwise_construction():
     assert geometric_pmf(1.0).entries == ((1, 1.0),)
-    assert geometric_pmf(0.5, d_max=45).entries == geometric_pairs(0.5, 45)
-    assert geometric_pmf(0.01, d_max=50, allow_heavy_tail=True).entries == geometric_pairs(0.01, 50)
+    assert geometric_pmf(0.5).entries == geometric_pairs(0.5, 40)
+    assert geometric_pmf(0.99).entries == geometric_pairs(0.99, 7)
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 10_000])

@@ -25,23 +25,16 @@ from ageleak import (
     lcfs_age,
     load_scenario,
     make_pmf,
-    markov_source_age,
     optimal_alpha_for_fcfs,
-    pmf_moments,
     rad_age,
     simulate,
     uniform_pmf,
 )
 from ageleak import sim
 from ageleak.errors import InvalidConfig
+from test_age import markov_monitor_age
 
 BERN = BernoulliSource(0.5)
-
-
-def markov_monitor_age(src, sampling_pmf):
-    """Markov source age plus the sampling age E[D^2]/(2 E[D]) + 1/2."""
-    m = pmf_moments(sampling_pmf)
-    return markov_source_age(src).delta + m.second_moment / (2.0 * m.mean) + 0.5
 
 
 def close_to(stats, expected):
@@ -92,15 +85,6 @@ def test_fcfs_thinned_agrees_with_closed_form():
     policy = Policy.fcfs(geometric_pmf(0.5), alpha=0.5)
     cfg = SimConfig(policy, BERN, horizon=400_000, seed=5)
     assert close_to(simulate(cfg), fcfs_age(0.5, geometric_pmf(0.5), 0.5).delta)
-
-
-def test_fake_dump_updates_leave_age_unchanged():
-    cfg = SimConfig(Policy.dad(6), BERN, horizon=300_000, seed=6)
-    plain = simulate(cfg)
-    fake = simulate(cfg, fake_dump_updates=True)
-    assert fake.mean_age == plain.mean_age
-    assert fake.ci_half_width == plain.ci_half_width
-    assert fake.delivered >= plain.delivered
 
 
 def test_lcfs_and_rad_geometric_statistically_indistinguishable():
@@ -545,10 +529,12 @@ def whole_rad_deliveries(rng, policy, arrivals, horizon):
     seen = last_arrival_idx >= 0
     filled[seen] = arrivals[last_arrival_idx[seen]] > previous_attempt[seen]
     timestamps = arrivals[last_arrival_idx[filled]] - 1
-    return attempts[filled], timestamps, attempts
+    return attempts[filled], timestamps
 
 
-whole_DELIVERY_FNS = {"lcfs": whole_lcfs_deliveries, "fcfs": whole_fcfs_deliveries}
+whole_DELIVERY_FNS = {
+    "lcfs": whole_lcfs_deliveries, "fcfs": whole_fcfs_deliveries, "rad": whole_rad_deliveries,
+}
 
 
 def whole_teeth(delivery_slots, timestamps, first_timestamp):
@@ -620,28 +606,16 @@ def whole_age_counts(delivery_slots, timestamps, first_timestamp, warmup, horizo
     return np.cumsum(steps)
 
 
-def whole_simulate(cfg: SimConfig, fake_dump_updates=False) -> SimStats:
-    """Run one policy simulation; deterministic given the seed.
-
-    ``fake_dump_updates`` only affects RAD-family policies: empty-buffer
-    attempts re-send the previously dumped update, which leaves the monitor
-    age unchanged but counts as a transmission.
-    """
+def whole_simulate(cfg: SimConfig) -> SimStats:
+    """Run one policy simulation; deterministic given the seed."""
     if cfg.policy is None:
         raise InvalidConfig("simulate needs a policy; use empirical_source_age for sources")
     rng, coins = role_streams(cfg.seed, sim._SERVICE, sim._COINS)
     arrivals = whole_arrivals(cfg.seed, cfg.source, cfg.horizon)
     if cfg.policy.alpha < 1.0:  # FCFS admission thinning
         arrivals = arrivals[coins.random(len(arrivals)) < cfg.policy.alpha]
-    if cfg.policy.kind == "rad":
-        slots, timestamps, attempts = whole_rad_deliveries(rng, cfg.policy, arrivals, cfg.horizon)
-        if fake_dump_updates and len(slots):
-            delivered = int(np.count_nonzero(attempts[attempts > cfg.warmup] >= slots[0]))
-        else:
-            delivered = int(np.count_nonzero(slots > cfg.warmup))
-    else:
-        slots, timestamps = whole_DELIVERY_FNS[cfg.policy.kind](rng, cfg.policy, arrivals, cfg.horizon)
-        delivered = int(np.count_nonzero(slots > cfg.warmup))
+    slots, timestamps = whole_DELIVERY_FNS[cfg.policy.kind](rng, cfg.policy, arrivals, cfg.horizon)
+    delivered = int(np.count_nonzero(slots > cfg.warmup))
     mean, ci = whole_age_stats(slots, timestamps, cfg.horizon, cfg.warmup)
     measured = cfg.horizon - cfg.warmup
     return SimStats(mean, ci, delivered, delivered / measured)
@@ -684,7 +658,7 @@ PROBABILITIES = st.just(1.0) | st.floats(0.01, 1.0)
 
 @st.composite
 def chunked_runs(draw):
-    """(cfg, fake_dump_updates): a policy run, or a source run when cfg.policy is None."""
+    """A policy run, or a source run when cfg.policy is None."""
     pmf = draw(st.sampled_from(SERVICE_PMFS))
     policy = draw(st.sampled_from([
         None,
@@ -696,22 +670,21 @@ def chunked_runs(draw):
     source = draw(st.builds(BernoulliSource, PROBABILITIES) | st.builds(MarkovSource, PROBABILITIES, PROBABILITIES))
     horizon = draw(st.integers(1, 2_000))
     warmup = draw(st.just(0) | st.integers(0, horizon - 1))
-    cfg = SimConfig(policy, source, horizon=horizon, warmup=warmup, seed=draw(st.integers(0, 2**32 - 1)))
-    return cfg, draw(st.booleans())
+    return SimConfig(policy, source, horizon=horizon, warmup=warmup, seed=draw(st.integers(0, 2**32 - 1)))
 
 
-def chunked_and_whole(cfg, fake, chunk):
+def chunked_and_whole(cfg, chunk):
     """repr of the chunked and the whole-run result of one run."""
     with mock.patch.object(sim, "_CHUNK", chunk):
         if cfg.policy is None:
             return repr(empirical_source_age(cfg, return_pmf=True)), repr(whole_source_age(cfg, return_pmf=True))
-        return repr(simulate(cfg, fake)), repr(whole_simulate(cfg, fake))
+        return repr(simulate(cfg)), repr(whole_simulate(cfg))
 
 
 @settings(max_examples=300, deadline=None)
 @given(chunked_runs(), st.sampled_from([7, 64]))
 def test_chunked_simulator_equals_the_whole_run_one(run, chunk):
-    chunked, whole = chunked_and_whole(*run, chunk)
+    chunked, whole = chunked_and_whole(run, chunk)
     assert chunked == whole
 
 
@@ -725,18 +698,17 @@ def test_server_state_crosses_chunk_boundaries(chunk):
     """
     greedy = greedy_smp_pmf(0.5)
     policies = [
-        (Policy.lcfs(geometric_pmf(0.25)), False),
-        (Policy.fcfs(geometric_pmf(0.4)), False),
-        (Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0]), False),
-        (Policy.rad(make_pmf([(5, 0.5), (9, 0.5)])), False),
-        (Policy.rad(make_pmf([(5, 0.5), (9, 0.5)])), True),
-        (None, False),
+        Policy.lcfs(geometric_pmf(0.25)),
+        Policy.fcfs(geometric_pmf(0.4)),
+        Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0]),
+        Policy.rad(make_pmf([(5, 0.5), (9, 0.5)])),
+        None,
     ]
     sources = [BERN, MarkovSource(0.05, 0.2), MarkovSource(1.0, 0.3), MarkovSource(0.3, 1.0)]
-    for (policy, fake), source, warmup in itertools.product(policies, sources, (0, 37, 500)):
+    for policy, source, warmup in itertools.product(policies, sources, (0, 37, 500)):
         cfg = SimConfig(policy, source, horizon=1_003, warmup=warmup, seed=chunk + warmup)
-        chunked, whole = chunked_and_whole(cfg, fake, chunk)
-        assert chunked == whole, (cfg, fake)
+        chunked, whole = chunked_and_whole(cfg, chunk)
+        assert chunked == whole, cfg
 
 
 def test_random_streams_are_pinned():

@@ -7,9 +7,6 @@ import pytest
 from ageleak import (
     SweepSpec,
     TradeoffPoint,
-    asymptotic_slope,
-    dominance_check,
-    efficiency,
     read_csv,
     policy_from_config,
     sweep,
@@ -18,6 +15,7 @@ from ageleak import (
 from ageleak.errors import (
     BaselinePoint, InvalidTau, NonHalfIntegerTau, NoOverlap, TooFewPoints, Unstable,
 )
+from ageleak.tradeoff import asymptotic_slope, dominance_check, efficiency
 
 
 def dad_point(tau, lam=0.5):
