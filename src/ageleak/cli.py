@@ -25,9 +25,9 @@ from .tradeoff import SweepSpec, sweep, write_csv
 
 def _policy(args):
     """The registry's policy for the CLI flags."""
-    spec = {"kind": args.policy, "alpha": args.alpha}
-    for key in ("beta", "tau", "rate", "mu"):
-        value = getattr(args, key)
+    spec = {"kind": args.policy}
+    for key in ("beta", "tau", "rate", "mu", "alpha"):
+        value = getattr(args, key, None)
         if value is not None:
             spec[key] = value
     if args.pmf is not None:
@@ -164,23 +164,34 @@ def _cmd_check(args):
     return 0 if all(r.passed for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line as any other input: a typed error, exit 2."""
+
+    def error(self, message):
+        raise InvalidConfig(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ageleak",
         description="Age-of-information vs. maximal-leakage laboratory for status-updating servers.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, n=False, sim=False, policy_required=True):
+    def add_common(p, params=True, alpha=True, lam=False, n=False, sim=False, policy_required=True):
+        """--policy and --out, plus only the flags the subcommand reads."""
         p.add_argument("--policy", required=policy_required, help="policy family (see README)")
-        p.add_argument("--beta", type=float, help="top service probability g(1)")
-        p.add_argument("--tau", type=float, help="mean service / dump period in slots")
-        p.add_argument("--mu", type=float, help="geometric service rate")
-        p.add_argument("--rate", type=float, help="target leakage rate, bits/slot")
-        p.add_argument("--alpha", type=float, default=1.0, help="FCFS admission probability")
-        p.add_argument("--pmf", help='explicit pmf JSON: {"entries": [[d, p], ...]}')
-        p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="source rate")
+        if params:
+            p.add_argument("--beta", type=float, help="top service probability g(1)")
+            p.add_argument("--tau", type=float, help="mean service / dump period in slots")
+            p.add_argument("--mu", type=float, help="geometric service rate")
+            p.add_argument("--rate", type=float, help="target leakage rate, bits/slot")
+            if alpha:
+                p.add_argument("--alpha", type=float, help="FCFS admission probability (default 1)")
+            p.add_argument("--pmf", help='explicit pmf JSON: {"entries": [[d, p], ...]}')
+        if lam:
+            p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="source rate")
         if n:
             p.add_argument("--n", type=int, default=10_000, help="horizon in slots")
         if sim:
@@ -189,18 +200,19 @@ def build_parser():
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write output to this file instead of stdout")
 
-    add_common(sub.add_parser("age", help="closed-form average age"))
+    add_common(sub.add_parser("age", help="closed-form average age"), lam=True)
     add_common(sub.add_parser("leakage", help="finite-horizon leakage in bits"), n=True)
     add_common(sub.add_parser("rate", help="asymptotic leakage rate and leakage time"))
-    add_common(sub.add_parser("optimize", help="optimal policy construction"))
+    # optimize chooses FCFS's alpha itself
+    add_common(sub.add_parser("optimize", help="optimal policy construction"), alpha=False, lam=True)
 
     p_sweep = sub.add_parser("sweep", help="trade-off curve as CSV")
-    add_common(p_sweep, sim=True)
+    add_common(p_sweep, params=False, lam=True, sim=True)
     p_sweep.add_argument("--grid", required=True, help="start:stop:step or comma list")
     p_sweep.add_argument("--simulate", action="store_true", help="attach simulated ages")
 
     p_sim = sub.add_parser("simulate", help="run one slot simulation")
-    add_common(p_sim, sim=True, policy_required=False)
+    add_common(p_sim, lam=True, sim=True, policy_required=False)
     p_sim.add_argument("--scenario", help="JSON scenario file; replaces the policy and source flags")
     p_sim.add_argument("--p01", type=float, help="Markov source: inactive-to-active probability")
     p_sim.add_argument("--p10", type=float, help="Markov source: active-to-inactive probability")
@@ -224,8 +236,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConvergenceFailure as exc:
         sys.stderr.write(f"error: {exc}\n")

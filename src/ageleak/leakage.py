@@ -1,10 +1,11 @@
 """Finite-horizon maximal leakage and asymptotic leakage rates.
 
 Both leakage families leak log2 x(n) bits over n slots, where
-x(t) = sum_d c_d x(t-d) + f(t), x(0) = 1, has nonnegative terms:
+x(t) = sum_d c_d x(t-d), x(0) = 1, x(t < 0) = fill, has nonnegative terms:
 coupled (FCFS / preemptive LCFS) servers with shortest-most-probable
-service pmfs take c_1 = 1, c_s1 += beta, f = 0; decoupled
-accumulate-and-dump servers take c_d = 2 g(d), f(t) = P(D > t).
+service pmfs take c_1 = 1, c_s1 += beta, fill 0; decoupled
+accumulate-and-dump servers take c_d = 2 g(d), fill 1/2, whose history
+term sum_{d>t} c_d / 2 is the timer's P(D > t).
 
 One kernel evaluates x in blocks (after Fiduccia, SIAM J. Comput. 1985):
 a correlation carries the last d_max values into a block and a convolution
@@ -54,12 +55,11 @@ class LeakageResult:
             raise InvalidConfig(f"leakage {self.bits!r} bits outside [0, n={self.n}]")
 
 
-def _log2_recurrence(c, f, n):
-    """log2 x(n) for x(t) = sum_d c[d] x(t-d) + f[t], x(0) = 1, x(t < 0) = 0.
+def _log2_recurrence(c, fill, n):
+    """log2 x(n) for x(t) = sum_d c[d] x(t-d), x(0) = 1, x(t < 0) = fill.
 
-    ``c`` holds c_0 = 0, c_1, ..., c_dmax and ``f`` holds f(0), f(1), ...,
-    all >= 0, with f(t) = 0 past its end.  A block of r slots from t0 gets
-    rhs(i) = sum_{d>i} c_d x(t0+i-d) + f(t0+i), then x(t0+i) =
+    ``c`` holds c_0 = 0, c_1, ..., c_dmax, all >= 0.  A block of r slots
+    from t0 gets rhs(i) = sum_{d>i} c_d x(t0+i-d), then x(t0+i) =
     sum_j g_j rhs(i-j) with g = 1/(1 - c(z)).  Stored values are x * 2^-shed.
     """
     d_max = len(c) - 1
@@ -72,7 +72,7 @@ def _log2_recurrence(c, f, n):
     while q.any():
         g += np.convolve(g, q)[:m]
         q = np.convolve(q, q)[:m]
-    hist = np.zeros(d_max)  # x(t0 - d_max), ..., x(t0 - 1)
+    hist = np.full(d_max, fill)  # x(t0 - d_max), ..., x(t0 - 1)
     hist[-1] = 1.0
     shed = blocks = rescales = 0
     t0 = 1
@@ -85,10 +85,6 @@ def _log2_recurrence(c, f, n):
             rescales += 1
         k = min(d_max, r)  # the history reaches the first d_max slots only
         rhs = np.correlate(c_pad[1 : d_max + k], hist[::-1], "valid")
-        if t0 < len(f):
-            rhs = np.concatenate((rhs, np.zeros(r - k)))
-            force = f[t0 : t0 + r]
-            rhs[: len(force)] += force * math.ldexp(1.0, -shed)
         x = np.convolve(g[:r], rhs)[:r]
         hist = x[r - d_max :] if r >= d_max else np.concatenate((hist[r:], x))
         t0 += r
@@ -112,34 +108,18 @@ def _rad_terms(dump_pmf: FinitePmf):
 
 
 def _coefficients(lags, weights, n):
-    """Dense c_0, ..., c_top for x(1..n): lags past n never reach x(n).
+    """Dense c_0, ..., c_top for x(1..n), with top = min(largest lag, n + 1).
 
-    ``top`` is min(largest lag, n), and at least 1 so the history is never
-    empty.  The increasing ``lags`` past it are dropped before they become
-    int64 indices, which a lag of 2^63 or more would not fit.
+    For t <= n, x(t - d) is the fill at every lag d past n, so those lags
+    are lumped at lag n + 1, before they become int64 indices, which a lag
+    of 2^63 or more would not fit.
     """
-    top = min(lags[-1], max(n, 1))
-    keep = bisect.bisect_right(lags, top)
-    c = np.zeros(top + 1)
+    keep = bisect.bisect_right(lags, n)
+    c = np.zeros((lags[-1] if keep == len(lags) else n + 1) + 1)
     c[np.array(lags[:keep], dtype=np.int64)] = weights[:keep]
+    if keep < len(lags):
+        c[n + 1] = weights[keep:].sum()
     return c
-
-
-def _rad_forcing(dump_pmf: FinitePmf, n):
-    """f(t) = P(D > t) for t = 0 .. min(d_max - 1, n).
-
-    The tail is summed from the top, and the mass past the kept lags enters
-    that sum first in the same order, so every kept value equals the one a
-    support-long array gives.
-    """
-    top = min(dump_pmf.d_max, max(n, 1))
-    keep = bisect.bisect_right(dump_pmf.durations, top)
-    probs = np.array(dump_pmf.probabilities)
-    mass = np.zeros(top + 1)
-    mass[np.array(dump_pmf.durations[:keep], dtype=np.int64)] = probs[:keep]
-    beyond = np.cumsum(probs[keep:][::-1])[-1:]  # P(D > top), if the support goes past it
-    tail = np.cumsum(np.concatenate((beyond, mass[::-1])))[::-1]  # P(D >= t)
-    return tail[1:]
 
 
 def _root(lags, weights):
@@ -199,7 +179,7 @@ def smp_leakage_bits(n, s1, beta) -> LeakageResult:
     n = _as_int(n, "horizon", InvalidConfig)
     s1 = _as_int(s1, "minimum service time", InvalidConfig, low=1)
     beta = _as_probability(beta, "top service probability", InvalidBeta)
-    return LeakageResult(_log2_recurrence(_coefficients(*_smp_terms(s1, beta), n), np.zeros(0), n), n)
+    return LeakageResult(_log2_recurrence(_coefficients(*_smp_terms(s1, beta), n), 0.0, n), n)
 
 
 def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
@@ -208,11 +188,12 @@ def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
     Evaluates log2 m(n) where m(n) counts, in expectation over the dump
     timer, the weighted achievable outputs:
 
-        m(n) = 2 * sum_{d=1}^{n} g(d) m(n-d) + P(D > n),   m(0) = 1.
+        m(n) = 2 * sum_{d>=1} g(d) m(n-d),   m(0) = 1,   m(t < 0) = 1/2,
+
+    whose terms with d > n add up to the timer's P(D > n).
     """
     n = _as_int(n, "horizon", InvalidConfig)
-    c = _coefficients(*_rad_terms(dump_pmf), n)
-    return LeakageResult(_log2_recurrence(c, _rad_forcing(dump_pmf, n), n), n)
+    return LeakageResult(_log2_recurrence(_coefficients(*_rad_terms(dump_pmf), n), 0.5, n), n)
 
 
 def rad_rate(dump_pmf: FinitePmf) -> float:

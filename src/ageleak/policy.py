@@ -3,8 +3,9 @@
 A :class:`Policy` is a server discipline plus its duration pmf; its
 average age, finite-horizon leakage and leakage rate are its three methods,
 each choosing its formula from ``kind`` in one place.  Leakage and rate share
-one coefficient vector c: both come from x(t) = sum_d c_d x(t-d) + f(t), and
-the rate is log2 z0 with sum_d c_d z0^-d = 1.
+one coefficient vector c: leakage is log2 x(n) for the homogeneous
+x(t) = sum_d c_d x(t-d), x(0) = 1, with x(t < 0) = 0 for the coupled kinds and
+1/2 for "rad", and the rate is log2 z0 with sum_d c_d z0^-d = 1.
 
 :data:`FAMILIES` maps every family name the CLI, the config files and the
 sweeps accept to the parameter it reads and the policy it builds.
@@ -113,6 +114,8 @@ def _greedy(spec):
 
 def _geometric(spec):
     if "mu" in spec:
+        if "tau" in spec:
+            raise InvalidConfig("a geometric pmf takes its rate mu or its mean tau, not both")
         return geometric_pmf(spec["mu"])
     return geometric_pmf(1.0 / _as_finite(spec["tau"], "mean service time", InvalidTau, low=1.0))
 
@@ -175,11 +178,16 @@ def policy_from_config(spec: dict) -> Policy:
     {"entries": [...]}), "lcfs-greedy"/"fcfs-greedy"/"fcfs-greedy-thinned"
     (beta), "lcfs-geo"/"rad-geo" (tau, or mu), "mbt" (mu, or tau), "dad"
     (tau), "rad-uniform" (tau), "ddad" (rate).  ``alpha`` other than 1 is
-    refused for every kind but FCFS.
+    refused for every kind but FCFS, and so is any key the family does not
+    read.
     """
     if "kind" not in _as_dict(spec, "policy config"):
         raise InvalidConfig("policy config needs a 'kind'")
     entry = family(spec["kind"])
+    reads = ("kind", "alpha", entry.param) + (("mu", "tau") if entry.pmf is _geometric else ())
+    unread = [key for key in spec if key not in reads]
+    if unread:
+        raise InvalidConfig(f"policy {spec['kind']!r} does not read {', '.join(map(repr, unread))}")
     try:
         pmf = entry.pmf(spec)
     except KeyError as missing:

@@ -24,18 +24,16 @@ from .policy import family, policy_from_config
 from .sim import DEFAULT_WARMUP, SimConfig, simulate
 from .sources import BernoulliSource
 
-CSV_COLUMNS = (
-    "policy_tag",
-    "param",
-    "lambda",
-    "source",
-    "delta",
-    "rate_bits",
-    "leak_time",
-    "eta",
-    "sim_delta",
-    "sim_ci",
+#: CSV column and TradeoffPoint field, in column order.  The two text
+#: fields are written as they are; every other field is a float, written
+#: in shortest round-trip form, or an empty cell for None.
+_CSV_FIELDS = (
+    ("policy_tag", "policy_tag"), ("param", "param"), ("lambda", "lam"), ("source", "source"),
+    ("delta", "delta"), ("rate_bits", "rate_bits"), ("leak_time", "leak_time"), ("eta", "eta"),
+    ("sim_delta", "sim_delta"), ("sim_ci", "sim_ci"),
 )
+_TEXT_FIELDS = ("policy_tag", "source")
+CSV_COLUMNS = tuple(column for column, _ in _CSV_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -177,8 +175,17 @@ def asymptotic_slope(series, tail_fraction) -> float:
     return float(slope)
 
 
-def _cell(value):
+def _cell(point, field):
+    value = getattr(point, field)
+    if field in _TEXT_FIELDS:
+        return value
     return "" if value is None else repr(float(value))
+
+
+def _value(text, field):
+    if field in _TEXT_FIELDS:
+        return text
+    return float(text) if text else None
 
 
 def write_csv(points, path_or_file):
@@ -193,20 +200,7 @@ def write_csv(points, path_or_file):
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for p in points:
-            writer.writerow(
-                [
-                    p.policy_tag,
-                    repr(float(p.param)),
-                    repr(float(p.lam)),
-                    p.source,
-                    repr(float(p.delta)),
-                    repr(float(p.rate_bits)),
-                    repr(float(p.leak_time)),
-                    _cell(p.eta),
-                    _cell(p.sim_delta),
-                    _cell(p.sim_ci),
-                ]
-            )
+            writer.writerow([_cell(p, field) for _, field in _CSV_FIELDS])
     finally:
         if own:
             fh.close()
@@ -214,26 +208,13 @@ def write_csv(points, path_or_file):
 
 def read_csv(path) -> list:
     """Reconstruct trade-off points from an emitted CSV file."""
-    points = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != CSV_COLUMNS:
             raise InvalidConfig(f"unexpected CSV header {header!r}")
+        points = []
         for row in reader:
-            (tag, param, lam, source, delta, rate, leak, eta, sim_delta, sim_ci) = row
-            points.append(
-                TradeoffPoint(
-                    policy_tag=tag,
-                    param=float(param),
-                    lam=float(lam),
-                    delta=float(delta),
-                    rate_bits=float(rate),
-                    leak_time=float(leak),
-                    eta=float(eta) if eta else None,
-                    source=source,
-                    sim_delta=float(sim_delta) if sim_delta else None,
-                    sim_ci=float(sim_ci) if sim_ci else None,
-                )
-            )
+            cells = zip(_CSV_FIELDS, row, strict=True)
+            points.append(TradeoffPoint(**{field: _value(text, field) for (_, field), text in cells}))
     return points

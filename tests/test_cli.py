@@ -2,6 +2,7 @@ import json
 import math
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import ageleak
 from ageleak import SweepSpec, optimal_alpha_for_fcfs, policy_from_config, read_csv, sweep
-from ageleak.cli import main
+from ageleak.cli import build_parser, main
 from ageleak.policy import FAMILIES
 
 
@@ -235,6 +236,18 @@ SCENARIO = {
         ("simulate", "--scenario", dict(SCENARIO, policy={"kind": ["dad"], "tau": 4})),
         ("age", "--policy", "dad", "--tau", "1e300"),
         ("rate", "--policy", "rad", "--pmf", '{"entries": [[1, 0.5], [1%s, 0.5]]}' % ("0" * 400)),
+        # options that a subcommand or a family would otherwise ignore
+        ("leakage", "--policy", "dad", "--tau", "5", "--lambda", "7"),
+        ("rate", "--policy", "dad", "--tau", "5", "--lambda", "7"),
+        ("oracle", "--policy", "dad", "--tau", "2", "--n", "4", "--lambda", "7"),
+        ("optimize", "--policy", "fcfs-greedy", "--beta", "0.5", "--alpha", "0.5"),
+        ("sweep", "--policy", "fcfs-greedy", "--alpha", "0.5", "--grid", "0.5"),
+        ("sweep", "--policy", "dad", "--tau", "9", "--beta", "0.2", "--grid", "3"),
+        ("age", "--policy", "dad", "--tau", "5", "--beta", "0.3"),
+        ("age", "--policy", "dad", "--tau", "5", "--pmf", '{"entries": [[2, 1.0]]}'),
+        ("age", "--policy", "lcfs-geo", "--tau", "4", "--mu", "0.3"),
+        ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "dad", "tau": 5, "beta": 0.3})),
+        ("leakage",),
     ],
 )
 def test_refused_inputs_exit_2(capsys, tmp_path, argv):
@@ -248,6 +261,14 @@ def test_refused_inputs_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = [shlex.split(line, comments=True)[1:] for line in readme.splitlines() if line.startswith("ageleak ")]
+    assert len(lines) >= 10
+    for argv in lines:
+        build_parser().parse_args(argv)
 
 
 def test_stepped_grid_reports_plain_floats(capsys):
@@ -286,11 +307,11 @@ def test_family_cases_cover_the_registry():
 @pytest.mark.parametrize("family,value,flag", FAMILY_CASES)
 def test_cli_and_sweep_agree_for_every_family(capsys, family, value, flag):
     point = sweep(SweepSpec(family, (value,), lam=0.3))[0]
-    argv = ["--policy", family, flag, repr(value), "--lambda", "0.3"]
+    argv = ["--policy", family, flag, repr(value)]
     if FAMILIES[family].thinned:
         pmf = policy_from_config({"kind": family, FAMILIES[family].param: value}).pmf
         argv += ["--alpha", repr(optimal_alpha_for_fcfs(0.3, pmf)[0])]
-    _, out = run(capsys, "age", *argv)
+    _, out = run(capsys, "age", *argv, "--lambda", "0.3")
     assert float(value_of(out, "delta")) == point.delta
     _, out = run(capsys, "rate", *argv)
     assert float(value_of(out, "rate")) == point.rate_bits

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ageleak import (
@@ -40,11 +40,10 @@ def exact_rad_bits(entries, n):
     probs = {d: Fraction(p).limit_denominator(10 ** 12) for d, p in entries}
     scale = sum(probs.values())
     probs = {d: p / scale for d, p in probs.items()}
-    d_max = max(probs)
     m = [Fraction(1)]
     for t in range(1, n + 1):
         tail = max(Fraction(0), 1 - sum(p for d, p in probs.items() if d <= t))
-        m.append(2 * sum(probs.get(d, Fraction(0)) * m[t - d] for d in range(1, min(t, d_max) + 1)) + tail)
+        m.append(2 * sum(p * m[t - d] for d, p in probs.items() if d <= t) + tail)
     return math.log2(m[n])
 
 
@@ -271,14 +270,28 @@ def test_leakage_time():
             leakage_time(rate)
 
 
+#: Lags of sparse supports: short ones, ones around the block length, and
+#: far ones, which every horizon below sees only through the fill 1/2.
+SPARSE_LAGS = st.one_of(
+    st.integers(1, 6), st.integers(leakage._BLOCK - 3, 2 * leakage._BLOCK + 3), st.sampled_from((10**6, 10**20))
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    weights=st.lists(st.integers(0, 20), min_size=1, max_size=6).filter(any),
-    n=st.integers(0, 60),
+    weights=st.one_of(
+        st.lists(st.integers(0, 20), min_size=1, max_size=6).filter(any).map(lambda w: dict(enumerate(w, start=1))),
+        st.dictionaries(SPARSE_LAGS, st.integers(1, 20), min_size=1, max_size=5),
+    ),
+    n=st.one_of(st.integers(0, 60), st.integers(leakage._BLOCK - 2, 2 * leakage._BLOCK + 2)),
 )
+@example(weights={300: 1}, n=300)  # x(0) read from a history carried over a block edge
+@example(weights={1: 1, 10**20: 1}, n=256)
+@example(weights={256: 1, 10**6: 1}, n=257)
+@example(weights={255: 2, 257: 1, 515: 3}, n=514)  # a lag at n + 1, where the far ones are lumped
 def test_kernel_rad_matches_exact_rational_recursion(weights, n):
-    total = sum(weights)
-    entries = [(d, w / total) for d, w in enumerate(weights, start=1) if w]
+    total = sum(weights.values())
+    entries = [(d, w / total) for d, w in sorted(weights.items()) if w]
     got = rad_leakage_bits(n, make_pmf(entries)).bits
     assert got == pytest.approx(exact_rad_bits(entries, n), abs=1e-9)
 
