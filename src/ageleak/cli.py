@@ -18,7 +18,7 @@ from .optimize import ddad_policy, dinkelbach_certify, optimal_alpha_for_fcfs
 from .oracle import brute_force_maxl
 from .pmf import is_smp
 from .policy import Policy, policy_from_config
-from .sim import SimConfig, load_scenario, simulate
+from .sim import DEFAULT_WARMUP, SimConfig, load_scenario, simulate
 from .sources import BernoulliSource, MarkovSource
 from .tradeoff import SweepSpec, sweep, write_csv
 
@@ -123,14 +123,35 @@ def _cmd_sweep(args):
     return 0
 
 
+#: The flags a scenario file replaces; the simulate parser leaves them None
+#: when not given, so that a scenario can refuse them.
+_SCENARIO_FLAGS = ("policy", "beta", "tau", "mu", "rate", "alpha", "pmf", "lam", "p01", "p10",
+                   "slots", "warmup", "seed")
+
+
 def _cmd_simulate(args):
     if args.scenario:
+        for name in _SCENARIO_FLAGS:
+            if getattr(args, name) is not None:
+                flag = "--lambda" if name == "lam" else f"--{name}"
+                raise InvalidConfig(f"{flag} cannot be given with --scenario, which sets it")
         cfg = load_scenario(args.scenario)
     else:
         if (args.p01 is None) != (args.p10 is None):
             raise InvalidConfig("a Markov source needs both --p01 and --p10")
-        source = BernoulliSource(args.lam) if args.p01 is None else MarkovSource(args.p01, args.p10)
-        cfg = SimConfig(_policy(args), source, horizon=args.slots, warmup=args.warmup, seed=args.seed)
+        if args.p01 is None:
+            source = BernoulliSource(0.5 if args.lam is None else args.lam)
+        elif args.lam is None:
+            source = MarkovSource(args.p01, args.p10)
+        else:
+            raise InvalidConfig("a Markov source takes --p01 and --p10, not --lambda")
+        cfg = SimConfig(
+            _policy(args),
+            source,
+            horizon=1_000_000 if args.slots is None else args.slots,
+            warmup=DEFAULT_WARMUP if args.warmup is None else args.warmup,
+            seed=0 if args.seed is None else args.seed,
+        )
     stats = simulate(cfg)
     _emit(
         args,
@@ -213,7 +234,9 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="run one slot simulation")
     add_common(p_sim, lam=True, sim=True, policy_required=False)
-    p_sim.add_argument("--scenario", help="JSON scenario file; replaces the policy and source flags")
+    p_sim.set_defaults(lam=None, slots=None, warmup=None, seed=None)  # filled in by _cmd_simulate
+    p_sim.add_argument("--scenario",
+                       help="JSON scenario file; it sets the policy, source and run, so their flags are refused")
     p_sim.add_argument("--p01", type=float, help="Markov source: inactive-to-active probability")
     p_sim.add_argument("--p10", type=float, help="Markov source: active-to-inactive probability")
 

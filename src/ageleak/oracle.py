@@ -15,9 +15,10 @@ All inputs walk their prefix trie together: a table of numpy rows, each
 one int64 key (input prefix, output prefix, server state) and a
 probability, advances one slot at a time, doubling the prefixes by the
 next arrival bit, branching the draws and merging equal keys, so each
-state is computed once for every input that shares its prefix.  Past depth
-n - _BLOCK_BITS each prefix's subtree is finished on its own, which bounds
-live memory.
+state is computed once for every input that shares its prefix.  The walk
+is depth-first: before each slot, a table of more than _ROW_BUDGET rows is
+halved by input prefix and each half finished on its own, which bounds live
+memory whatever the horizon.
 
 The server is causal: the output up to slot t depends only on the input up
 to slot t.  So at depth t the table, once its server states are summed out,
@@ -41,9 +42,10 @@ MAX_ML_HORIZON = 12
 
 _NORM_TOL = 1e-9
 
-#: Each block finishes 2^_BLOCK_BITS inputs; at n = 14 the traced peak of
-#: FCFS greedy(0.3), the largest case, is 62 MB.
-_BLOCK_BITS = 6
+#: Rows a block may hold before it is halved by input prefix.  At n = 14 the
+#: traced peaks are 5.6 MB for RAD geometric(0.5) and 4.5 MB for FCFS
+#: greedy(0.3); larger budgets were no faster and held more.
+_ROW_BUDGET = 4096
 
 #: A server state packs two fields of _FIELD_BITS bits (values up to n + 1).
 _FIELD_BITS = 5
@@ -163,7 +165,7 @@ def _walk(policy: Policy, n, word=None):
     """
     step = (_coupled_step if policy.coupled else _rad_step)(policy, n)
     high = _STATE_BITS + n  # a row is one key: input prefix | n-bit output | state
-    expanded = peak = 0
+    expanded = peak = blocks = 0
 
     def advance(table, t):
         """The table at depth t, sorted by key, and its channel."""
@@ -190,19 +192,20 @@ def _walk(policy: Policy, n, word=None):
             xy = xy[new]
         return (key, p), (xy >> n, (xy & ((1 << n) - 1)) >> (n - t), sums)
 
-    shared = n if word is not None else max(n - _BLOCK_BITS, 0)
-    table = np.zeros(1, np.int64), np.ones(1)
-    channel = table[0], table[0], table[1]
-    for t in range(1, shared + 1):
-        table, channel = advance(table, t)
-        if t < n:
-            yield (t, *channel)
-    size = 1 << (n - shared)  # inputs per block
-    cuts = np.flatnonzero(np.diff(table[0] >> high)) + 1  # rows are sorted by prefix
-    for block in zip(*(np.split(a, cuts) for a in table)):
-        first = int(block[0][0] >> high) << (n - shared)
-        for t in range(shared + 1, n + 1):
-            block, channel = advance(block, t)
+    def finish(table, t, first, size):
+        """Advance one block, the inputs first .. first + size - 1 at depth t, to
+        depth n; a block over the row budget is halved by input prefix first."""
+        nonlocal blocks
+        channel = table[0], table[0], table[1]  # read as is only at n = 0: the empty prefixes
+        while t < n:
+            if len(table[0]) > _ROW_BUDGET and size >> (n - t) > 1:
+                half = size >> 1  # rows are sorted by input prefix
+                cut = np.searchsorted(table[0], (first + half) >> (n - t) << high)
+                yield from finish(tuple(a[:cut] for a in table), t, first, half)
+                yield from finish(tuple(a[cut:] for a in table), t, first + half, half)
+                return
+            t += 1
+            table, channel = advance(table, t)
             if t < n:
                 yield (t, *channel)
         x, y, p = channel
@@ -210,10 +213,14 @@ def _walk(policy: Policy, n, word=None):
         worst = int(np.argmax(np.abs(sums - 1.0)))
         if not abs(sums[worst] - 1.0) <= _NORM_TOL:  # also NaN
             raise UnnormalizedMass(f"row of input {first + worst:0{n}b} sums to {sums[worst]!r}, not 1")
+        blocks += 1
         yield n, x, y, p
+
+    first, size = (0, 1 << n) if word is None else (word, 1)
+    yield from finish((np.zeros(1, np.int64), np.ones(1)), 0, first, size)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("oracle %s n=%d: %d inputs, %d states expanded, peak %d live, %d blocks",
-                   policy.kind, n, size * (len(cuts) + 1), expanded, peak, len(cuts) + 1)
+                   policy.kind, n, size, expanded, peak, blocks)
 
 
 def enumerate_channel(policy: Policy, x_seq):

@@ -111,6 +111,14 @@ def _stream(cfg, role):
 def _sampler(cfg: SimConfig, rng):
     """sample(size): draws of the policy's pmf by inversion, one double of ``rng`` each.
 
+    The draw for u is the duration at index searchsorted(cdf, u, "right"),
+    found through a guide table (Chen & Asau 1974; Devroye 1986, III.2.4)
+    of m = 2^k buckets.  For u in bucket b = floor(u m), that index lies
+    between lo = searchsorted(cdf, b/m, "right") and hi =
+    searchsorted(cdf, (b+1)/m, "left"); where the two agree the bucket holds
+    the draw itself, and only the other buckets search.  m is a power of two,
+    so u m and the edges b/m are exact and every draw equals the searched one.
+
     The pmf's arrays are built once per run, not once per chunk.  A draw past
     the horizon never fires, so it is clipped to horizon + 1 to fit int64.
     """
@@ -118,10 +126,20 @@ def _sampler(cfg: SimConfig, rng):
     keep = bisect.bisect_right(pmf.durations, cap)
     durations = np.array(pmf.durations[:keep] + (cap,) * (len(pmf.durations) - keep), dtype=np.int64)
     cdf = np.cumsum(pmf.probabilities)
+    last = len(durations) - 1
+    m = 1 << min(max((16 * len(durations) - 1).bit_length(), 6), 16)  # >= 16 per duration, 64 .. 2^16
+    edges = np.arange(m + 1) / m
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    hi = np.searchsorted(cdf, edges[1:], side="left")
+    table = np.where(lo == hi, durations[np.minimum(lo, last)], -1)  # durations are >= 1
 
     def sample(size):
-        idx = np.searchsorted(cdf, rng.random(size), side="right")
-        return durations[np.minimum(idx, len(durations) - 1)]
+        u = rng.random(size)
+        out = table[np.multiply(u, m, out=u).astype(np.intp)]
+        slow = np.flatnonzero(out < 0)
+        if len(slow):
+            out[slow] = durations[np.minimum(np.searchsorted(cdf, u[slow] / m, side="right"), last)]
+        return out
 
     return sample
 

@@ -133,6 +133,15 @@ def test_simulate_scenario(tmp_path, capsys):
     assert abs(mean - 4.0) <= max(3 * ci, 0.08)
 
 
+@pytest.mark.parametrize("flag, value", [("--policy", "dad"), ("--lambda", "0.5"), ("--p01", "0.1"),
+                                         ("--slots", "1000000"), ("--warmup", "10000"), ("--seed", "0")])
+def test_scenario_refuses_each_flag_it_sets(capsys, tmp_path, flag, value):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(SCENARIO))
+    assert main(["simulate", flag, value, "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} cannot be given with --scenario, which sets it\n"
+
+
 def test_simulate_markov_flags(capsys):
     code, out = run(
         capsys, "simulate", "--policy", "dad", "--tau", "5", "--p01", "0.05", "--p10", "0.2",
@@ -248,6 +257,10 @@ SCENARIO = {
         ("age", "--policy", "lcfs-geo", "--tau", "4", "--mu", "0.3"),
         ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "dad", "tau": 5, "beta": 0.3})),
         ("leakage",),
+        # flags that a scenario or a Markov source would otherwise ignore
+        ("simulate", "--policy", "lcfs-greedy", "--beta", "0.3", "--lambda", "0.9", "--slots", "5",
+         "--scenario", SCENARIO),
+        ("simulate", "--policy", "dad", "--tau", "5", "--p01", "0.1", "--p10", "0.2", "--lambda", "0.3"),
     ],
 )
 def test_refused_inputs_exit_2(capsys, tmp_path, argv):

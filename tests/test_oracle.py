@@ -26,7 +26,7 @@ from ageleak import (
     uniform_pmf,
 )
 from ageleak.errors import AgeLeakError, HorizonTooLarge, InvalidConfig, UnnormalizedMass
-from ageleak.oracle import _maxl_series, enumerate_channel, verify_ml_input
+from ageleak.oracle import _ROW_BUDGET, _maxl_series, enumerate_channel, verify_ml_input
 
 
 def test_zero_delay_passthrough():
@@ -360,10 +360,27 @@ def test_oracle_logs_one_debug_line_per_call(caplog):
     assert len(lines) == 2
     pattern = r"oracle (\w+) n=(\d+): (\d+) inputs, (\d+) states expanded, peak (\d+) live, (\d+) blocks"
     kind, n, inputs, expanded, peak, blocks = re.fullmatch(pattern, lines[0]).groups()
-    assert (kind, n, inputs, blocks) == ("fcfs", "9", "512", "8")
+    assert (kind, n, inputs, blocks) == ("fcfs", "9", "512", "2")  # one halving over the row budget
     assert int(expanded) >= int(peak) > 0
     assert re.fullmatch(pattern, lines[1]).group(1, 2, 3, 6) == ("rad", "3", "1", "1")
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="ageleak.oracle"):
         brute_force_maxl(Policy.lcfs(greedy_smp_pmf(0.5)), 4)
     assert not caplog.records
+
+
+@pytest.mark.parametrize("policy", [Policy.rad(geometric_pmf(0.5)), Policy.fcfs(greedy_smp_pmf(0.3))])
+def test_oracle_live_rows_stay_within_the_row_budget(caplog, policy):
+    """The walk halves a block over the budget, so its peak does not follow 2^n.
+
+    A whole-table walk to n = 12 holds about 10^5 rows; the peak depends on
+    where the halvings fall, not on the horizon.
+    """
+    peaks = {}
+    for n in (10, 12):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ageleak.oracle"):
+            _maxl_series(policy, n)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "ageleak.oracle"]
+        peaks[n] = int(re.search(r"peak (\d+) live", line).group(1))
+    assert max(peaks.values()) <= 4 * _ROW_BUDGET, peaks

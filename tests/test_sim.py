@@ -647,6 +647,7 @@ def whole_source_age(cfg: SimConfig, return_pmf=False):
 
 SERVICE_PMFS = (
     geometric_pmf(0.25),
+    geometric_pmf(0.02),  # a cdf crowding near 1 puts several boundaries in one guide bucket
     greedy_smp_pmf(0.4),
     uniform_pmf(3),
     deterministic_pmf(1),
@@ -780,3 +781,40 @@ def test_draws_past_the_horizon_run_as_horizon_plus_one(kind):
         return repr(simulate(SimConfig(Policy(kind, pmf), BERN, horizon=20_000, warmup=1_000, seed=3)))
 
     assert stats(10 ** 20) == stats(20_001)
+
+
+class _Crafted:
+    """Stands in for a generator: random(size) returns the next ``size`` of the given values."""
+
+    def __init__(self, values):
+        self.values, self.at = values, 0
+
+    def random(self, size):
+        self.at += size
+        return self.values[self.at - size : self.at].copy()
+
+
+@pytest.mark.parametrize("pmf, horizon", [
+    (geometric_pmf(0.02), 10_000),  # about 1,370 entries, the cdf crowding near 1
+    (uniform_pmf(10_000), 20_000),  # more buckets than the table's cap allows
+    (FinitePmf((1, 2, 3), (0.5, 0.25, 0.25 - 5e-10)), 100),  # u >= cdf[-1] occurs
+    (make_pmf([(2, 0.5), (10 ** 20, 0.5)]), 1_000),  # a lag past the horizon
+])
+def test_sampler_draws_equal_searched_inversion(pmf, horizon):
+    """Every draw of the guide table equals inversion by binary search of the same u.
+
+    The u values are 0, every possible bucket edge, every cdf value with its
+    two neighbouring doubles, and the largest double below 1.
+    """
+    cdf = np.cumsum(pmf.probabilities)
+    u = np.concatenate((
+        [0.0, 1.0 - 2.0 ** -53],
+        np.arange(1 << 16) / (1 << 16),  # every bucket edge of a table of at most 2^16 buckets
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+    ))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    cfg = SimConfig(Policy.rad(pmf), BERN, horizon=horizon, warmup=0)
+    drawn = sim._sampler(cfg, _Crafted(u))(len(u))
+    durations = np.minimum(np.array(pmf.durations, dtype=np.float64), horizon + 1).astype(np.int64)
+    expected = durations[np.minimum(np.searchsorted(cdf, u, side="right"), len(durations) - 1)]
+    np.testing.assert_array_equal(drawn, expected)
