@@ -89,7 +89,7 @@ def _cmd_optimize(args):
         _emit(
             args,
             [
-                f"support {dither.i},{dither.j}",
+                f"support {','.join(map(str, dither.to_pmf().durations))}",
                 f"p_i {dither.p_i!r}",
                 f"p_j {dither.p_j!r}",
                 f"mean_period {dither.mean!r}",

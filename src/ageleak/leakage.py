@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure, InvalidBeta, InvalidConfig, InvalidTau, NonHalfIntegerTau, PmfError, ZeroRate,
-    _as_finite, _as_int, _as_probability,
+    ConvergenceFailure, InvalidBeta, InvalidConfig, PmfError, ZeroRate, _as_finite, _as_int, _as_probability,
 )
 from .pmf import FinitePmf
 
@@ -199,15 +198,6 @@ def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
 def rad_rate(dump_pmf: FinitePmf) -> float:
     """Asymptotic leakage rate log2(z0) of a dump schedule, E[z0^-D] = 1/2."""
     return _root(*_rad_terms(dump_pmf))
-
-
-def _uniform_width(tau):
-    """Support width 2*tau - 1 of the uniform pmf on {1, 2, ...} with mean ``tau``."""
-    tau = _as_finite(tau, "mean inter-dump time", InvalidTau, low=1.0)
-    k = 2.0 * tau - 1.0
-    if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
-        raise NonHalfIntegerTau(f"2*tau-1 = {k!r} is not a positive integer")
-    return round(k)
 
 
 def leakage_time(rate) -> float:

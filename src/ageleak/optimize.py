@@ -239,6 +239,7 @@ def optimal_alpha_for_fcfs(lam, service_pmf: FinitePmf):
             fd = cost(d)
     alpha = 0.5 * (a + b)
     best_alpha, best = alpha, cost(alpha)
-    if cost(hi) <= best:
-        best_alpha, best = hi, cost(hi)
+    edge = cost(hi)
+    if edge <= best:
+        best_alpha, best = hi, edge
     return best_alpha, AgeResult(best)

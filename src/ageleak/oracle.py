@@ -26,6 +26,8 @@ is the horizon-t channel, and one walk to n yields the maximal leakage at
 every horizon 0..n.  Only the lumping of what happens past the horizon
 (departures drawn beyond n, timer ages alike over the slots left) depends
 on n, so an entry differs from a walk to that horizon by rounding alone.
+:func:`_maxl_series` is the walk's one reader: it keeps max_x P(y | x) for
+every output prefix y, which is all that maximal leakage needs.
 """
 
 import logging
@@ -38,7 +40,6 @@ from .leakage import LeakageResult
 from .policy import Policy
 
 MAX_HORIZON = 14
-MAX_ML_HORIZON = 12
 
 _NORM_TOL = 1e-9
 
@@ -54,16 +55,6 @@ _STATE_BITS = 2 * _FIELD_BITS
 _STATE = (1 << _STATE_BITS) - 1
 
 _log = logging.getLogger(__name__)
-
-
-def _check(policy: Policy, n, cap):
-    """The horizon as an int, after refusing thinned FCFS and bad horizons."""
-    if policy.kind == "fcfs" and policy.alpha != 1.0:
-        raise InvalidConfig("oracle enumerates unthinned FCFS only")
-    n = _as_int(n, "horizon", InvalidConfig)
-    if n > cap:
-        raise HorizonTooLarge(f"horizon {n} exceeds enumeration cap {cap}")
-    return n
 
 
 def _coupled_step(policy: Policy, n):
@@ -155,13 +146,13 @@ def _run_sums(keys, weights):
     return new, np.bincount(run, weights=weights)[1:]
 
 
-def _walk(policy: Policy, n, word=None):
+def _walk(policy: Policy, n):
     """Yield (t, x, y, P(y | x)) at every depth t = 1..n (t = 0 alone when n = 0),
-    one block of inputs at a time.
+    one block of inputs at a time, for all 2^n inputs.
 
-    x and y are t-bit prefixes, slot 1 in the most significant bit.  With
-    ``word``, only that n-bit input is followed.  Each input's row at depth n
-    is checked to sum to 1 within :data:`_NORM_TOL` before it is yielded.
+    x and y are t-bit prefixes, slot 1 in the most significant bit.  Each
+    input's row at depth n is checked to sum to 1 within :data:`_NORM_TOL`
+    before it is yielded.
     """
     step = (_coupled_step if policy.coupled else _rad_step)(policy, n)
     high = _STATE_BITS + n  # a row is one key: input prefix | n-bit output | state
@@ -172,10 +163,7 @@ def _walk(policy: Policy, n, word=None):
         nonlocal expanded, peak
         key, p = table
         key = key + (key >> high << high)  # the input prefix moves up a slot
-        if word is None:
-            key, p = np.concatenate((key, key | (1 << high))), np.tile(p, 2)
-        else:
-            key |= ((word >> (n - t)) & 1) << high
+        key, p = np.concatenate((key, key | (1 << high))), np.tile(p, 2)
         key, p = step(t, key, p)
         if t == n:  # the final state is not part of the output
             key &= ~_STATE
@@ -216,56 +204,28 @@ def _walk(policy: Policy, n, word=None):
         blocks += 1
         yield n, x, y, p
 
-    first, size = (0, 1 << n) if word is None else (word, 1)
-    yield from finish((np.zeros(1, np.int64), np.ones(1)), 0, first, size)
+    yield from finish((np.zeros(1, np.int64), np.ones(1)), 0, 0, 1 << n)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("oracle %s n=%d: %d inputs, %d states expanded, peak %d live, %d blocks",
-                   policy.kind, n, size, expanded, peak, blocks)
-
-
-def enumerate_channel(policy: Policy, x_seq):
-    """Exact distribution over output sequences for one input sequence.
-
-    ``x_seq`` is an iterable of n bits (n <= 14); returns a dict mapping
-    output bit-tuples to probabilities, positive entries only.
-    """
-    xs = list(x_seq)
-    n = len(xs)
-    _check(policy, n, MAX_HORIZON)
-    if any(b not in (0, 1) for b in xs):
-        raise InvalidConfig("input sequence must be binary")
-    word = sum(int(b) << (n - t) for t, b in enumerate(xs, 1))
-    *_, (_, _, ys, ps) = _walk(policy, n, word)  # the last depth is n
-    return {tuple((y >> (n - t)) & 1 for t in range(1, n + 1)): p
-            for y, p in zip(ys.tolist(), ps.tolist()) if p > 0.0}
-
-
-def _scan(policy: Policy, n, cap):
-    """Per depth t = 0..n, max_x P(y | x) for every t-slot output y; and per
-    n-slot output y, P(y | y << shift) of the designated input.
-
-    The shift is s_min - 1 for coupled policies and 0 for RAD.
-    """
-    n = _check(policy, n, cap)
-    shift = policy.pmf.s_min - 1 if policy.coupled else 0
-    best = [np.zeros(1 << t) for t in range(n + 1)]
-    best[0][0] = 1.0  # the empty output, certain
-    designated = np.zeros(1 << n)
-    for t, x, y, p in _walk(policy, n):
-        np.maximum.at(best[t], y, p)
-        if t == n:
-            hit = (y << shift) == x
-            designated[y[hit]] = p[hit]
-    return best, designated
+                   policy.kind, n, 1 << n, expanded, peak, blocks)
 
 
 def _maxl_series(policy: Policy, n):
     """Maximal leakage in bits at every horizon 0..n, from one walk to n.
 
-    The server is causal, so the depth-t channel of that walk is the
-    horizon-t channel.
+    Per depth t and t-slot output y it keeps max_x P(y | x); the server is
+    causal, so the depth-t channel of the walk is the horizon-t channel.
+    Thinned FCFS and horizons past :data:`MAX_HORIZON` are refused.
     """
-    best, _ = _scan(policy, n, MAX_HORIZON)
+    if policy.kind == "fcfs" and policy.alpha != 1.0:
+        raise InvalidConfig("oracle enumerates unthinned FCFS only")
+    n = _as_int(n, "horizon", InvalidConfig)
+    if n > MAX_HORIZON:
+        raise HorizonTooLarge(f"horizon {n} exceeds enumeration cap {MAX_HORIZON}")
+    best = [np.zeros(1 << t) for t in range(n + 1)]
+    best[0][0] = 1.0  # the empty output, certain
+    for t, _, y, p in _walk(policy, n):
+        np.maximum.at(best[t], y, p)
     return [math.log2(math.fsum(b[b > 0])) for b in best]
 
 
@@ -276,16 +236,3 @@ def brute_force_maxl(policy: Policy, n) -> LeakageResult:
     probability any of the 2^n inputs assigns that output.
     """
     return LeakageResult(_maxl_series(policy, n)[-1], int(n))
-
-
-def verify_ml_input(policy: Policy, n) -> bool:
-    """Check the designated maximum-likelihood inputs against enumeration.
-
-    Coupled policies: the time-shifted input (arrivals s_min - 1 slots ahead
-    of each departure) must attain the per-output maximum.  RAD policies:
-    the input equal to the output must.  True iff the designated input's
-    probability matches the enumerated maximum to 1e-12 for every achievable
-    output.
-    """
-    best, designated = _scan(policy, n, MAX_ML_HORIZON)
-    return bool(np.all(np.abs(designated - best[-1]) <= 1e-12))

@@ -11,16 +11,16 @@ x(t) = sum_d c_d x(t-d), x(0) = 1, with x(t < 0) = 0 for the coupled kinds and
 sweeps accept to the parameter it reads and the policy it builds.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .age import AgeResult, fcfs_age, lcfs_age, rad_age
 from .errors import (
-    InvalidConfig, InvalidLambda, InvalidTau, _as_dict, _as_finite, _as_int, _as_probability,
+    InvalidConfig, InvalidLambda, InvalidTau, NonHalfIntegerTau, _as_dict, _as_finite, _as_int,
+    _as_probability,
 )
-from .leakage import (
-    LeakageResult, _root, _smp_terms, _uniform_width, rad_leakage_bits, rad_rate, smp_leakage_bits,
-)
+from .leakage import LeakageResult, _root, _smp_terms, rad_leakage_bits, rad_rate, smp_leakage_bits
 from .optimize import ddad_policy, greedy_smp_pmf
 from .pmf import FinitePmf, deterministic_pmf, geometric_pmf, is_smp, make_pmf, uniform_pmf
 
@@ -125,7 +125,12 @@ def _deterministic(spec):
 
 
 def _uniform(spec):
-    return uniform_pmf(_uniform_width(spec["tau"]))
+    """The uniform pmf on {1, ..., 2*tau - 1}, whose mean is ``tau``."""
+    tau = _as_finite(spec["tau"], "mean inter-dump time", InvalidTau, low=1.0)
+    k = 2.0 * tau - 1.0
+    if not math.isfinite(k) or abs(k - round(k)) > 1e-9:
+        raise NonHalfIntegerTau(f"2*tau-1 = {k!r} is not a positive integer")
+    return uniform_pmf(round(k))
 
 
 def _dither(spec):

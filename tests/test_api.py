@@ -26,8 +26,6 @@ def test_all_lists_the_public_names_and_each_resolves():
 @pytest.mark.parametrize("module,name", [
     ("pmf", "Moments"),
     ("optimize", "DinkelbachCertificate"),
-    ("oracle", "enumerate_channel"),
-    ("oracle", "verify_ml_input"),
     ("tradeoff", "asymptotic_slope"),
     ("tradeoff", "dominance_check"),
     ("tradeoff", "efficiency"),

@@ -86,6 +86,11 @@ def test_optimize_ddad(capsys):
     assert value_of(out, "support") == "2,3"
     assert float(value_of(out, "p_i")) == pytest.approx(0.4653980386192361, abs=1e-9)
     assert value_of(out, "sandwich_ok") == "True"
+    # an integer period is a pure DAD schedule: one duration, no mass on a second
+    for argv, support in ((("--policy", "dad", "--tau", "3"), "3"), (("--policy", "ddad", "--rate", "1"), "1")):
+        code, out = run(capsys, "optimize", *argv)
+        assert code == 0
+        assert (value_of(out, "support"), value_of(out, "p_j")) == (support, "0.0")
 
 
 def test_optimize_fcfs_greedy(capsys):

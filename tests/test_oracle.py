@@ -26,21 +26,65 @@ from ageleak import (
     uniform_pmf,
 )
 from ageleak.errors import AgeLeakError, HorizonTooLarge, InvalidConfig, UnnormalizedMass
-from ageleak.oracle import _ROW_BUDGET, _maxl_series, enumerate_channel, verify_ml_input
+from ageleak.oracle import _ROW_BUDGET, _maxl_series, _walk
+
+
+# --- per-input channels: the depth-n rows of one walk over all 2^n inputs ---
+
+
+def _word(bits):
+    return sum(b << (len(bits) - t) for t, b in enumerate(bits, 1))
+
+
+def _depth_rows(policy, n):
+    """The depth-n rows (x, y, P(y | x)) of one full walk, as three arrays."""
+    blocks = [(x, y, p) for t, x, y, p in _walk(policy, n) if t == n]
+    return tuple(np.concatenate(a) for a in zip(*blocks))
+
+
+def _rows(policy, n):
+    """Per input word x, {output word y: P(y | x)} over the positive entries."""
+    rows = [{} for _ in range(1 << n)]
+    for x, y, p in zip(*(a.tolist() for a in _depth_rows(policy, n))):
+        if p > 0.0:
+            rows[x][y] = p
+    return rows
+
+
+def _channel(policy, bits):
+    """{output bits: P(y | x)} for the one input ``bits``."""
+    n = len(bits)
+    row = _rows(policy, n)[_word(bits)]
+    return {tuple((y >> (n - t)) & 1 for t in range(1, n + 1)): p for y, p in row.items()}
+
+
+def _ml_inputs_attain_the_maximum(policy, n):
+    """Whether each n-slot output y has max_x P(y | x) at its designated input.
+
+    That input puts the arrivals s_min - 1 slots ahead of the departures for
+    coupled policies and equals y for RAD; the match is to 1e-12.
+    """
+    x, y, p = _depth_rows(policy, n)
+    shift = policy.pmf.s_min - 1 if policy.coupled else 0
+    best, designated = np.zeros(1 << n), np.zeros(1 << n)
+    np.maximum.at(best, y, p)
+    hit = (y << shift) == x
+    designated[y[hit]] = p[hit]
+    return bool(np.all(np.abs(designated - best) <= 1e-12))
 
 
 def test_zero_delay_passthrough():
     policy = Policy.lcfs(deterministic_pmf(1))
-    dist = enumerate_channel(policy, (1, 0, 1, 0))
+    dist = _channel(policy, (1, 0, 1, 0))
     assert dist == {(1, 0, 1, 0): 1.0}
 
 
 def test_lcfs_single_update_two_service_draws():
     policy = Policy.lcfs(greedy_smp_pmf(0.5))
-    dist = enumerate_channel(policy, (1, 0))
+    dist = _channel(policy, (1, 0))
     assert dist[(1, 0)] == pytest.approx(0.5)
     assert dist[(0, 1)] == pytest.approx(0.5)
-    dist = enumerate_channel(policy, (1, 0, 0, 0))
+    dist = _channel(policy, (1, 0, 0, 0))
     assert dist[(1, 0, 0, 0)] == pytest.approx(0.5)
     assert dist[(0, 1, 0, 0)] == pytest.approx(0.5)
     assert len(dist) == 2
@@ -49,25 +93,25 @@ def test_lcfs_single_update_two_service_draws():
 def test_lcfs_preemption_discards_in_service_update():
     # second arrival preempts the first even on its departure slot
     policy = Policy.lcfs(deterministic_pmf(2))
-    dist = enumerate_channel(policy, (1, 1, 0))
+    dist = _channel(policy, (1, 1, 0))
     assert dist == {(0, 0, 1): 1.0}
 
 
 def test_fcfs_queues_all_updates():
     policy = Policy.fcfs(deterministic_pmf(1))
-    dist = enumerate_channel(policy, (1, 1, 0))
+    dist = _channel(policy, (1, 1, 0))
     assert dist == {(1, 1, 0): 1.0}
 
 
 def test_rad_empty_input_never_transmits():
     policy = Policy.rad(deterministic_pmf(2))
-    dist = enumerate_channel(policy, (0, 0, 0, 0))
+    dist = _channel(policy, (0, 0, 0, 0))
     assert dist == {(0, 0, 0, 0): 1.0}
 
 
 def test_rad_dumps_freshest_on_schedule():
     policy = Policy.rad(deterministic_pmf(2))
-    dist = enumerate_channel(policy, (1, 0, 0, 1))
+    dist = _channel(policy, (1, 0, 0, 1))
     assert dist == {(0, 1, 0, 1): 1.0}
 
 
@@ -80,10 +124,8 @@ def test_channel_rows_normalize():
     ]
     n = 6
     for policy in policies:
-        for x in range(1 << n):
-            bits = tuple((x >> (n - t)) & 1 for t in range(1, n + 1))
-            dist = enumerate_channel(policy, bits)
-            assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+        for row in _rows(policy, n):
+            assert math.fsum(row.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_brute_force_examples():
@@ -133,26 +175,22 @@ def test_brute_force_matches_rad_recursion():
 
 
 def test_verify_ml_input():
-    assert verify_ml_input(Policy.lcfs(greedy_smp_pmf(0.5)), 6)
-    assert verify_ml_input(Policy.fcfs(greedy_smp_pmf(0.3)), 6)
-    assert verify_ml_input(Policy.lcfs(deterministic_pmf(2)), 7)
-    assert verify_ml_input(Policy.rad(geometric_pmf(0.5)), 8)
-    assert verify_ml_input(Policy.rad(uniform_pmf(3)), 7)
-    assert verify_ml_input(Policy.lcfs(deterministic_pmf(1)), 5)
+    assert _ml_inputs_attain_the_maximum(Policy.lcfs(greedy_smp_pmf(0.5)), 6)
+    assert _ml_inputs_attain_the_maximum(Policy.fcfs(greedy_smp_pmf(0.3)), 6)
+    assert _ml_inputs_attain_the_maximum(Policy.lcfs(deterministic_pmf(2)), 7)
+    assert _ml_inputs_attain_the_maximum(Policy.rad(geometric_pmf(0.5)), 8)
+    assert _ml_inputs_attain_the_maximum(Policy.rad(uniform_pmf(3)), 7)
+    assert _ml_inputs_attain_the_maximum(Policy.lcfs(deterministic_pmf(1)), 5)
 
 
 def test_horizon_caps():
     policy = Policy.rad(deterministic_pmf(3))
     with pytest.raises(HorizonTooLarge):
         brute_force_maxl(policy, 15)
-    with pytest.raises(HorizonTooLarge):
-        verify_ml_input(policy, 13)
-    with pytest.raises(HorizonTooLarge):
-        enumerate_channel(policy, (0,) * 15)
     with pytest.raises(InvalidConfig):
         brute_force_maxl(policy, 2.5)  # not truncated to 2
     with pytest.raises(InvalidConfig):
-        verify_ml_input(policy, -1)
+        brute_force_maxl(policy, -1)
 
 
 def test_oracle_rejects_thinned_fcfs():
@@ -250,10 +288,6 @@ def _ref_rows(policy, n):
     return [_ref_rad_row(arrays, n, x) for x in range(1 << n)]
 
 
-def _word(bits):
-    return sum(b << (len(bits) - t) for t, b in enumerate(bits, 1))
-
-
 def _pmfs(max_duration):
     """Random pmfs on at most four durations, weights kept away from 0."""
     return st.lists(
@@ -272,10 +306,9 @@ def test_kernel_matches_per_input_reference(kind, pmf, bits):
     policy = Policy(kind, pmf)
     n = len(bits)
     rows = _ref_rows(policy, n)
-    got = {_word(y): p for y, p in enumerate_channel(policy, bits).items()}
-    want = rows[_word(bits)]
-    assert got.keys() == want.keys()
-    assert all(abs(got[y] - want[y]) <= 1e-12 for y in want)
+    for got, want in zip(_rows(policy, n), rows, strict=True):
+        assert got.keys() == want.keys()
+        assert all(abs(got[y] - want[y]) <= 1e-12 for y in want)
     best = {}
     for row in rows:
         for y, p in row.items():
@@ -288,9 +321,8 @@ def test_kernel_covers_smp_and_non_smp_service():
     for pmf in (make_pmf([(1, 0.2), (3, 0.8)]), make_pmf([(2, 0.5), (3, 0.3), (5, 0.2)])):
         for kind in ("lcfs", "fcfs"):
             policy = Policy(kind, pmf)
-            for x, want in enumerate(_ref_rows(policy, 6)):
-                got = enumerate_channel(policy, [(x >> (6 - t)) & 1 for t in range(1, 7)])
-                assert {_word(y): p for y, p in got.items()} == pytest.approx(want, abs=1e-12)
+            for got, want in zip(_rows(policy, 6), _ref_rows(policy, 6), strict=True):
+                assert got == pytest.approx(want, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,21 +353,17 @@ def test_brute_force_matches_smp_closed_form_past_one_slot(entries):
 
 
 def test_verify_ml_input_at_cap():
-    assert verify_ml_input(Policy.lcfs(greedy_smp_pmf(0.5)), 12)
-    assert verify_ml_input(Policy.rad(geometric_pmf(0.5)), 12)
+    assert _ml_inputs_attain_the_maximum(Policy.lcfs(greedy_smp_pmf(0.5)), 12)
+    assert _ml_inputs_attain_the_maximum(Policy.rad(geometric_pmf(0.5)), 12)
 
 
 @pytest.mark.parametrize("kind, d", [("lcfs", 1), ("fcfs", 2), ("rad", 2)])
 def test_unnormalized_pmf_is_refused(kind, d):
     policy = Policy(kind, FinitePmf((d,), (0.5,)))  # bypasses make_pmf
-    with pytest.raises(UnnormalizedMass):
-        enumerate_channel(policy, (1, 0, 0))
     with pytest.raises(AgeLeakError):
         brute_force_maxl(policy, 4)
     with pytest.raises(UnnormalizedMass):
         _maxl_series(policy, 4)
-    with pytest.raises(AgeLeakError):
-        verify_ml_input(policy, 4)
 
 
 def test_unnormalized_pmf_is_refused_under_optimisation():
@@ -355,14 +383,14 @@ def test_unnormalized_pmf_is_refused_under_optimisation():
 def test_oracle_logs_one_debug_line_per_call(caplog):
     with caplog.at_level(logging.DEBUG, logger="ageleak.oracle"):
         brute_force_maxl(Policy.fcfs(greedy_smp_pmf(0.5)), 9)
-        enumerate_channel(Policy.rad(geometric_pmf(0.5)), (1, 0, 1))
+        brute_force_maxl(Policy.rad(geometric_pmf(0.5)), 3)
     lines = [r.getMessage() for r in caplog.records if r.name == "ageleak.oracle"]
     assert len(lines) == 2
     pattern = r"oracle (\w+) n=(\d+): (\d+) inputs, (\d+) states expanded, peak (\d+) live, (\d+) blocks"
     kind, n, inputs, expanded, peak, blocks = re.fullmatch(pattern, lines[0]).groups()
     assert (kind, n, inputs, blocks) == ("fcfs", "9", "512", "2")  # one halving over the row budget
     assert int(expanded) >= int(peak) > 0
-    assert re.fullmatch(pattern, lines[1]).group(1, 2, 3, 6) == ("rad", "3", "1", "1")
+    assert re.fullmatch(pattern, lines[1]).group(1, 2, 3, 6) == ("rad", "3", "8", "1")
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="ageleak.oracle"):
         brute_force_maxl(Policy.lcfs(greedy_smp_pmf(0.5)), 4)
