@@ -109,24 +109,22 @@ def _cmd_optimize(args):
     return 0
 
 
+#: The flags of one simulated run; only a simulating subcommand reads them.
+_RUN_FLAGS = ("slots", "warmup", "seed")
+
+
 def _cmd_sweep(args):
-    spec = SweepSpec(
-        family=args.policy,
-        grid=_parse_grid(args.grid),
-        lam=args.lam,
-        simulate=args.simulate,
-        slots=args.slots,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
+    run = {name: getattr(args, name) for name in _RUN_FLAGS if getattr(args, name) is not None}
+    if run and not args.simulate:
+        raise InvalidConfig(f"--{next(iter(run))} is read only with --simulate")
+    spec = SweepSpec(family=args.policy, grid=_parse_grid(args.grid), lam=args.lam, simulate=args.simulate, **run)
     write_csv(sweep(spec), args.out or sys.stdout)
     return 0
 
 
 #: The flags a scenario file replaces; the simulate parser leaves them None
 #: when not given, so that a scenario can refuse them.
-_SCENARIO_FLAGS = ("policy", "beta", "tau", "mu", "rate", "alpha", "pmf", "lam", "p01", "p10",
-                   "slots", "warmup", "seed")
+_SCENARIO_FLAGS = ("policy", "beta", "tau", "mu", "rate", "alpha", "pmf", "lam", "p01", "p10") + _RUN_FLAGS
 
 
 def _cmd_simulate(args):
@@ -215,10 +213,10 @@ def build_parser():
             p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="source rate")
         if n:
             p.add_argument("--n", type=int, default=10_000, help="horizon in slots")
-        if sim:
-            p.add_argument("--slots", type=int, default=1_000_000)
-            p.add_argument("--warmup", type=int, default=10_000)
-            p.add_argument("--seed", type=int, default=0)
+        if sim:  # None when not given; the subcommand fills in the defaults or refuses the flag
+            p.add_argument("--slots", type=int, help="simulated horizon in slots (default 10^6)")
+            p.add_argument("--warmup", type=int, help=f"slots left out of the statistics (default {DEFAULT_WARMUP})")
+            p.add_argument("--seed", type=int, help="seed of the run's random streams (default 0)")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
     add_common(sub.add_parser("age", help="closed-form average age"), lam=True)
@@ -234,7 +232,7 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="run one slot simulation")
     add_common(p_sim, lam=True, sim=True, policy_required=False)
-    p_sim.set_defaults(lam=None, slots=None, warmup=None, seed=None)  # filled in by _cmd_simulate
+    p_sim.set_defaults(lam=None)  # filled in by _cmd_simulate
     p_sim.add_argument("--scenario",
                        help="JSON scenario file; it sets the policy, source and run, so their flags are refused")
     p_sim.add_argument("--p01", type=float, help="Markov source: inactive-to-active probability")

@@ -22,6 +22,10 @@ horizon stays below 2^53, every partial sum of per-slot ages is exact in
 float64 too, so the mean and the batch means equal those of the per-slot
 ages bit for bit.
 
+The servers select a window's deliveries by index, which numpy does faster
+than by boolean mask, and RAD finds each attempt's freshest arrival by a
+scan of the window's slots or a binary search, by attempt density.
+
 Each random role of a run (Bernoulli arrivals or Markov stay-or-leave
 coins, Markov idle lengths, FCFS admission coins, service or timer draws)
 reads its own generator seeded with (seed, role), strictly in sequence.  A
@@ -135,7 +139,7 @@ def _sampler(cfg: SimConfig, rng):
 
     def sample(size):
         u = rng.random(size)
-        out = table[np.multiply(u, m, out=u).astype(np.intp)]
+        out = table.take(np.multiply(u, m, out=u).astype(np.intp))
         slow = np.flatnonzero(out < 0)
         if len(slow):
             out[slow] = durations[np.minimum(np.searchsorted(cdf, u[slow] / m, side="right"), last)]
@@ -196,8 +200,9 @@ def _markov_gaps(cfg: SimConfig):
         leave = u < src.p10
         if first:
             leave[0], first = u[0] >= src.effective_rate, False
+        leave = np.flatnonzero(leave)
         out = np.ones(size, dtype=np.int64)
-        out[leave] += _geometric_lengths(idles, src.p01, int(np.count_nonzero(leave)), cfg.horizon + 1)
+        out[leave] += _geometric_lengths(idles, src.p01, len(leave), cfg.horizon + 1)
         return out
 
     return gaps
@@ -222,8 +227,8 @@ def _lcfs(rng, cfg, chunks):
     for fresh in chunks:
         arrivals = np.concatenate((held[0], fresh))
         departures = np.concatenate((held[1], fresh + sample(len(fresh)) - 1))
-        done = (arrivals[1:] > departures[:-1]) & (departures[:-1] <= cfg.horizon)
-        yield departures[:-1][done], arrivals[:-1][done] - 1
+        done = np.flatnonzero((arrivals[1:] > departures[:-1]) & (departures[:-1] <= cfg.horizon))
+        yield departures.take(done), arrivals.take(done) - 1
         held = arrivals[-1:], departures[-1:]
     done = held[1] <= cfg.horizon
     yield held[1][done], held[0][done] - 1
@@ -242,7 +247,7 @@ def _fcfs(rng, cfg, chunks):
     last = np.iinfo(np.int64).min  # departure slot of the previous update
     for arrivals in chunks:
         if alpha < 1.0:
-            arrivals = arrivals[coins.random(len(arrivals)) < alpha]
+            arrivals = arrivals.take(np.flatnonzero(coins.random(len(arrivals)) < alpha))
         if len(arrivals) == 0:
             continue
         steps = sample(len(arrivals)) - 1
@@ -250,8 +255,8 @@ def _fcfs(rng, cfg, chunks):
         csum = np.cumsum(steps)
         departures = np.maximum(np.maximum.accumulate(arrivals - k - (csum - steps)), last) + csum + k
         last = int(departures[-1])
-        done = departures <= cfg.horizon
-        yield departures[done], arrivals[done] - 1
+        done = np.searchsorted(departures, cfg.horizon, side="right")  # departures increase
+        yield departures[:done], arrivals[:done] - 1
 
 
 def _rad(rng, cfg, chunks):
@@ -261,15 +266,27 @@ def _rad(rng, cfg, chunks):
     attempt (the buffer only ever holds the freshest update and is empty
     after every attempt); an empty-buffer attempt produces no output.  The
     attempts are a renewal process of timer draws.
+
+    The freshest arrival at each attempt is a running maximum over the
+    window's slots where attempts are dense (more than one per 8 slots), and
+    a binary search over the window's arrivals where they are sparse; both
+    give the last arrival on or before the attempt.
     """
     previous = latest = 0  # the last attempt reached, the freshest arrival (0: none)
-    for attempts, arrivals in zip(_renewals(_sampler(cfg, rng), cfg.horizon), chunks):
-        seen = np.concatenate(([latest], arrivals))
-        freshest = seen[np.searchsorted(arrivals, attempts, side="right")]
-        filled = freshest > np.concatenate(([previous], attempts[:-1]))
-        yield attempts[filled], freshest[filled] - 1
+    attempt_chunks = _renewals(_sampler(cfg, rng), cfg.horizon)
+    for attempts, arrivals, start in zip(attempt_chunks, chunks, range(0, cfg.horizon, _CHUNK)):
+        window = min(_CHUNK, cfg.horizon - start)
+        if 8 * len(attempts) > window:
+            mark = np.zeros(window + 1, dtype=np.int64)  # mark[i]: freshest arrival by slot start + i
+            mark[0] = latest
+            mark[arrivals - start] = arrivals
+            freshest = np.maximum.accumulate(mark, out=mark).take(attempts - start)
+        else:
+            freshest = np.concatenate(([latest], arrivals))[np.searchsorted(arrivals, attempts, side="right")]
+        filled = np.flatnonzero(freshest > np.concatenate(([previous], attempts[:-1])))
+        yield attempts.take(filled), freshest.take(filled) - 1
         previous = int(attempts[-1]) if len(attempts) else previous
-        latest = int(seen[-1])
+        latest = int(arrivals[-1]) if len(arrivals) else latest
 
 
 #: Per chunk of arrivals, each server yields its delivery slots and their
@@ -328,11 +345,12 @@ class _Ages:
     def _count(self, starts, ends, marks):
         first = np.maximum(starts, self.warmup) + 1
         last = np.minimum(ends, self.horizon)
-        inside = first <= last
-        if not inside.any():
+        inside = np.flatnonzero(first <= last)
+        if len(inside) == 0:
             return
-        low = first[inside] - marks[inside]
-        high = last[inside] - marks[inside]
+        inside_marks = marks.take(inside)
+        low = first.take(inside) - inside_marks
+        high = last.take(inside) - inside_marks
         size = int(high.max()) + 2
         if size > len(self.steps):
             self.steps = np.pad(self.steps, (0, size - len(self.steps)))

@@ -266,6 +266,9 @@ SCENARIO = {
         ("simulate", "--policy", "lcfs-greedy", "--beta", "0.3", "--lambda", "0.9", "--slots", "5",
          "--scenario", SCENARIO),
         ("simulate", "--policy", "dad", "--tau", "5", "--p01", "0.1", "--p10", "0.2", "--lambda", "0.3"),
+        # run flags that only a simulated sweep reads
+        ("sweep", "--policy", "ddad", "--grid", "0.5", "--slots", "5", "--seed", "3", "--warmup", "7"),
+        ("sweep", "--policy", "dad", "--grid", "3", "--seed", "3"),
     ],
 )
 def test_refused_inputs_exit_2(capsys, tmp_path, argv):

@@ -26,6 +26,7 @@ from ageleak import (
     load_scenario,
     make_pmf,
     optimal_alpha_for_fcfs,
+    policy_from_config,
     rad_age,
     simulate,
     uniform_pmf,
@@ -653,6 +654,10 @@ SERVICE_PMFS = (
     deterministic_pmf(1),
     deterministic_pmf(5),
     make_pmf([(2, 0.3), (7, 0.7)]),
+    # dump periods dense enough for RAD's scan over a window's slots and sparse enough
+    # for its binary search, at chunks of 7 and 64 slots
+    make_pmf([(1, 0.5), (2, 0.5)]),
+    deterministic_pmf(40),
 )
 PROBABILITIES = st.just(1.0) | st.floats(0.01, 1.0)
 
@@ -694,8 +699,9 @@ def test_server_state_crosses_chunk_boundaries(chunk):
     """Every server, source kind and warmup edge, on a horizon no chunk divides.
 
     With chunks of 7 or 64 slots, LCFS departures, FCFS backlogs, RAD
-    attempts (period 5 and 9), Markov runs (p01 = 1 or p10 = 1 included)
-    and the warmup all reach across chunk boundaries.
+    attempts (period 5 and 9, 1 and 2, and 40), Markov runs (p01 = 1 or
+    p10 = 1 included) and the warmup all reach across chunk boundaries.
+    RAD's dense periods take its scan and period 40 its binary search.
     """
     greedy = greedy_smp_pmf(0.5)
     policies = [
@@ -703,6 +709,8 @@ def test_server_state_crosses_chunk_boundaries(chunk):
         Policy.fcfs(geometric_pmf(0.4)),
         Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0]),
         Policy.rad(make_pmf([(5, 0.5), (9, 0.5)])),
+        Policy.rad(make_pmf([(1, 0.5), (2, 0.5)])),
+        Policy.rad(deterministic_pmf(40)),
         None,
     ]
     sources = [BERN, MarkovSource(0.05, 0.2), MarkovSource(1.0, 0.3), MarkovSource(0.3, 1.0)]
@@ -727,6 +735,12 @@ def test_random_streams_are_pinned():
         "output_rate=0.47444444444444445)",
         (Policy.dad(5), MarkovSource(0.05, 0.2)): "SimStats(mean_age=25.05, "
         "ci_half_width=6.8153777856270965, delivered=59, output_rate=0.06555555555555556)",
+        # D-DAD at mean period about 1.56: dense attempts, RAD's scan over the window's slots
+        (policy_from_config({"kind": "ddad", "rate": 1 / 1.5}), BERN): "SimStats(mean_age=3.3644444444444446, "
+        "ci_half_width=0.15559647694961407, delivered=375, output_rate=0.4166666666666667)",
+        # an overloaded queue: 507 arrivals, 241 departures by the horizon
+        (Policy.fcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=285.3177777777778, "
+        "ci_half_width=56.137635759268726, delivered=213, output_rate=0.23666666666666666)",
     }
     for (policy, source), expected in runs.items():
         assert repr(simulate(SimConfig(policy, source, horizon=1_000, warmup=100, seed=1))) == expected
