@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidConfig, InvalidLambda, Unstable, _as_probability
-from .pmf import FinitePmf, pmf_moments
+from .pmf import FinitePmf, Moments, pmf_moments
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,14 @@ class AgeResult:
 def lcfs_age(lam, service_pmf: FinitePmf) -> AgeResult:
     """Preemptive LCFS Ber/G/1 age: 1 + 1 / (lam * E[(1-lam)^(S-1)]).
 
-    The expectation runs over the finite service support.  If it vanishes
-    (lam = 1 with no single-slot service mass) no update ever completes and
-    the age diverges.
+    The expectation runs over the service head, plus a tail's closed form.
+    If it vanishes (lam = 1 with no single-slot service mass) no update ever
+    completes and the age diverges.
     """
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
     lbar = 1.0 - lam
-    expectation = math.fsum(p * lbar ** (s - 1) for s, p in zip(service_pmf.durations, service_pmf.probabilities))
+    head = (p * lbar ** (s - 1) for s, p in zip(service_pmf.durations, service_pmf.probabilities))
+    expectation = math.fsum([*head, service_pmf._tail_sum(lbar, lam)])
     if expectation <= 0.0:
         return AgeResult(math.inf)
     return AgeResult(1.0 + 1.0 / (lam * expectation))
@@ -54,19 +55,23 @@ def fcfs_age(lam, service_pmf: FinitePmf, alpha=1.0) -> AgeResult:
     """
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
     rate = _as_probability(alpha, "admission probability", InvalidLambda) * lam
-    m = pmf_moments(service_pmf)
+    return AgeResult(_fcfs_delta(rate, service_pmf, pmf_moments(service_pmf)))
+
+
+def _fcfs_delta(rate, service_pmf: FinitePmf, m: Moments):
+    """The FCFS age at effective arrival rate ``rate`` of a service pmf with moments ``m``."""
     rho = rate * m.mean
     if rho >= 1.0:
         raise Unstable(f"effective load {rho!r} >= 1 for FCFS")
     lbar = 1.0 - rate
-    mg = math.fsum(p * lbar ** s for s, p in zip(service_pmf.durations, service_pmf.probabilities))
-    delta = (
+    head = (p * lbar ** s for s, p in zip(service_pmf.durations, service_pmf.probabilities))
+    mg = math.fsum([*head, lbar * service_pmf._tail_sum(lbar, rate)])
+    return (
         1.0
         + m.mean
         + lbar * (1.0 - rho) / (rate * mg)
         + rate * (m.second_moment - m.mean) / (2.0 * (1.0 - rho))
     )
-    return AgeResult(delta)
 
 
 def rad_age(lam, dump_pmf: FinitePmf) -> AgeResult:

@@ -102,8 +102,10 @@ def _criterion_4():
 
 
 def _transform(pmf, rate):
+    """E[z0^-D] at z0 = 2^rate, a tail's part in closed form."""
     z0 = 2.0 ** rate
-    return math.fsum(p * z0 ** -d for d, p in zip(pmf.durations, pmf.probabilities))
+    tail = pmf._tail_sum(1.0 / z0, -math.expm1(-rate * math.log(2.0))) / z0
+    return math.fsum([*(p * z0 ** -d for d, p in zip(pmf.durations, pmf.probabilities)), tail])
 
 
 _SIM_CASES = (

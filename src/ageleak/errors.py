@@ -38,10 +38,6 @@ class DuplicateDuration(PmfError):
     pass
 
 
-class TailTooHeavy(PmfError):
-    """Geometric truncation would fold more than the allowed tail mass."""
-
-
 # --- parameter validation ---------------------------------------------------
 
 class InvalidBeta(AgeLeakError, ValueError):

@@ -9,10 +9,14 @@ term sum_{d>t} c_d / 2 is the timer's P(D > t).
 
 One kernel evaluates x in blocks (after Fiduccia, SIAM J. Comput. 1985):
 a correlation carries the last d_max values into a block and a convolution
-with the series of 1/(1 - c(z)) resolves the block itself.  Nothing
-subtracts, so nothing cancels, and an exact power-of-two rescale before
-each block keeps horizons of 10^6 slots finite.  Both rates are log2 z0
-with sum_d c_d z0^-d = 1, found by Newton's method on w = ln z.
+with the series of 1/(1 - c(z)) resolves the block itself.  A dump pmf
+with a geometric tail of hazard mu past its last head duration H has
+c_(H+e) = c_H (1 - mu)^e at every e >= 1; the kernel carries the last H
+values and one more, a geometric mean of all older ones, so the order is
+H + 1 at any horizon.  Nothing subtracts, so nothing cancels, and an
+exact power-of-two rescale before each block keeps horizons of 10^6 slots
+finite.  Both rates are log2 z0 with sum_d c_d z0^-d = 1, found by
+Newton's method on w = ln z, a tail entering in closed form.
 """
 
 import bisect
@@ -54,37 +58,59 @@ class LeakageResult:
             raise InvalidConfig(f"leakage {self.bits!r} bits outside [0, n={self.n}]")
 
 
-def _log2_recurrence(c, fill, n):
+def _log2_recurrence(c, hazard, fill, n):
     """log2 x(n) for x(t) = sum_d c[d] x(t-d), x(0) = 1, x(t < 0) = fill.
 
-    ``c`` holds c_0 = 0, c_1, ..., c_dmax, all >= 0.  A block of r slots
+    ``c`` holds c_0 = 0, c_1, ..., c_H, all >= 0; with ``hazard`` mu > 0 the
+    coefficients go on as c_(H+e) = c_H q^e, q = 1 - mu.  A block of r slots
     from t0 gets rhs(i) = sum_{d>i} c_d x(t0+i-d), then x(t0+i) =
-    sum_j g_j rhs(i-j) with g = 1/(1 - c(z)).  Stored values are x * 2^-shed.
+    sum_j g_j rhs(i-j) with g = 1/(1 - c(z)), tail included.  The head's
+    share of rhs reads the last H values; the tail's share reads them and
+    one more state, T = mu sum_{e>=1} q^(e-1) x(t0-H-e), a weighted mean
+    of all older values (fill at the start), so the order is H + 1 at any n.
+    Stored values are x * 2^-shed.
     """
     d_max = len(c) - 1
     m = min(_BLOCK, max(n, 1))  # no block is longer than the horizon
     c_pad = np.concatenate((c, np.zeros(m)))
+    dense = c_pad[:m].copy()
+    if hazard:
+        # q^0 .. q^m from ln q = log1p(-mu): a rounded 1 - mu would be off by
+        # up to 2^-53 / mu relative in mu, and so in the tail's total weight
+        powers = np.exp(np.arange(m + 1.0) * math.log1p(-hazard))
+        dense[d_max + 1 :] = c[-1] * powers[1 : m - d_max]
+        scale = c[-1] / hazard * powers[1]  # c_(H+1) / mu, at most 2 P(D > H)
     # g = (1 + c)(1 + c^2)(1 + c^4)... to m terms: c^(2^j) starts at
     # degree 2^j, so log2(m) factors suffice, all nonnegative.
-    g, q = np.zeros(m), c_pad[:m].copy()
+    g, p = np.zeros(m), dense
     g[0] = 1.0
-    while q.any():
-        g += np.convolve(g, q)[:m]
-        q = np.convolve(q, q)[:m]
+    while p.any():
+        g += np.convolve(g, p)[:m]
+        p = np.convolve(p, p)[:m]
     hist = np.full(d_max, fill)  # x(t0 - d_max), ..., x(t0 - 1)
     hist[-1] = 1.0
+    mean = fill if hazard else 0.0  # T, the tail's mean of the values older than the history
     shed = blocks = rescales = 0
     t0 = 1
     while t0 <= n:
         r = min(m, n + 1 - t0)
-        exp = math.frexp(hist.max())[1]
+        exp = math.frexp(hist.max() + mean)[1]  # mean <= max(x), so the sum is within a factor 2
         if exp:
-            hist *= math.ldexp(1.0, -exp)
+            down = math.ldexp(1.0, -exp)
+            hist *= down
+            mean *= down
             shed += exp
             rescales += 1
-        k = min(d_max, r)  # the history reaches the first d_max slots only
+        k = min(d_max, r)  # the head's history reaches the first d_max slots only
         rhs = np.correlate(c_pad[1 : d_max + k], hist[::-1], "valid")
+        if hazard:
+            # tail share: (c_(H+1) / mu) (q^i T + mu sum_{j<min(i,H)} q^(i-1-j) hist_j)
+            older = np.concatenate(([mean], hazard * hist[: r - 1]))
+            rhs = np.concatenate((rhs, np.zeros(r - k))) + scale * np.convolve(older, powers[:r])[:r]
         x = np.convolve(g[:r], rhs)[:r]
+        if hazard:  # T moves r slots on: q^r T + mu sum_j q^(r-1-j) x(t0 - H + j)
+            moved = np.concatenate((hist, x))[:r]
+            mean = powers[r] * mean + hazard * float(np.dot(powers[r - 1 :: -1], moved))
         hist = x[r - d_max :] if r >= d_max else np.concatenate((hist[r:], x))
         t0 += r
         blocks += 1
@@ -102,32 +128,35 @@ def _smp_terms(s1, beta):
 
 
 def _rad_terms(dump_pmf: FinitePmf):
-    """Lags and weights of the nonzero c_d = 2 g(d) of a dump schedule."""
-    return dump_pmf.durations, 2.0 * np.array(dump_pmf.probabilities)
+    """Lags and weights of the nonzero head c_d = 2 g(d) of a dump schedule, and its tail's hazard."""
+    return dump_pmf.durations, 2.0 * np.array(dump_pmf.probabilities), dump_pmf.hazard
 
 
-def _coefficients(lags, weights, n):
-    """Dense c_0, ..., c_top for x(1..n), with top = min(largest lag, n + 1).
+def _coefficients(n, lags, weights, hazard=0.0):
+    """Dense c_0, ..., c_top for x(1..n), with top = min(largest lag, n + 1),
+    and the hazard of the tail past the largest lag that stays.
 
     For t <= n, x(t - d) is the fill at every lag d past n, so those lags
-    are lumped at lag n + 1, before they become int64 indices, which a lag
-    of 2^63 or more would not fit.
+    and a tail past them are lumped at lag n + 1, before they become int64
+    indices, which a lag of 2^63 or more would not fit.
     """
     keep = bisect.bisect_right(lags, n)
     c = np.zeros((lags[-1] if keep == len(lags) else n + 1) + 1)
     c[np.array(lags[:keep], dtype=np.int64)] = weights[:keep]
-    if keep < len(lags):
-        c[n + 1] = weights[keep:].sum()
-    return c
+    if keep == len(lags):
+        return c, hazard
+    c[n + 1] = weights[keep:].sum() + (weights[-1] / hazard * (1.0 - hazard) if hazard else 0.0)
+    return c, 0.0
 
 
-def _root(lags, weights):
+def _root(lags, weights, hazard=0.0):
     """log2 z0 for the root z0 >= 1 of sum_d c_d z0^-d = 1, with sum_d c_d <= 2.
 
     The nonzero c_d are given as increasing ``lags`` d with their
-    ``weights``.  A single one gives z0^d = c_d exactly.  Otherwise, on
-    w = ln z, phi(w) = sum_d (c_d / 2) exp(-d w) - 1/2 is convex and strictly
-    decreasing.  Newton steps start from Jensen's lower bound
+    ``weights``, and with ``hazard`` mu > 0 a tail c_(H+e) = c_H (1-mu)^e
+    past the last lag H.  A single lag gives z0^d = c_d exactly.  Otherwise,
+    on w = ln z, phi(w) = sum_d (c_d / 2) exp(-d w) - 1/2 is convex and
+    strictly decreasing.  Newton steps start from Jensen's lower bound
     ln(sum_d c_d) / (sum_d d c_d / sum_d c_d), where phi >= 0, and so rise
     monotonically to the root without passing it; the iterate is clamped
     to ln 2 against rounding.  They stop once a step is at most ROOT_STEP
@@ -135,17 +164,23 @@ def _root(lags, weights):
 
     A term with d w <= 1 enters as (c_d / 2) expm1(-d w), its c_d / 2 summed
     exactly with the -1/2, so a root far below 1 / d_max keeps its digits
-    instead of drowning in the rounding of terms near c_d / 2.
+    instead of drowning in the rounding of terms near c_d / 2.  The tail
+    enters in closed form, (c_H / 2) e^(-Hw) (1-mu) e^-w / a with
+    a = -expm1(-w) + mu e^-w, whose slope is that times H + 1 + (1-mu) e^-w / a.
     """
-    if len(lags) == 1:
+    if len(lags) == 1 and not hazard:
         return float(math.log2(weights[0]) / lags[0])
     try:
         d, p = np.array(lags, dtype=float), weights / 2.0
     except OverflowError:
         raise PmfError("a duration of this pmf is past the float range") from None
     dp = d * p
-    mass = float(p.sum())
-    w = mass * math.log(2.0 * mass) / float(dp.sum())
+    h, last, q = d[-1], float(p[-1]), 1.0 - hazard
+    mass, first = float(p.sum()), float(dp.sum())
+    if hazard:  # the tail's mass and first moment: s q and s q (H + 1/mu), s = c_H / (2 mu)
+        sq = last / hazard * q
+        mass, first = mass + sq, first + sq * h + sq / hazard
+    w = mass * math.log(2.0 * mass) / first
     k = near = None  # lags with d w <= 1, and their halves of c_d less 1/2
     for step in range(1, ROOT_MAX_ITER + 1):
         x = d * -w
@@ -154,12 +189,17 @@ def _root(lags, weights):
         if j != k:
             k, near = j, math.fsum(p[:j].tolist() + [-0.5])
         phi = near + (p[:k] * np.expm1(x[:k])).sum() + (p[k:] * decay[k:]).sum()
-        rise = phi / (dp * decay).sum()
+        slope = (dp * decay).sum()
+        if hazard:
+            e = math.exp(-w)
+            a = -math.expm1(-w) + hazard * e
+            tail = last * float(decay[-1]) * q * e / a
+            phi, slope = phi + tail, slope + tail * (h + 1.0 + q * e / a)
+        rise = phi / slope
         w = min(w + rise, _LN2)
         if abs(rise) <= ROOT_STEP * w:
             if _log.isEnabledFor(logging.DEBUG):
-                final = (p * np.exp(-d * w)).sum() - 0.5
-                _log.debug("rate root: %d Newton steps, final residual %.3g", step, final)
+                _log.debug("rate root: %d Newton steps, final residual %.3g before a step of %.3g", step, phi, rise)
             return float(w / _LN2)
     raise ConvergenceFailure(
         f"root of sum c_d z^-d = 1 not located to {ROOT_STEP} of ln z in {ROOT_MAX_ITER} Newton steps"
@@ -178,7 +218,7 @@ def smp_leakage_bits(n, s1, beta) -> LeakageResult:
     n = _as_int(n, "horizon", InvalidConfig)
     s1 = _as_int(s1, "minimum service time", InvalidConfig, low=1)
     beta = _as_probability(beta, "top service probability", InvalidBeta)
-    return LeakageResult(_log2_recurrence(_coefficients(*_smp_terms(s1, beta), n), 0.0, n), n)
+    return LeakageResult(_log2_recurrence(*_coefficients(n, *_smp_terms(s1, beta)), 0.0, n), n)
 
 
 def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
@@ -192,7 +232,7 @@ def rad_leakage_bits(n, dump_pmf: FinitePmf) -> LeakageResult:
     whose terms with d > n add up to the timer's P(D > n).
     """
     n = _as_int(n, "horizon", InvalidConfig)
-    return LeakageResult(_log2_recurrence(_coefficients(*_rad_terms(dump_pmf), n), 0.5, n), n)
+    return LeakageResult(_log2_recurrence(*_coefficients(n, *_rad_terms(dump_pmf)), 0.5, n), n)
 
 
 def rad_rate(dump_pmf: FinitePmf) -> float:

@@ -12,7 +12,7 @@ E[D^2]/E[D] and must land strictly between the two support points.
 import math
 from dataclasses import dataclass
 
-from .age import AgeResult, fcfs_age
+from .age import AgeResult, _fcfs_delta
 from .errors import (
     InvalidBeta, InvalidConfig, InvalidLambda, InvalidRate, NoFeasibleAlpha, Unstable, _as_int,
     _as_probability,
@@ -211,7 +211,8 @@ def optimal_alpha_for_fcfs(lam, service_pmf: FinitePmf):
     evaluated so an age monotone in alpha returns alpha = 1 exactly.
     """
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
-    mean_service = pmf_moments(service_pmf).mean
+    moments = pmf_moments(service_pmf)  # once per search, not once per age
+    mean_service = moments.mean
     eps = 1e-9
     hi = min(1.0, (1.0 - eps) / (lam * mean_service))
     lo = eps
@@ -220,7 +221,7 @@ def optimal_alpha_for_fcfs(lam, service_pmf: FinitePmf):
 
     def cost(alpha):
         try:
-            return fcfs_age(lam, service_pmf, alpha).delta
+            return _fcfs_delta(alpha * lam, service_pmf, moments)
         except Unstable:
             return math.inf
 

@@ -66,13 +66,13 @@ def _coupled_step(policy: Policy, n):
     slot past n is one "never", n + 1.  Same-slot preemption beats the
     would-be departure.
     """
-    lcfs = policy.kind == "lcfs"
+    lcfs, pmf = policy.kind == "lcfs", policy.pmf
     never = n + 1
     draws = []  # per start slot t: departure slots and their weights
     for t in range(1, n + 1):
-        due = [(t + s - 1, g) for s, g in policy.pmf.entries if t + s - 1 <= n]
-        if policy.pmf.d_max > n - t + 1:  # some draw departs past the horizon
-            due.append((never, policy.pmf.tail(n - t + 1)))
+        due = [(t + s - 1, g) for s in range(1, n - t + 2) if (g := pmf.prob(s)) > 0.0]
+        if pmf.d_max > n - t + 1:  # some draw departs past the horizon
+            due.append((never, pmf.tail(n - t + 1)))
         draws.append(tuple(map(np.array, zip(*due))))
 
     def step(t, key, p):

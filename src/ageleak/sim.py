@@ -47,6 +47,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidConfig, _as_dict, _as_int, _as_seed
+from .pmf import _LISTED_MAX
 from .policy import Policy, policy_from_config
 from .sources import BernoulliSource, MarkovSource
 
@@ -115,34 +116,47 @@ def _stream(cfg, role):
 def _sampler(cfg: SimConfig, rng):
     """sample(size): draws of the policy's pmf by inversion, one double of ``rng`` each.
 
-    The draw for u is the duration at index searchsorted(cdf, u, "right"),
-    found through a guide table (Chen & Asau 1974; Devroye 1986, III.2.4)
-    of m = 2^k buckets.  For u in bucket b = floor(u m), that index lies
-    between lo = searchsorted(cdf, b/m, "right") and hi =
+    The pmf is listed as its head and its tail written out until less than
+    2^-53 of the mass is left, or up to 2^16 durations, or to the horizon.
+    The draw for u is the duration at index searchsorted(cdf, u, "right") of
+    that list, found through a guide table (Chen & Asau 1974; Devroye 1986,
+    III.2.4) of m = 2^k buckets.  For u in bucket b = floor(u m), that index
+    lies between lo = searchsorted(cdf, b/m, "right") and hi =
     searchsorted(cdf, (b+1)/m, "left"); where the two agree the bucket holds
     the draw itself, and only the other buckets search.  m is a power of two,
     so u m and the edges b/m are exact and every draw equals the searched one.
+    A u past the list's cdf falls in the tail beyond its last duration L,
+    inverted in closed form: L + k with P(D > L) (1 - mu)^k <= 1 - u,
+    k >= 1; without a tail it takes the last duration.
 
-    The pmf's arrays are built once per run, not once per chunk.  A draw past
-    the horizon never fires, so it is clipped to horizon + 1 to fit int64.
+    The arrays are built once per run, not once per chunk.  A draw past the
+    horizon never fires, so it is clipped to horizon + 1 to fit int64.
     """
     pmf, cap = cfg.policy.pmf, cfg.horizon + 1
-    keep = bisect.bisect_right(pmf.durations, cap)
-    durations = np.array(pmf.durations[:keep] + (cap,) * (len(pmf.durations) - keep), dtype=np.int64)
-    cdf = np.cumsum(pmf.probabilities)
-    last = len(durations) - 1
+    listed, probabilities = pmf._listed(_LISTED_MAX, cap)
+    keep = bisect.bisect_right(listed, cap)
+    durations = np.array(listed[:keep] + [cap] * (len(listed) - keep), dtype=np.int64)
+    cdf = np.cumsum(probabilities)
     m = 1 << min(max((16 * len(durations) - 1).bit_length(), 6), 16)  # >= 16 per duration, 64 .. 2^16
     edges = np.arange(m + 1) / m
     lo = np.searchsorted(cdf, edges[:-1], side="right")
     hi = np.searchsorted(cdf, edges[1:], side="left")
-    table = np.where(lo == hi, durations[np.minimum(lo, last)], -1)  # durations are >= 1
+    beyond = len(durations) if pmf.hazard and listed[-1] < cap else -1  # the tail goes on past the list
+    table = np.where((lo == hi) & (lo != beyond), durations.take(lo, mode="clip"), -1)  # durations are >= 1
+    rest, log_q = pmf._rest(listed[-1]), math.log1p(-pmf.hazard)
 
     def sample(size):
         u = rng.random(size)
         out = table.take(np.multiply(u, m, out=u).astype(np.intp))
         slow = np.flatnonzero(out < 0)
         if len(slow):
-            out[slow] = durations[np.minimum(np.searchsorted(cdf, u[slow] / m, side="right"), last)]
+            index = np.searchsorted(cdf, u[slow] / m, side="right")
+            out[slow] = durations.take(index, mode="clip")
+            if index.max() == beyond:
+                far = slow[index == beyond]
+                with np.errstate(divide="ignore"):  # a rest that underflowed to 0 gives k = 1
+                    k = np.maximum(np.ceil(np.log((1.0 - u[far] / m) / rest) / log_q), 1.0)
+                out[far] = np.minimum(listed[-1] + k, cap).astype(np.int64)
         return out
 
     return sample
@@ -241,11 +255,14 @@ def _fcfs(rng, cfg, chunks):
     dep_{k-1} + 1) + s_k - 1.  With x_k = dep_k - k - sum_{i<=k} (s_i - 1)
     it reads x_k = max(x_{k-1}, arr_k - k - sum_{i<k} (s_i - 1)), a
     cumulative maximum that a chunk starts from the last departure.  Thinning
-    takes one admission draw per arrival.
+    takes one admission draw per arrival.  Once the last departure is past
+    the horizon every later one is too, so the windows left are only read.
     """
     alpha, sample, coins = cfg.policy.alpha, _sampler(cfg, rng), _stream(cfg, _COINS)
     last = np.iinfo(np.int64).min  # departure slot of the previous update
     for arrivals in chunks:
+        if last > cfg.horizon:
+            continue
         if alpha < 1.0:
             arrivals = arrivals.take(np.flatnonzero(coins.random(len(arrivals)) < alpha))
         if len(arrivals) == 0:

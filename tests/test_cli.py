@@ -40,10 +40,24 @@ def test_age_ddad(capsys):
 
 
 def test_age_rad_geometric_near_one(capsys):
-    # (1 - 0.99)^6 rounds above 1e-12, so the geometric truncation takes 7 slots
     code, out = run(capsys, "age", "--policy", "rad-geo", "--mu", "0.99", "--lambda", "0.5")
     assert code == 0
     assert float(value_of(out, "delta")) == ageleak.rad_age(0.5, ageleak.geometric_pmf(0.99)).delta
+    assert float(value_of(out, "delta")) == pytest.approx(2.0 + 1.0 / 0.99, rel=1e-15)
+
+
+@pytest.mark.parametrize("argv, key, expected, rel", [
+    # 1/lambda + tau, from a geometric pmf whose tail a truncation could not carry
+    (("age", "--policy", "rad-geo", "--tau", "1000", "--lambda", "0.5"), "delta", 1002.0, 1e-15),
+    (("age", "--policy", "lcfs-geo", "--tau", "1e17", "--lambda", "0.5"), "delta", 1.0 + 2.0 * (1.0 + 1e17 * 0.5), 1e-15),
+    # log2(1 + 1/tau) per slot; each slot's factor 1 + 1e-6 is rounded to 2^-53, 1e-10 of its log
+    (("leakage", "--policy", "rad-geo", "--tau", "1000000", "--n", "1000000"), "bits", 1e6 * math.log2(1.0 + 1e-6), 2e-10),
+    (("rate", "--policy", "rad-geo", "--tau", "1e17"), "rate", math.log2(1.0 + 1e-17), 1e-12),
+])
+def test_geometric_tails_answer_in_closed_form(capsys, argv, key, expected, rel):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert float(value_of(out, key)) == pytest.approx(expected, rel=rel)
 
 
 def test_leakage_dad(capsys):
@@ -240,7 +254,7 @@ SCENARIO = {
         ("age", "--policy", "rad-uniform", "--tau", "8.98846567431158e+307"),
         ("simulate", "--policy", "dad", "--tau", "5", "--slots", "20000", "--seed", "4294967296"),
         ("sweep", "--policy", "dad", "--grid", "2", "--simulate", "--slots", "20000", "--seed", "4294967296"),
-        ("age", "--policy", "lcfs-geo", "--tau", "1e17"),
+        ("optimize", "--policy", "lcfs-geo", "--tau", "1e17"),  # its pmf line would list ~3.7e18 entries
         ("rate", "--policy", "ddad", "--rate", "5e-324"),
         ("age", "--policy", "lcfs", "--pmf", '{"entries": [[1, "1"]]}'),
         ("simulate", "--scenario", dict(SCENARIO, policy={"kind": "dad", "tau": "abc"})),

@@ -22,6 +22,7 @@ from ageleak import (
 )
 from ageleak import leakage
 from ageleak.errors import ConvergenceFailure, InvalidBeta, InvalidConfig, NonHalfIntegerTau, ZeroRate
+from ageleak.pmf import _pmf
 
 #: Horizons on either side of the recurrence kernel's block edges.
 BLOCK_EDGES = (leakage._BLOCK - 1, leakage._BLOCK, leakage._BLOCK + 1, 2 * leakage._BLOCK + 1)
@@ -303,15 +304,65 @@ def test_kernel_smp_matches_exact_binomial_sum(n, s1, beta):
     assert got == pytest.approx(exact_smp_bits(n, s1, beta), abs=1e-11)
 
 
+def exact_uniform_bits(k, n):
+    """log2 m(n) for dumps uniform on {1..k}, in exact rationals:
+    m(t) = (2/k) sum_{j=max(0,t-k)}^{t-1} m(j) + max(0, k - t)/k, the sum kept as a running window."""
+    m, window = [Fraction(1)], Fraction(1)
+    for t in range(1, n + 1):
+        m.append(Fraction(2, k) * window + Fraction(max(0, k - t), k))
+        window += m[t] - (m[t - k] if t >= k else 0)
+    return math.log2(m[n])
+
+
+def exact_tailed_bits(pmf, n):
+    """log2 m(t) for t = 0..n of the dump recursion of a head-plus-tail pmf, in exact rationals.
+
+    m(t) = sum_{d<=H} 2 g(d) m(t-d) + 2 g(H) V(t), m(t < 0) = 1/2, where
+    V(t) = sum_{e>=1} q^e m(t-H-e), q = 1 - mu, steps as V(t+1) = q (V(t) + m(t-H)).
+    """
+    head = {d: Fraction(p) for d, p in zip(pmf.durations, pmf.probabilities)}
+    h, mu = pmf.durations[-1], Fraction(pmf.hazard)
+    m = {t: Fraction(1, 2) for t in range(-h, 0)}
+    m[0], v = Fraction(1), (1 - mu) / (2 * mu)
+    for t in range(1, n + 1):
+        m[t] = 2 * sum(p * m[t - d] for d, p in head.items()) + 2 * head[h] * v
+        v = (1 - mu) * (v + m[t - h])
+    return [math.log2(m[t]) for t in range(n + 1)]
+
+
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_kernel_block_edges(n):
     geo = geometric_pmf(0.01)
-    assert geo.d_max > leakage._BLOCK  # the history spans several blocks
     assert rad_leakage_bits(n, geo).bits == pytest.approx(n * math.log2(1.01), abs=1e-9)
     entries = uniform_pmf(3).entries
     assert rad_leakage_bits(n, uniform_pmf(3)).bits == pytest.approx(
         exact_rad_bits(entries, n), abs=1e-9
     )
+    # a history of 600 slots spans blocks
+    assert rad_leakage_bits(n, uniform_pmf(600)).bits == pytest.approx(exact_uniform_bits(600, n), abs=1e-9)
+
+
+@pytest.mark.parametrize("pmf", [
+    _pmf((1, 3, 4), (0.25, 0.125, 5 / 32), 0.25),  # a 3-entry head with a tail from H = 4, all dyadic
+    _pmf((1, 2, 5), (0.3, 0.2, 0.1), 0.2),  # a hazard whose 1 - mu rounds
+    geometric_pmf(0.01),
+])
+def test_kernel_tail_matches_exact_rational_recursion(pmf):
+    """Every horizon to 300, across the block edges at 256, within 1e-12 relative."""
+    exact = exact_tailed_bits(pmf, 300)
+    for n in range(301):
+        assert rad_leakage_bits(n, pmf).bits == pytest.approx(exact[n], rel=1e-12, abs=1e-15)
+
+
+def test_exact_tailed_recursion_matches_the_direct_sum():
+    """The reference's tail state against the infinite sum written out, on the dyadic pmf."""
+    pmf = _pmf((1, 3, 4), (0.25, 0.125, 5 / 32), 0.25)
+    g = [Fraction(pmf.prob(d)) for d in range(61)]
+    m = [Fraction(1)]
+    for t in range(1, 61):
+        beyond = 1 - sum(g[1 : t + 1])  # the timer's P(D > t), each x(t - d < 0) being 1/2
+        m.append(2 * sum(g[d] * m[t - d] for d in range(1, t + 1)) + beyond)
+    assert exact_tailed_bits(pmf, 60) == [math.log2(x) for x in m]
 
 
 def test_kernel_is_exact_on_powers_of_two():

@@ -366,6 +366,19 @@ def test_unnormalized_pmf_is_refused(kind, d):
         _maxl_series(policy, 4)
 
 
+@pytest.mark.parametrize("kind", ["lcfs", "fcfs", "rad"])
+@pytest.mark.parametrize("short, whole", [
+    (FinitePmf((1, 2), (0.5, 0.5 - 1e-6)), FinitePmf((1, 2), (0.5, 0.5))),
+    # head 0.5 + g(2), and g(2) again in the tail of hazard 1/2
+    (FinitePmf((1, 2), (0.5, 0.25 - 5e-7), 0.5), FinitePmf((1, 2), (0.5, 0.25), 0.5)),
+], ids=["finite", "tailed"])
+def test_mass_one_millionth_short_is_refused(kind, short, whole):
+    """The row-sum check at its tolerance's scale; with a tail it also checks the closed-form tail."""
+    with pytest.raises(UnnormalizedMass):
+        _maxl_series(Policy(kind, short), 4)
+    assert len(_maxl_series(Policy(kind, whole), 4)) == 5
+
+
 def test_unnormalized_pmf_is_refused_under_optimisation():
     code = (
         "from ageleak import FinitePmf, Policy, brute_force_maxl\n"

@@ -10,11 +10,15 @@ from ageleak import (
     FinitePmf,
     ddad_policy,
     deterministic_pmf,
+    fcfs_age,
     geometric_pmf,
     greedy_smp_pmf,
     is_smp,
+    lcfs_age,
     make_pmf,
     pmf_moments,
+    rad_age,
+    rad_rate,
     uniform_pmf,
 )
 from ageleak.errors import (
@@ -22,10 +26,9 @@ from ageleak.errors import (
     NegativeProbability,
     NonPositiveDuration,
     PmfError,
-    TailTooHeavy,
     UnnormalizedMass,
 )
-from ageleak.pmf import GEOMETRIC_TAIL_TOL, _pmf
+from ageleak.pmf import _pmf
 
 
 def test_make_pmf_point_mass():
@@ -124,30 +127,41 @@ def test_geometric_mu_one_is_deterministic():
     assert geometric_pmf(1.0) == deterministic_pmf(1)
 
 
-def test_geometric_truncation_folds_tail():
+def test_geometric_entries_fold_the_tail():
     pmf = geometric_pmf(0.5)
+    assert pmf.durations == (1,) and pmf.hazard == 0.5 and pmf.d_max == math.inf
     assert pmf.prob(1) == 0.5
     assert pmf.prob(2) == 0.25
-    assert pmf.d_max == 40
-    assert abs(math.fsum(pmf.probabilities) - 1.0) <= 1e-15
-    # folded tail: mass at 40 is the plain tail P(D >= 40)
-    assert pmf.prob(40) == pytest.approx(0.5 ** 39, rel=1e-12)
+    assert pmf.prob(100) == 0.5 ** 100
+    assert pmf.tail(0) == 1.0 and pmf.tail(10) == 0.5 ** 10
+    entries = pmf.entries
+    assert len(entries) == 54  # 0.5^54 is the first rest below 2^-53
+    assert abs(math.fsum(p for _, p in entries) - 1.0) <= 1e-15
+    # folded tail: mass at 54 is the plain tail P(D >= 54)
+    assert entries[-1][1] == pytest.approx(0.5 ** 53, rel=1e-12)
 
 
-def test_geometric_tail_too_heavy():
-    # the 10^4-slot cap leaves 0.999^10000 ~ 4.5e-5 of tail
-    with pytest.raises(TailTooHeavy):
-        geometric_pmf(0.001)
+def test_geometric_entries_past_the_cap_are_refused():
+    # 0.9999^65536 ~ 1.4e-3 of the mass would lie past 2^16 listed durations
+    pmf = geometric_pmf(1e-4)
+    assert pmf_moments(pmf).mean == pytest.approx(1e4, rel=1e-12)
+    with pytest.raises(PmfError):
+        pmf.entries
+    with pytest.raises(PmfError):
+        pmf.to_json()
+    assert len(geometric_pmf(0.003).entries) == 12_228
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.003, 1.0))
 @example(0.99)
-def test_geometric_auto_dmax_meets_tail_budget(mu):
-    """The truncation is the least d_max whose float tail (1 - mu)^d_max is within the budget."""
+@example(1.0 - 2.0 ** -53)
+def test_geometric_entries_stop_below_the_rounding_budget(mu):
+    """The write-out ends at the least duration past which less than 2^-53 of the mass lies."""
     pmf = geometric_pmf(mu)
-    assert (1.0 - mu) ** pmf.d_max <= GEOMETRIC_TAIL_TOL
-    assert (1.0 - mu) ** (pmf.d_max - 1) > GEOMETRIC_TAIL_TOL
+    last = pmf.entries[-1][0]
+    assert pmf.tail(last) < 2.0 ** -53
+    assert last == 1 or pmf.tail(last - 1) >= 2.0 ** -53
 
 
 def test_uniform_and_deterministic():
@@ -184,23 +198,25 @@ def pairwise(entries):
     return tuple((d, p) for d, p in sorted(entries, key=lambda e: e[0]) if p > 0.0)
 
 
-def geometric_pairs(mu, d_max):
-    entries = [(d, (1.0 - mu) ** (d - 1) * mu) for d in range(1, d_max)]
-    entries.append((d_max, (1.0 - mu) ** (d_max - 1)))
+def geometric_pairs(mu, last):
+    """The mass (1 - mu)^(d-1) mu at each d < last, and P(D >= last) at ``last`` as
+    that mass plus the tail (1 - mu)^last past it."""
+    entries = [(d, (1.0 - mu) ** (d - 1) * mu) for d in range(1, last)]
+    entries.append((last, (1.0 - mu) ** (last - 1) * mu + (1.0 - mu) ** last))
     return pairwise(entries)
 
 
 @pytest.mark.parametrize("mu", [0.9, 0.5, 0.25, 0.01])
 def test_geometric_entries_match_the_pairwise_construction(mu):
-    pmf = geometric_pmf(mu)
-    assert pmf.entries == geometric_pairs(mu, pmf.d_max)
-    assert pmf.durations == tuple(range(1, pmf.d_max + 1))
+    entries = geometric_pmf(mu).entries
+    assert entries == geometric_pairs(mu, len(entries))
+    assert [d for d, _ in entries] == list(range(1, len(entries) + 1))
 
 
 def test_geometric_folded_tail_and_mu_one_match_the_pairwise_construction():
     assert geometric_pmf(1.0).entries == ((1, 1.0),)
-    assert geometric_pmf(0.5).entries == geometric_pairs(0.5, 40)
-    assert geometric_pmf(0.99).entries == geometric_pairs(0.99, 7)
+    assert geometric_pmf(0.5).entries == geometric_pairs(0.5, 54)
+    assert geometric_pmf(0.99).entries == geometric_pairs(0.99, 8)
 
 
 @pytest.mark.parametrize("k", [1, 3, 7, 10_000])
@@ -267,3 +283,55 @@ def test_moments_past_the_float_range_are_refused():
     with pytest.raises(PmfError):
         pmf_moments(deterministic_pmf(10 ** 300))
     assert pmf_moments(deterministic_pmf(10 ** 150)).second_moment == float(10 ** 300)
+
+
+@st.composite
+def tailed_pmfs(draw):
+    """A random head on {1..30} whose last mass goes on as a tail of a random hazard."""
+    durations = sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=6)))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(durations), max_size=len(durations)))
+    mu = draw(st.floats(0.02, 0.99))
+    total = sum(weights) + weights[-1] * (1.0 - mu) / mu
+    return _pmf(tuple(durations), tuple(w / total for w in weights), mu)
+
+
+def close(got, want, rel=1e-12, floor=0.0):
+    return abs(got - want) <= rel * abs(want) + floor
+
+
+def explicit_rate(entries):
+    """log2 z0 with sum p z0^-d = 1/2 over ``entries``, bisected on w = ln z to the last bit."""
+    lo, hi = 0.0, math.log(2.0)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid / math.log(2.0)
+        lo, hi = (mid, hi) if math.fsum(p * math.exp(-d * mid) for d, p in entries) > 0.5 else (lo, mid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tailed_pmfs(), st.floats(0.05, 0.95), st.floats(0.05, 1.0))
+def test_tail_closed_forms_match_sums_over_the_entries(pmf, lam, alpha):
+    """Each closed form against math.fsum over ``entries``, whose fold moves less than 2^-53 of mass.
+
+    A tail probability or mass is a difference at the fold's scale, so it may
+    also differ by 2^-52 in absolute terms.
+    """
+    entries = pmf.entries
+    mean = math.fsum(d * p for d, p in entries)
+    second = math.fsum(d * d * p for d, p in entries)
+    m = pmf_moments(pmf)
+    assert close(m.mean, mean) and close(m.second_moment, second)
+    for r in (0, 1, pmf.durations[-1] - 1, pmf.durations[-1], pmf.durations[-1] + 7, entries[-1][0] // 2):
+        assert close(pmf.tail(r), math.fsum(p for d, p in entries if d > r), floor=2.0 ** -52)
+        assert close(pmf.prob(r + 1), dict(entries).get(r + 1, 0.0), floor=2.0 ** -52)
+    lbar = 1.0 - lam
+    assert close(lcfs_age(lam, pmf).delta, 1.0 + 1.0 / (lam * math.fsum(p * lbar ** (d - 1) for d, p in entries)))
+    assert close(rad_age(lam, pmf).delta, 1.0 / lam + second / (2.0 * mean) + 0.5)
+    assert close(rad_rate(pmf), explicit_rate(entries))
+    rate = alpha * lam
+    if rate * mean < 0.99:
+        lbar = 1.0 - rate
+        mg = math.fsum(p * lbar ** d for d, p in entries)
+        want = 1.0 + mean + lbar * (1.0 - rate * mean) / (rate * mg) + rate * (second - mean) / (2.0 * (1.0 - rate * mean))
+        assert close(fcfs_age(lam, pmf, alpha).delta, want)

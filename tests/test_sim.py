@@ -102,8 +102,8 @@ def test_fcfs_queue_bounded_at_optimized_alpha():
     # independent slot-loop reference tracking the queue backlog
     rng = np.random.default_rng(9)
     horizon = 200_000
-    durations = np.array(pmf.durations)
-    cdf = np.cumsum(pmf.probabilities)
+    durations, probabilities = zip(*pmf.entries)
+    durations, cdf = np.array(durations), np.cumsum(probabilities)
     queue = 0
     busy_until = 0
     backlog = np.empty(horizon, dtype=np.int64)
@@ -422,8 +422,8 @@ WHOLE_CHUNK = 1 << 20
 
 
 def whole_sample_durations(rng, pmf: FinitePmf, size):
-    durations = np.array(pmf.durations, dtype=np.int64)
-    cdf = np.cumsum(pmf.probabilities)
+    durations, probabilities = zip(*pmf.entries)
+    durations, cdf = np.array(durations, dtype=np.int64), np.cumsum(probabilities)
     idx = np.searchsorted(cdf, rng.random(size), side="right")
     return durations[np.minimum(idx, len(durations) - 1)]
 
@@ -809,7 +809,7 @@ class _Crafted:
 
 
 @pytest.mark.parametrize("pmf, horizon", [
-    (geometric_pmf(0.02), 10_000),  # about 1,370 entries, the cdf crowding near 1
+    (geometric_pmf(0.02), 10_000),  # about 1,820 listed durations, the cdf crowding near 1
     (uniform_pmf(10_000), 20_000),  # more buckets than the table's cap allows
     (FinitePmf((1, 2, 3), (0.5, 0.25, 0.25 - 5e-10)), 100),  # u >= cdf[-1] occurs
     (make_pmf([(2, 0.5), (10 ** 20, 0.5)]), 1_000),  # a lag past the horizon
@@ -817,10 +817,14 @@ class _Crafted:
 def test_sampler_draws_equal_searched_inversion(pmf, horizon):
     """Every draw of the guide table equals inversion by binary search of the same u.
 
-    The u values are 0, every possible bucket edge, every cdf value with its
-    two neighbouring doubles, and the largest double below 1.
+    The search runs over the durations ``entries`` lists, each with its own
+    mass: a tail's rest is not folded onto the last, so a u past their cdf
+    falls in the tail beyond them.  The u values are 0, every possible
+    bucket edge, every cdf value with its two neighbouring doubles, and the
+    largest double below 1.
     """
-    cdf = np.cumsum(pmf.probabilities)
+    listed = [d for d, _ in pmf.entries]
+    cdf = np.cumsum([pmf.prob(d) for d in listed])
     u = np.concatenate((
         [0.0, 1.0 - 2.0 ** -53],
         np.arange(1 << 16) / (1 << 16),  # every bucket edge of a table of at most 2^16 buckets
@@ -829,6 +833,58 @@ def test_sampler_draws_equal_searched_inversion(pmf, horizon):
     u = u[(u >= 0.0) & (u < 1.0)]
     cfg = SimConfig(Policy.rad(pmf), BERN, horizon=horizon, warmup=0)
     drawn = sim._sampler(cfg, _Crafted(u))(len(u))
-    durations = np.minimum(np.array(pmf.durations, dtype=np.float64), horizon + 1).astype(np.int64)
+    durations = np.minimum(np.array(listed, dtype=np.float64), horizon + 1).astype(np.int64)
     expected = durations[np.minimum(np.searchsorted(cdf, u, side="right"), len(durations) - 1)]
-    np.testing.assert_array_equal(drawn, expected)
+    inside = u < cdf[-1] if pmf.hazard else np.ones(len(u), dtype=bool)
+    np.testing.assert_array_equal(drawn[inside], expected[inside])
+    assert np.all(drawn[~inside] > listed[-1])
+
+
+@pytest.mark.parametrize("mu, horizon, reach", [
+    (1e-4, 10 ** 7, (1 << 16) + 1),  # the list stops at 2^16 durations, with 0.14% of the mass beyond
+    (1e-3, 1_000, 1_001),  # the list stops at the horizon: every draw past it is horizon + 1
+    (0.5, 100, 53),  # the list stops below 2^-53 of mass
+])
+def test_sampler_inverts_the_tail_in_closed_form(mu, horizon, reach):
+    """Each draw d for u has P(D > d) <= 1 - u < P(D > d - 1) up to rounding,
+    P(D > d) = (1 - mu)^d, or is horizon + 1 where P(D > horizon) >= 1 - u."""
+    u = np.concatenate((np.random.default_rng(5).random(20_000), 1.0 - 2.0 ** -np.arange(1.0, 54.0)))
+    cfg = SimConfig(Policy.rad(geometric_pmf(mu)), BERN, horizon=horizon, warmup=0)
+    drawn = sim._sampler(cfg, _Crafted(u))(len(u))
+    left, tol = 1.0 - u, 1e-9 * (1.0 - u) + 1e-12
+    survival = (1.0 - mu) ** drawn.astype(np.float64)
+    before = survival / (1.0 - mu)
+    clipped = drawn == horizon + 1
+    assert np.all(before[clipped] >= left[clipped] - tol[clipped])
+    assert np.all(survival[~clipped] <= left[~clipped] + tol[~clipped])
+    assert np.all(before[~clipped] >= left[~clipped] - tol[~clipped])
+    assert np.all(drawn <= horizon + 1)
+    assert drawn.max() >= reach
+
+
+def test_fcfs_stops_serving_past_the_horizon():
+    """An overloaded FCFS queue draws service only until its departures pass the horizon.
+
+    The whole-run reference gives every arrival's departure; the windows
+    served are those up to the first whose last departure is past the horizon.
+    """
+    cfg = SimConfig(Policy.fcfs(geometric_pmf(0.25)), BERN, horizon=1_000_000, seed=1)
+    served, sampler = [], sim._sampler
+
+    def counting(cfg, rng):
+        sample = sampler(cfg, rng)
+        return lambda size: served.append(size) or sample(size)
+
+    with mock.patch.object(sim, "_sampler", counting):
+        stats = simulate(cfg)
+    arrivals = whole_arrivals(cfg.seed, cfg.source, cfg.horizon)
+    steps = whole_sample_durations(role_streams(cfg.seed, sim._SERVICE)[0], cfg.policy.pmf, len(arrivals)) - 1
+    k = np.arange(1, len(arrivals) + 1)
+    departures = np.maximum.accumulate(arrivals - k - (np.cumsum(steps) - steps)) + np.cumsum(steps) + k
+    ends = np.minimum(np.arange(1, -(-cfg.horizon // sim._CHUNK) + 1) * sim._CHUNK, cfg.horizon)
+    window_last = departures[np.searchsorted(arrivals, ends, side="right") - 1]
+    first_past = int(np.argmax(window_last > cfg.horizon))
+    assert window_last[first_past] > cfg.horizon
+    assert len(served) == first_past + 1 < len(ends) == 16
+    assert sum(served) == np.searchsorted(arrivals, ends[first_past], side="right")
+    assert repr(stats) == repr(whole_simulate(cfg))
