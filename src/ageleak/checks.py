@@ -40,7 +40,7 @@ class CheckResult:
     @property
     def line(self):
         status = "PASS" if self.passed else "FAIL"
-        return f"{status} criterion {self.criterion}: {self.description} [{self.detail}] ({self.seconds:.1f}s)"
+        return f"{status} criterion {self.criterion}: {self.description} [{self.detail}] ({self.seconds:.3f}s)"
 
 
 def _criterion_1():

@@ -167,6 +167,13 @@ def _root(lags, weights, hazard=0.0):
     instead of drowning in the rounding of terms near c_d / 2.  The tail
     enters in closed form, (c_H / 2) e^(-Hw) (1-mu) e^-w / a with
     a = -expm1(-w) + mu e^-w, whose slope is that times H + 1 + (1-mu) e^-w / a.
+
+    phi = N + F splits into any set of terms F and the rest N, and
+    ln(F / -N) is convex and decreasing with the same root while N < 0.
+    Each step is Newton's on it for F the far terms with the tail, or for
+    F all terms (N = -1/2; never shorter than the step on phi), whichever
+    goes further; a far lag D carrying the root then takes a few steps,
+    not ln D.
     """
     if len(lags) == 1 and not hazard:
         return float(math.log2(weights[0]) / lags[0])
@@ -175,7 +182,7 @@ def _root(lags, weights, hazard=0.0):
     except OverflowError:
         raise PmfError("a duration of this pmf is past the float range") from None
     dp = d * p
-    h, last, q = d[-1], float(p[-1]), 1.0 - hazard
+    h, last, q = float(d[-1]), float(p[-1]), 1.0 - hazard
     mass, first = float(p.sum()), float(dp.sum())
     if hazard:  # the tail's mass and first moment: s q and s q (H + 1/mu), s = c_H / (2 mu)
         sq = last / hazard * q
@@ -188,19 +195,26 @@ def _root(lags, weights, hazard=0.0):
         j = bisect.bisect_right(lags, 1.0 / w) if w else len(lags)
         if j != k:
             k, near = j, math.fsum(p[:j].tolist() + [-0.5])
-        phi = near + (p[:k] * np.expm1(x[:k])).sum() + (p[k:] * decay[k:]).sum()
-        slope = (dp * decay).sum()
+        inner = near + float((p[:k] * np.expm1(x[:k])).sum())
+        slope = float((dp * decay).sum())
+        far = far_slope = 0.0
+        if k < len(lags):
+            far, far_slope = float((p[k:] * decay[k:]).sum()), float((dp[k:] * decay[k:]).sum())
         if hazard:
             e = math.exp(-w)
-            a = -math.expm1(-w) + hazard * e
-            tail = last * float(decay[-1]) * q * e / a
-            phi, slope = phi + tail, slope + tail * (h + 1.0 + q * e / a)
-        rise = phi / slope
+            qa = q * e / (hazard * e - math.expm1(-w))
+            tail = last * float(decay[-1]) * qa
+            tail_slope = tail * (h + 1.0 + qa)
+            slope, far, far_slope = slope + tail_slope, far + tail, far_slope + tail_slope
+        phi = inner + far
+        rise = math.log1p(2.0 * phi) * (phi + 0.5) / slope
+        if far > 0.0 and inner < 0.0:
+            rise = max(rise, math.log(far / -inner) / (far_slope / far + (slope - far_slope) / -inner))
         w = min(w + rise, _LN2)
         if abs(rise) <= ROOT_STEP * w:
             if _log.isEnabledFor(logging.DEBUG):
                 _log.debug("rate root: %d Newton steps, final residual %.3g before a step of %.3g", step, phi, rise)
-            return float(w / _LN2)
+            return w / _LN2
     raise ConvergenceFailure(
         f"root of sum c_d z^-d = 1 not located to {ROOT_STEP} of ln z in {ROOT_MAX_ITER} Newton steps"
     )

@@ -12,9 +12,11 @@ E[D^2]/E[D] and must land strictly between the two support points.
 import math
 from dataclasses import dataclass
 
-from .age import AgeResult, _fcfs_delta
+import numpy as np
+
+from .age import AgeResult, _fcfs_ages, _fcfs_table
 from .errors import (
-    InvalidBeta, InvalidConfig, InvalidLambda, InvalidRate, NoFeasibleAlpha, Unstable, _as_int,
+    InvalidBeta, InvalidConfig, InvalidLambda, InvalidRate, NoFeasibleAlpha, _as_int,
     _as_probability,
 )
 from .pmf import DEFAULT_D_MAX, FinitePmf, _pmf, pmf_moments
@@ -204,43 +206,50 @@ _ALPHA_TOL = 1e-6
 
 
 def optimal_alpha_for_fcfs(lam, service_pmf: FinitePmf):
-    """Admission probability minimizing the thinned FCFS age.
+    """Admission probability minimizing the thinned FCFS age, and that age.
 
     Golden-section search over the stability interval
-    (eps, min(1, (1 - eps) / (lam E[S]))]; the right endpoint is also
-    evaluated so an age monotone in alpha returns alpha = 1 exactly.
+    (eps, min(1, (1 - eps) / (lam E[S]))] until the bracket is at most
+    1e-6 wide; the right endpoint is also evaluated so an age monotone in
+    alpha returns alpha = 1 exactly.
+
+    This is the lockstep search of many pmfs run on one: each of its 30 or
+    so steps pays numpy's per-call cost, about 1 ms in all on an Intel
+    Xeon core.  Many pmfs are best searched in one call, as
+    :func:`~ageleak.tradeoff.sweep` does.
     """
+    return _alpha_searches(lam, [service_pmf])[0]
+
+
+def _alpha_searches(lam, service_pmfs):
+    """:func:`optimal_alpha_for_fcfs` for each service pmf, the golden
+    sections run in lockstep: each step moves every open bracket at once and
+    evaluates the ages at all their new points in one call; a bracket at
+    most _ALPHA_TOL wide stays as it is."""
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
-    moments = pmf_moments(service_pmf)  # once per search, not once per age
-    mean_service = moments.mean
+    table = _fcfs_table(service_pmfs)
     eps = 1e-9
-    hi = min(1.0, (1.0 - eps) / (lam * mean_service))
-    lo = eps
-    if hi <= lo:
-        raise NoFeasibleAlpha(f"no stable admission probability at load {lam * mean_service!r}")
+    hi = np.minimum(1.0, (1.0 - eps) / (lam * table.mean))
+    if np.any(hi <= eps):  # so at the largest load
+        raise NoFeasibleAlpha(f"no stable admission probability at load {float(np.max(lam * table.mean))!r}")
 
-    def cost(alpha):
-        try:
-            return _fcfs_delta(alpha * lam, service_pmf, moments)
-        except Unstable:
-            return math.inf
+    def cost(alpha):  # alpha <= hi, so rho <= 1 - eps
+        return _fcfs_ages(alpha * lam, table)
 
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
+    a, b = eps, hi
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     fc, fd = cost(c), cost(d)
-    while b - a > _ALPHA_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = cost(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = cost(d)
+    live = b - a > _ALPHA_TOL
+    while live.any():
+        # left: b, d, fd = d, c, fc and c is new; right: a, c, fc = c, d, fd and d is new
+        left, right = live & (fc < fd), live & ~(fc < fd)
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d, fc, fd = np.where(right, d, c), np.where(left, c, d), np.where(right, fd, fc), np.where(left, fc, fd)
+        new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f = cost(new)
+        c, fc, d, fd = np.where(left, new, c), np.where(left, f, fc), np.where(right, new, d), np.where(right, f, fd)
+        live = b - a > _ALPHA_TOL
     alpha = 0.5 * (a + b)
-    best_alpha, best = alpha, cost(alpha)
-    edge = cost(hi)
-    if edge <= best:
-        best_alpha, best = hi, edge
-    return best_alpha, AgeResult(best)
+    best, edge = cost(alpha), cost(hi)
+    alpha, best = np.where(edge <= best, hi, alpha), np.where(edge <= best, edge, best)
+    return [(x, AgeResult(delta)) for x, delta in zip(np.ravel(alpha).tolist(), np.ravel(best).tolist())]

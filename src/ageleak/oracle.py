@@ -68,6 +68,7 @@ def _coupled_step(policy: Policy, n):
     """
     lcfs, pmf = policy.kind == "lcfs", policy.pmf
     never = n + 1
+    arrival = 1 << (_STATE_BITS + n)  # the input bit of the slot
     draws = []  # per start slot t: departure slots and their weights
     for t in range(1, n + 1):
         due = [(t + s - 1, g) for s in range(1, n - t + 2) if (g := pmf.prob(s)) > 0.0]
@@ -76,17 +77,22 @@ def _coupled_step(policy: Policy, n):
         draws.append(tuple(map(np.array, zip(*due))))
 
     def step(t, key, p):
-        pend = key & _FIELD
-        arrived = (key >> (_STATE_BITS + n)) & 1
-        if lcfs:
-            start = arrived == 1
-        else:
-            key = key + (arrived << _FIELD_BITS)
-            start = (pend == 0) & ((key & (_FIELD << _FIELD_BITS)) > 0)
+        # each row's two children, by the slot's input bit: the rows that
+        # start no service, first those of bit 0 and then of bit 1, then
+        # every draw of the rows that start one, in the same order
+        if lcfs:  # an arrival starts a service; without one nothing starts
+            stay_key, stay_p, go_key, go_p = key, p, key | arrival, p
+        else:  # an arrival joins the queue; an idle server starts a queued update
+            queued = key + (arrival | (1 << _FIELD_BITS))
+            idle = (key & _FIELD) == 0
+            start = idle & ((key & (_FIELD << _FIELD_BITS)) > 0)
+            stay_key = np.concatenate((key[~start], queued[~idle]))
+            stay_p = np.concatenate((p[~start], p[~idle]))
+            go_key = np.concatenate((key[start], queued[idle]))
+            go_p = np.concatenate((p[start], p[idle]))
         deps, weights = draws[t - 1]
-        go, stay = np.flatnonzero(start), np.flatnonzero(~start)
-        key = np.concatenate((key[stay], np.tile(key[go] & ~_FIELD, len(deps)) | np.repeat(deps, len(go))))
-        p = np.concatenate((p[stay], np.tile(p[go], len(deps)) * np.repeat(weights, len(go))))
+        key = np.concatenate((stay_key, np.tile(go_key & ~_FIELD, len(deps)) | np.repeat(deps, len(go_key))))
+        p = np.concatenate((stay_p, np.tile(go_p, len(deps)) * np.repeat(weights, len(go_key))))
         pend = key & _FIELD
         # a departure sets the slot's output bit and frees the server
         done = (1 << (_STATE_BITS + n - t)) - t
@@ -108,6 +114,7 @@ def _rad_step(policy: Policy, n):
     ages whose hazards agree over every remaining slot are one state.
     """
     pmf = policy.pmf
+    arrival = 1 << (_STATE_BITS + n)  # the input bit of the slot
     tails = [pmf.tail(r) for r in range(n + 1)]
     hazard, survive = np.ones(n + 1), np.zeros(n + 1)
     for r in range(n):
@@ -121,12 +128,16 @@ def _rad_step(policy: Policy, n):
         canon.append(np.array([first.setdefault(tuple(pairs[r : r + m]), r) for r in range(n + 2)]))
 
     def step(t, key, p):
+        # each row's two children, by the slot's input bit: the attempts of
+        # bit 0 and then of bit 1, then the waits of bit 0 and of bit 1
         age = key & _FIELD
-        full = ((key >> _FIELD_BITS) | (key >> (_STATE_BITS + n))) & 1
+        full = (key >> _FIELD_BITS) & 1  # an arrival fills the buffer
         key &= ~_STATE
-        key = np.concatenate((key | (full << (_STATE_BITS + n - t)),
-                              key | canon[n - t][age + 1] | (full << _FIELD_BITS)))
-        p = np.concatenate((p * hazard[age], p * survive[age]))
+        sent, aged = _STATE_BITS + n - t, canon[n - t][age + 1]
+        key = np.concatenate((key | (full << sent), key | (arrival | (1 << sent)),
+                              key | aged | (full << _FIELD_BITS), key | (arrival | (1 << _FIELD_BITS)) | aged))
+        attempt, wait = p * hazard[age], p * survive[age]
+        p = np.concatenate((attempt, attempt, wait, wait))
         live = p > 0.0
         if live.all():
             return key, p
@@ -163,12 +174,11 @@ def _walk(policy: Policy, n):
         nonlocal expanded, peak
         key, p = table
         key = key + (key >> high << high)  # the input prefix moves up a slot
-        key, p = np.concatenate((key, key | (1 << high))), np.tile(p, 2)
-        key, p = step(t, key, p)
+        key, p = step(t, key, p)  # with each row's two children, by the slot's input bit
         if t == n:  # the final state is not part of the output
             key &= ~_STATE
         # a stable sort keeps equal keys in row order, so each merged row sums
-        # in that order; after a doubling the table is two presorted halves
+        # in that order
         order = np.argsort(key, kind="stable")
         key = key[order]
         new, p = _run_sums(key, p[order])

@@ -18,8 +18,9 @@ import numpy as np
 from .errors import (
     BaselinePoint, InvalidConfig, InvalidLambda, NoOverlap, TooFewPoints, _as_probability, _as_seed, _is_real,
 )
+from .age import _fcfs_age_rows
 from .leakage import leakage_time
-from .optimize import optimal_alpha_for_fcfs
+from .optimize import _alpha_searches
 from .policy import family, policy_from_config
 from .sim import DEFAULT_WARMUP, SimConfig, simulate
 from .sources import BernoulliSource
@@ -94,27 +95,35 @@ def efficiency(point: TradeoffPoint, lam) -> float:
 def sweep(spec: SweepSpec):
     """Evaluate a SweepSpec into trade-off points, in grid order.
 
-    Each point is the registry's policy at the grid value, with its age and
-    rate from the policy's own methods; a thinned family takes the
-    age-optimal admission probability.  Analytic errors from infeasible grid
-    values (for example an unstable unthinned FCFS load) propagate to the
-    caller.  Simulation seeds are split per point from the sweep seed, so
-    sweeps are reproducible regardless of evaluation order.
+    Each point is the registry's policy at the grid value.  The grid's
+    policies are built first; then the age-optimal admission probabilities
+    of a thinned family and the FCFS ages of all the points are each solved
+    in one batch, and the rates one policy at a time; then the points are
+    assembled.  Analytic errors from infeasible grid values (for example an
+    unstable unthinned FCFS load) propagate to the caller, the first of the
+    earliest of these steps that fails.  Simulation seeds are split per
+    point from the sweep seed, so sweeps are reproducible regardless of
+    evaluation order.
     """
     entry = family(spec.family)
     source = BernoulliSource(spec.lam)
     source_tag = f"bernoulli({spec.lam!r})"
+    policies = [policy_from_config({"kind": spec.family, entry.param: param}) for param in spec.grid]
+    if entry.thinned:
+        searches = _alpha_searches(spec.lam, [policy.pmf for policy in policies])
+        policies = [replace(policy, alpha=alpha) for policy, (alpha, _) in zip(policies, searches)]
+    if entry.kind == "fcfs":
+        ages = _fcfs_age_rows(spec.lam, [policy.pmf for policy in policies], [policy.alpha for policy in policies])
+    else:
+        ages = [policy.mean_age(spec.lam) for policy in policies]
+    rates = [policy.rate() for policy in policies]
     points = []
-    for index, param in enumerate(spec.grid):
-        policy = policy_from_config({"kind": spec.family, entry.param: param})
-        if entry.thinned:
-            policy = replace(policy, alpha=optimal_alpha_for_fcfs(spec.lam, policy.pmf)[0])
-        rate = policy.rate()
+    for index, (param, policy, age, rate) in enumerate(zip(spec.grid, policies, ages, rates)):
         point = TradeoffPoint(
             policy_tag=spec.family,
             param=float(param),
             lam=spec.lam,
-            delta=float(policy.mean_age(spec.lam).delta),
+            delta=float(age.delta),
             rate_bits=rate,
             leak_time=leakage_time(rate),
             eta=None,

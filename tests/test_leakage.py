@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -215,13 +216,18 @@ def _bisect_decreasing(f, lo, hi):
         lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
 
 
-@pytest.mark.parametrize("lag", [3, 10**3, 10**6, 10**15, 10**20, 10**40])
-def test_rate_with_a_far_lag_matches_bisection(lag):
+@pytest.mark.parametrize("lag", [3, 10**3, 10**6, 10**15, 10**20, 10**40, 10**60, 10**300])
+def test_rate_with_a_far_lag_matches_bisection(lag, caplog):
     # dumps after 1 or D slots, each with mass 1/2: e^-w + e^-Dw = 1 on w = ln z,
-    # i.e. e^-Dw + expm1(-w) = 0, whose root falls like ln(D) / D
+    # i.e. e^-Dw + expm1(-w) = 0, whose root falls like ln(D) / D; stepping on
+    # ln of the far term finds it in a few steps, not in ln D
     w = _bisect_decreasing(lambda w: math.exp(-lag * w) + math.expm1(-w), 0.0, math.log(2.0))
     want = w / math.log(2.0)
-    assert abs(rad_rate(make_pmf([(1, 0.5), (lag, 0.5)])) - want) <= 1e-12 * want
+    with caplog.at_level(logging.DEBUG, logger="ageleak.leakage"):
+        rate = rad_rate(make_pmf([(1, 0.5), (lag, 0.5)]))
+    assert abs(rate - want) <= 1e-12 * want
+    steps = int(re.search(r"(\d+) Newton steps", caplog.text).group(1))
+    assert steps <= 12
 
 
 def test_rad_rate_residual_tolerance():

@@ -19,7 +19,7 @@ from ageleak import (
     verify_two_point_optimality,
 )
 from ageleak.errors import InvalidBeta, InvalidRate, NoFeasibleAlpha
-from ageleak.optimize import DitherPolicy
+from ageleak.optimize import DitherPolicy, _alpha_searches
 
 
 def test_greedy_pmf_values():
@@ -168,6 +168,35 @@ def test_optimal_alpha_is_a_minimizer():
     for trial in (alpha - 1e-3, alpha + 1e-3):
         if 0.0 < trial <= 1.0 and 0.5 * trial * pmf_moments(pmf).mean < 1.0:
             assert fcfs_age(0.5, pmf, trial).delta >= age.delta - 1e-6
+
+
+@pytest.mark.parametrize("pmf", [greedy_smp_pmf(0.05), greedy_smp_pmf(0.12), greedy_smp_pmf(0.3),
+                                 geometric_pmf(0.2), geometric_pmf(0.25)])
+def test_optimal_alpha_is_within_its_tolerance_of_a_fine_scan(pmf):
+    # the least age over the stability bracket, scanned on 1001 points and
+    # then on 2001 points around the best of them, 2e-6 apart: an alpha off
+    # by its last bracket width, 1e-6, costs far less than 1e-10 of the age
+    lam = 0.5
+    alpha, age = optimal_alpha_for_fcfs(lam, pmf)
+    assert age.delta == fcfs_age(lam, pmf, alpha).delta
+    hi = min(1.0, (1.0 - 1e-9) / (lam * pmf_moments(pmf).mean))
+
+    def least(grid):
+        ages = [fcfs_age(lam, pmf, float(a)).delta for a in grid]
+        return grid[int(np.argmin(ages))], min(ages)
+
+    coarse, _ = least(np.linspace(1e-9, hi, 1001))
+    step = (hi - 1e-9) / 1000
+    _, best = least(np.linspace(max(coarse - 2 * step, 1e-9), min(coarse + 2 * step, hi), 2001))
+    assert age.delta <= best * (1.0 + 1e-10)
+
+
+def test_batched_alpha_searches_equal_one_row_searches():
+    # criterion 10's 300 greedy budgets and some geometric services: the
+    # brackets close in lockstep, each at its own step
+    pmfs = [greedy_smp_pmf(b) for b in np.geomspace(0.028, 1.0, 300)]
+    pmfs += [geometric_pmf(mu) for mu in np.linspace(0.05, 1.0, 20)]
+    assert _alpha_searches(0.5, pmfs) == [optimal_alpha_for_fcfs(0.5, pmf) for pmf in pmfs]
 
 
 def test_no_feasible_alpha():

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ageleak import (
     SweepSpec,
     TradeoffPoint,
+    optimal_alpha_for_fcfs,
     read_csv,
     policy_from_config,
     sweep,
@@ -15,6 +17,7 @@ from ageleak import (
 from ageleak.errors import (
     BaselinePoint, InvalidTau, NonHalfIntegerTau, NoOverlap, TooFewPoints, Unstable,
 )
+from ageleak.policy import family
 from ageleak.tradeoff import asymptotic_slope, dominance_check, efficiency
 
 
@@ -101,6 +104,24 @@ def test_sweep_ddad_dense_grid_is_monotone():
     assert all(t1 <= t2 + 1e-9 for t1, t2 in zip(leaks, leaks[1:]))
 
 
+@pytest.mark.parametrize("kind, grid", [
+    ("ddad", tuple(1.0 / x for x in np.linspace(1.0, 57.0, 400))),
+    ("lcfs-greedy", tuple(np.geomspace(0.028, 1.0, 300))),
+    ("fcfs-greedy-thinned", tuple(np.geomspace(0.028, 1.0, 300))),
+])
+def test_sweep_points_equal_one_policy_at_a_time(kind, grid):
+    # the acceptance check's own grids: a sweep solves the admission searches
+    # and the FCFS ages of a whole grid at once, and each point still equals
+    # what its policy answers alone
+    entry = family(kind)
+    for point in sweep(SweepSpec(kind, grid, lam=0.5)):
+        policy = policy_from_config({"kind": kind, entry.param: point.param})
+        if entry.thinned:
+            policy = replace(policy, alpha=optimal_alpha_for_fcfs(0.5, policy.pmf)[0])
+        assert point.delta == policy.mean_age(0.5).delta
+        assert point.rate_bits == policy.rate()
+
+
 def test_sweep_unstable_fcfs_propagates():
     with pytest.raises(Unstable):
         sweep(SweepSpec("fcfs-greedy", (0.2,), lam=0.5))
@@ -126,6 +147,16 @@ def test_dominance_dad_over_geometric_dumps():
     geo = sweep(SweepSpec("rad-geo", tuple(float(t) for t in range(1, 40)), lam=0.5))
     assert dominance_check(dad, geo)
     assert not dominance_check(geo, dad)
+
+
+def test_dominance_allows_only_rounding_slack():
+    # one point of curve a dropped below curve b: a drop of 1e-6 is a
+    # crossing, one of 1e-12 is rounding, within the comparison's 1e-9
+    series = [dad_point(t) for t in range(1, 20)]
+    for drop, dominates in ((1e-6, False), (1e-12, True)):
+        lowered = list(series)
+        lowered[9] = replace(series[9], leak_time=series[9].leak_time - drop)
+        assert dominance_check(lowered, series) is dominates
 
 
 def test_dominance_no_overlap():
