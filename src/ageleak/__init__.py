@@ -23,10 +23,8 @@ from .leakage import (
 from .optimize import (
     DitherPolicy,
     ddad_policy,
-    dinkelbach_certify,
     greedy_smp_pmf,
     optimal_alpha_for_fcfs,
-    verify_two_point_optimality,
 )
 from .oracle import brute_force_maxl
 from .pmf import (
@@ -61,7 +59,6 @@ __all__ = [
     "brute_force_maxl",
     "ddad_policy",
     "deterministic_pmf",
-    "dinkelbach_certify",
     "empirical_source_age",
     "fcfs_age",
     "geometric_pmf",
@@ -82,6 +79,5 @@ __all__ = [
     "smp_leakage_bits",
     "sweep",
     "uniform_pmf",
-    "verify_two_point_optimality",
     "write_csv",
 ]

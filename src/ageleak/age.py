@@ -56,7 +56,7 @@ def fcfs_age(lam, service_pmf: FinitePmf, alpha=1.0) -> AgeResult:
     where rate = alpha*lam, lbar = 1 - rate, rho = rate*E[S] and
     M_g(x) = sum_s g(s) x^s.  Raises :class:`Unstable` when rho >= 1.
 
-    This is the batched age of many pmfs taken for one, about 20 us on an
+    This is the batched age of many pmfs taken for one, about 60 us on an
     Intel Xeon core, mostly numpy's per-call cost.
     """
     return _fcfs_age_rows(lam, [service_pmf], [alpha])[0]
@@ -70,30 +70,20 @@ def _fcfs_age_rows(lam, service_pmfs, alphas):
     rho = rates * table.mean
     if (rho >= 1.0).any():
         raise Unstable(f"effective load {float(rho[np.argmax(rho >= 1.0)])!r} >= 1 for FCFS")
-    ages = _fcfs_ages(rates if len(rates) > 1 else rates[0], table)  # a lone pmf's table holds floats
-    return [AgeResult(delta) for delta in np.ravel(ages).tolist()]
+    return [AgeResult(delta) for delta in _fcfs_ages(rates, table).tolist()]
 
 
 #: One column per service pmf: its durations and masses padded to one
 #: length (duration 1, mass 0), and one entry each for its tail's g(H), H
-#: and mu (g(H) = 0 without a tail), its mean and its second moment.  Of a
-#: single pmf, the durations and masses are vectors and the rest floats.
+#: and mu (g(H) = 0 without a tail), its mean and its second moment.
 _ServiceTable = namedtuple("_ServiceTable", "durations masses last h mu mean second")
 
 
 def _fcfs_table(service_pmfs) -> _ServiceTable:
-    """The columns :func:`_fcfs_ages` reads, one per service pmf.
-
-    A single pmf is not padded, and its entries stay floats, so that its
-    age, at a float rate, pays numpy's per-call cost only on its durations.
-    """
+    """The columns :func:`_fcfs_ages` reads, one per service pmf."""
     # the moments first: they refuse a pmf past the float range
     moments = [(m.mean, m.second_moment) for m in map(pmf_moments, service_pmfs)]
     tails = [(pmf.probabilities[-1] if pmf.hazard else 0.0, pmf.durations[-1], pmf.hazard) for pmf in service_pmfs]
-    if len(service_pmfs) == 1:
-        (pmf,) = service_pmfs
-        durations, masses = np.array(pmf.durations, dtype=float), np.array(pmf.probabilities)
-        return _ServiceTable(durations, masses, *map(float, tails[0]), *moments[0])
     length = max(len(pmf.durations) for pmf in service_pmfs)
     durations, masses = np.ones((length, len(service_pmfs))), np.zeros((length, len(service_pmfs)))
     for r, pmf in enumerate(service_pmfs):

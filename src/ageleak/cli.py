@@ -14,9 +14,9 @@ import numpy as np
 from . import __version__
 from .errors import AgeLeakError, ConvergenceFailure, InvalidConfig
 from .leakage import leakage_time
-from .optimize import ddad_policy, dinkelbach_certify, optimal_alpha_for_fcfs
+from .optimize import ddad_policy, optimal_alpha_for_fcfs
 from .oracle import brute_force_maxl
-from .pmf import is_smp
+from .pmf import is_smp, pmf_moments
 from .policy import Policy, policy_from_config
 from .sim import DEFAULT_WARMUP, SimConfig, load_scenario, simulate
 from .sources import BernoulliSource, MarkovSource
@@ -80,23 +80,22 @@ def _cmd_optimize(args):
 
     FCFS takes the age-optimal admission probability; a dump schedule is
     replaced by the age-optimal dither at the same leakage rate, with its
-    certificate; LCFS has no free choice left.
+    moment ratio gamma* = E[D^2]/E[D]; LCFS has no free choice left.
     """
     policy = _policy(args)
     if policy.kind == "rad":
         dither = ddad_policy(policy.rate())
-        cert = dinkelbach_certify(dither)
+        pmf = dither.to_pmf()
+        m = pmf_moments(pmf)
         _emit(
             args,
             [
-                f"support {','.join(map(str, dither.to_pmf().durations))}",
+                f"support {','.join(map(str, pmf.durations))}",
                 f"p_i {dither.p_i!r}",
                 f"p_j {dither.p_j!r}",
                 f"mean_period {dither.mean!r}",
-                f"delta {Policy.rad(dither.to_pmf()).mean_age(args.lam).delta!r}",
-                f"gamma_star {cert.gamma_star!r}",
-                f"sandwich_ok {cert.sandwich_ok}",
-                f"convexity_ok {cert.convexity_ok}",
+                f"delta {Policy.rad(pmf).mean_age(args.lam).delta!r}",
+                f"gamma_star {m.second_moment / m.mean!r}",
             ],
         )
         return 0

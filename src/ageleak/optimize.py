@@ -1,12 +1,26 @@
-"""Optimal-policy construction and optimality certificates.
+"""Optimal-policy construction.
 
 Coupled class: for a leakage budget beta = g(1), the age-minimizing SMP
 service pmf is the greedy one that packs mass beta onto the shortest
-durations.  Decoupled class: for a target leakage rate, the age-minimizing
-dump schedule dithers between the two consecutive integer periods
-bracketing the reciprocal rate; its optimality certificate comes from a
-fractional-programming transform whose optimal parameter gamma* equals
-E[D^2]/E[D] and must land strictly between the two support points.
+durations.  Decoupled class: for a target leakage rate r, the
+age-minimizing dump schedule dithers between the two consecutive integer
+periods i = floor(1/r) and j = i + 1 that bracket the reciprocal rate.
+
+The dither's optimality is proved here, so no code checks it at run time.
+The age of a dump pmf g rises
+with E[D^2]/E[D], and by Dinkelbach's lemma (Management Sci. 1967) no pmf
+at rate r has a smaller ratio than the dither's gamma* = E[D^2]/E[D] iff
+sum g(d)(d^2 - gamma* d) >= 0 for each of them.  Let x_d = 2^(-r d), so
+that a pmf at rate r has sum g(d) x_d = 1/2, and set
+b = (i + j - gamma*) / (x_j - x_i) and a = i^2 - gamma* i - b x_i.  Then
+h(d) = d^2 - gamma* d - a - b x_d vanishes at i and at j.  The dither puts
+gamma* between i and j, so gamma* < i + j and b < 0, which makes h convex:
+it vanishes at two adjacent integers, so h(d) >= 0 at every integer
+d >= 1.  Hence sum g(d)(d^2 - gamma* d) >= a + b/2 = 0 for every dump pmf
+at rate r, geometric tails included, the dither's own sum being 0.  A pure
+deterministic schedule (1/r an integer) is the same argument with
+j = i + 1 and p_j = 0.  The acceptance gate's exhaustive vertex search is
+the executable cross-check.
 """
 
 import math
@@ -15,11 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .age import AgeResult, _fcfs_ages, _fcfs_table
-from .errors import (
-    InvalidBeta, InvalidConfig, InvalidLambda, InvalidRate, NoFeasibleAlpha, _as_int,
-    _as_probability,
-)
-from .pmf import DEFAULT_D_MAX, FinitePmf, _pmf, pmf_moments
+from .errors import InvalidBeta, InvalidLambda, InvalidRate, NoFeasibleAlpha, _as_probability
+from .leakage import _LN2
+from .pmf import DEFAULT_D_MAX, FinitePmf, _pmf
 
 #: 1/rate within this distance of an integer collapses to a pure DAD policy
 #: instead of emitting a near-zero dither weight.
@@ -33,8 +45,8 @@ _CONSTRAINT_TOL = 1e-9
 class DitherPolicy:
     """Two-point dump schedule on consecutive periods i and j = i + 1.
 
-    Weights satisfy p_i * z0^-i + p_j * z0^-j = 1/2 with z0 = 2^rate, which
-    pins the asymptotic leakage rate to ``target_rate`` exactly.  A pure
+    Weights satisfy p_i 2^(-i rate) + p_j 2^(-j rate) = 1/2, which pins the
+    asymptotic leakage rate to ``target_rate`` exactly; z0 = 2^rate.  A pure
     deterministic schedule is the degenerate case p_i = 1.
     """
 
@@ -50,8 +62,9 @@ class DitherPolicy:
             raise InvalidRate(f"support {self.i}, {self.j} is not consecutive")
         if not 0.0 < self.p_i <= 1.0 or self.p_j < 0.0:
             raise InvalidRate(f"dither weights ({self.p_i!r}, {self.p_j!r}) invalid")
+        # 2^(-d rate) rounds once; z0^-d would carry z0's rounding d times over
         residual = abs(
-            self.p_i * self.z0 ** -self.i + self.p_j * self.z0 ** -self.j - 0.5
+            self.p_i * 2.0 ** (-self.i * self.target_rate) + self.p_j * 2.0 ** (-self.j * self.target_rate) - 0.5
         )
         if residual > _CONSTRAINT_TOL:
             raise InvalidRate(f"leakage-constraint residual {residual:.3e}")
@@ -64,23 +77,6 @@ class DitherPolicy:
     @property
     def mean(self):
         return self.i * self.p_i + self.j * self.p_j
-
-
-@dataclass(frozen=True)
-class DinkelbachCertificate:
-    """Optimality certificate for a dither policy.
-
-    ``gamma_star`` is the optimal fractional-program parameter E[D^2]/E[D];
-    ``residual`` is |E[D^2] - gamma* E[D]|, zero up to rounding by
-    construction; ``sandwich_ok`` records i < gamma* < j (gamma* = i for the
-    degenerate deterministic case); ``convexity_ok`` records the cost-curve
-    convexity bound gamma* < 2 + 2/log2(z0).
-    """
-
-    gamma_star: float
-    residual: float
-    sandwich_ok: bool
-    convexity_ok: bool
 
 
 def greedy_smp_pmf(beta) -> FinitePmf:
@@ -103,10 +99,17 @@ def greedy_smp_pmf(beta) -> FinitePmf:
 def ddad_policy(target_rate) -> DitherPolicy:
     """Age-optimal dump schedule achieving leakage rate ``target_rate``.
 
-    With z0 = 2^rate, the support is i = floor(1/rate), j = i + 1 and the
-    weight solves p_i z0^-i + (1 - p_i) z0^-j = 1/2.  When 1/rate is an
-    integer (within 1e-9) the schedule collapses to the deterministic dump
-    policy with period 1/rate.
+    The support is i = floor(1/rate), j = i + 1 and the weights solve
+    p_i 2^(-i rate) + p_j 2^(-j rate) = 1/2 with p_i + p_j = 1.  When 1/rate
+    is an integer (within 1e-9) the schedule collapses to the deterministic
+    dump policy with period 1/rate.
+
+    With delta = j rate - 1 and eps = 1 - i rate, both taken from the exact
+    ratio of the float rate and rounded once, the weights are
+    p_i = (2^delta - 1) / (2^rate - 1) and p_j = 2^delta (2^eps - 1) / (2^rate - 1),
+    each through expm1: nothing cancels, so both keep full relative
+    precision at any rate, where differences of powers of 2^rate lose the
+    digits of 1/rate.
     """
     target_rate = _as_probability(target_rate, "target leakage rate", InvalidRate)
     z0 = 2.0 ** target_rate
@@ -119,84 +122,12 @@ def ddad_policy(target_rate) -> DitherPolicy:
         return DitherPolicy(i=i, j=i + 1, p_i=1.0, p_j=0.0, z0=z0, target_rate=target_rate)
     i = math.floor(inv)
     j = i + 1
-    x_i = z0 ** -i
-    x_j = z0 ** -j
-    p_i = (0.5 - x_j) / (x_i - x_j)
-    return DitherPolicy(i=i, j=j, p_i=p_i, p_j=1.0 - p_i, z0=z0, target_rate=target_rate)
-
-
-def dinkelbach_certify(policy: DitherPolicy) -> DinkelbachCertificate:
-    """Certify a dither policy against the fractional-program optimum."""
-    m = pmf_moments(policy.to_pmf())
-    gamma_star = m.second_moment / m.mean
-    residual = abs(m.second_moment - gamma_star * m.mean)
-    if policy.p_j > 0.0:
-        sandwich_ok = policy.i < gamma_star < policy.j
-    else:
-        sandwich_ok = abs(gamma_star - policy.i) <= 1e-9
-    convexity_ok = gamma_star < 2.0 + 2.0 / math.log2(policy.z0)
-    return DinkelbachCertificate(
-        gamma_star=gamma_star,
-        residual=residual,
-        sandwich_ok=sandwich_ok,
-        convexity_ok=convexity_ok,
-    )
-
-
-def _vertex_candidates(z0, d_max, feas_tol=1e-6):
-    """All feasible one- and two-point dump pmfs on {1..d_max}.
-
-    The leakage constraint sum g(d) z0^-d = 1/2 plus normalization pin the
-    weights of any support pair exactly; a vertex is feasible when both
-    weights are non-negative (to ``feas_tol``).
-    """
-    xs = {d: z0 ** -d for d in range(1, d_max + 1)}
-    out = []
-    for d, x in xs.items():
-        if abs(x - 0.5) <= feas_tol:
-            out.append(((d, 1.0),))
-    for i in range(1, d_max + 1):
-        for k in range(i + 1, d_max + 1):
-            x_i, x_k = xs[i], xs[k]
-            denom = x_i - x_k
-            g_i = (0.5 - x_k) / denom
-            g_k = (x_i - 0.5) / denom
-            if g_i < -feas_tol or g_k < -feas_tol:
-                continue
-            g_i = min(max(g_i, 0.0), 1.0)
-            g_k = 1.0 - g_i
-            # rounding-dust weights duplicate a single-point vertex
-            if g_i <= 1e-9 or g_k <= 1e-9:
-                continue
-            out.append(((i, g_i), (k, g_k)))
-    return out
-
-
-def _ratio(entries):
-    mean = sum(d * p for d, p in entries)
-    second = sum(d * d * p for d, p in entries)
-    return second / mean
-
-
-def verify_two_point_optimality(target_rate, search_d_max) -> bool:
-    """Exhaustively confirm the consecutive-two-point schedule is optimal.
-
-    Enumerates every feasible one- and two-point dump pmf on
-    {1..search_d_max} meeting the leakage constraint (to 1e-6) and checks
-    that the one with the least moment ratio E[D^2]/E[D] has the dither
-    schedule's support and ratio (to 1e-9).
-    """
-    search_d_max = _as_int(search_d_max, "search_d_max", InvalidConfig, low=1)
-    if search_d_max > 12:
-        raise InvalidConfig(f"search_d_max {search_d_max} too large for exhaustive check")
-    policy = ddad_policy(target_rate)
-    candidates = _vertex_candidates(policy.z0, search_d_max)
-    if not candidates:
-        return False
-    dither = policy.to_pmf()
-    best = min(candidates, key=_ratio)
-    support = tuple(d for d, _ in best)
-    return support == dither.durations and abs(_ratio(best) - _ratio(dither.entries)) <= 1e-9
+    num, den = target_rate.as_integer_ratio()
+    delta, eps = (j * num - den) / den, (den - i * num) / den
+    step = math.expm1(target_rate * _LN2)
+    p_i = math.expm1(delta * _LN2) / step
+    p_j = 2.0 ** delta * math.expm1(eps * _LN2) / step
+    return DitherPolicy(i=i, j=j, p_i=p_i, p_j=p_j, z0=z0, target_rate=target_rate)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -214,7 +145,7 @@ def optimal_alpha_for_fcfs(lam, service_pmf: FinitePmf):
     alpha returns alpha = 1 exactly.
 
     This is the lockstep search of many pmfs run on one: each of its 30 or
-    so steps pays numpy's per-call cost, about 1 ms in all on an Intel
+    so steps pays numpy's per-call cost, about 2 ms in all on an Intel
     Xeon core.  Many pmfs are best searched in one call, as
     :func:`~ageleak.tradeoff.sweep` does.
     """
@@ -252,4 +183,4 @@ def _alpha_searches(lam, service_pmfs):
     alpha = 0.5 * (a + b)
     best, edge = cost(alpha), cost(hi)
     alpha, best = np.where(edge <= best, hi, alpha), np.where(edge <= best, edge, best)
-    return [(x, AgeResult(delta)) for x, delta in zip(np.ravel(alpha).tolist(), np.ravel(best).tolist())]
+    return [(x, AgeResult(delta)) for x, delta in zip(alpha.tolist(), best.tolist())]

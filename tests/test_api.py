@@ -9,11 +9,11 @@ import ageleak
 PUBLIC = [
     "AgeLeakError", "AgeResult", "BernoulliSource", "DitherPolicy", "FinitePmf", "LeakageResult",
     "MarkovSource", "Policy", "SimConfig", "SimStats", "SweepSpec", "TradeoffPoint",
-    "brute_force_maxl", "ddad_policy", "deterministic_pmf", "dinkelbach_certify",
-    "empirical_source_age", "fcfs_age", "geometric_pmf", "greedy_smp_pmf", "is_smp", "lcfs_age",
-    "leakage_time", "load_scenario", "make_pmf", "optimal_alpha_for_fcfs", "pmf_moments",
-    "policy_from_config", "rad_age", "rad_leakage_bits", "rad_rate", "read_csv", "simulate",
-    "smp_leakage_bits", "sweep", "uniform_pmf", "verify_two_point_optimality", "write_csv",
+    "brute_force_maxl", "ddad_policy", "deterministic_pmf", "empirical_source_age", "fcfs_age",
+    "geometric_pmf", "greedy_smp_pmf", "is_smp", "lcfs_age", "leakage_time", "load_scenario",
+    "make_pmf", "optimal_alpha_for_fcfs", "pmf_moments", "policy_from_config", "rad_age",
+    "rad_leakage_bits", "rad_rate", "read_csv", "simulate", "smp_leakage_bits", "sweep",
+    "uniform_pmf", "write_csv",
 ]
 
 
@@ -25,7 +25,6 @@ def test_all_lists_the_public_names_and_each_resolves():
 
 @pytest.mark.parametrize("module,name", [
     ("pmf", "Moments"),
-    ("optimize", "DinkelbachCertificate"),
     ("tradeoff", "asymptotic_slope"),
     ("tradeoff", "dominance_check"),
     ("tradeoff", "efficiency"),

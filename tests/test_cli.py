@@ -99,12 +99,25 @@ def test_optimize_ddad(capsys):
     assert code == 0
     assert value_of(out, "support") == "2,3"
     assert float(value_of(out, "p_i")) == pytest.approx(0.4653980386192361, abs=1e-9)
-    assert value_of(out, "sandwich_ok") == "True"
-    # an integer period is a pure DAD schedule: one duration, no mass on a second
+    assert float(value_of(out, "gamma_star")) == pytest.approx(2.632764397952487, rel=1e-15)
+    # an integer period is a pure DAD schedule: one duration, no mass on a
+    # second, and gamma* = E[D^2]/E[D] is the period itself
     for argv, support in ((("--policy", "dad", "--tau", "3"), "3"), (("--policy", "ddad", "--rate", "1"), "1")):
         code, out = run(capsys, "optimize", *argv)
         assert code == 0
         assert (value_of(out, "support"), value_of(out, "p_j")) == (support, "0.0")
+        assert float(value_of(out, "gamma_star")) == float(support)
+
+
+def test_ddad_keeps_its_target_rate_at_tiny_rates(capsys):
+    # 1/rate near 3.3e6 and 1e9 slots: dither weights from differences of
+    # powers of 2^rate would lose the digits of the rate, or go negative
+    code, out = run(capsys, "rate", "--policy", "ddad", "--rate", "3e-7")
+    assert code == 0
+    assert float(value_of(out, "rate")) == pytest.approx(3e-7, rel=1e-15)
+    code, out = run(capsys, "optimize", "--policy", "ddad", "--rate", "1e-9")
+    assert code == 0
+    assert 0.0 < float(value_of(out, "p_i")) < 1.0
 
 
 def test_optimize_fcfs_greedy(capsys):

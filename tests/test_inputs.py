@@ -23,7 +23,6 @@ from ageleak import (
     load_scenario,
     policy_from_config,
     uniform_pmf,
-    verify_two_point_optimality,
 )
 from ageleak.checks import run_criterion
 from ageleak.tradeoff import efficiency
@@ -74,7 +73,6 @@ REFUSED = {
     "leakage_bits('5')": (lambda: Policy.dad(2).leakage_bits("5"), InvalidConfig),
     "AgeResult(0.5)": (lambda: AgeResult(0.5), InvalidConfig),
     "LeakageResult(-1, 3)": (lambda: LeakageResult(-1.0, 3), InvalidConfig),
-    "search_d_max=13": (lambda: verify_two_point_optimality(0.4, 13), InvalidConfig),
     "run_criterion(11)": (lambda: run_criterion(11), InvalidConfig),
     "efficiency(point, 0)": (
         lambda: efficiency(TradeoffPoint("dad", 2.0, 0.5, 3.5, 0.5, 2.0, None), 0), InvalidLambda

@@ -1,10 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from ageleak import (
-    dinkelbach_certify,
     ddad_policy,
     deterministic_pmf,
     fcfs_age,
@@ -16,10 +16,10 @@ from ageleak import (
     optimal_alpha_for_fcfs,
     pmf_moments,
     rad_rate,
-    verify_two_point_optimality,
 )
+from ageleak.checks import _two_point_is_optimal
 from ageleak.errors import InvalidBeta, InvalidRate, NoFeasibleAlpha
-from ageleak.optimize import DitherPolicy, _alpha_searches
+from ageleak.optimize import _alpha_searches
 
 
 def test_greedy_pmf_values():
@@ -33,6 +33,15 @@ def test_greedy_pmf_drops_zero_tail():
     # 1/beta integral: no dust entry at k+1
     assert greedy_smp_pmf(0.25).durations == (1, 2, 3, 4)
     assert greedy_smp_pmf(1.0 / 3.0).durations == (1, 2, 3)
+
+
+def test_greedy_pmf_keeps_a_remainder_below_the_mass_tolerance():
+    # a remainder of 1e-8 dropped would unbalance the mass past its 1e-9
+    # tolerance; one of 5e-10 would vanish silently
+    for beta, remainder in ((0.25 - 2.5e-9, 1e-8), (0.25 - 1.25e-10, 5e-10)):
+        pmf = greedy_smp_pmf(beta)
+        assert pmf.durations == (1, 2, 3, 4, 5)
+        assert pmf.prob(5) == pytest.approx(remainder, rel=1e-6)
 
 
 def test_greedy_pmf_invalid():
@@ -81,37 +90,38 @@ def test_ddad_achieves_target_rate():
         assert abs(achieved - float(rate)) <= 1e-9
 
 
-def test_dinkelbach_certificate_degenerate():
-    policy = DitherPolicy(i=5, j=6, p_i=1.0, p_j=0.0, z0=2.0 ** 0.2, target_rate=0.2)
-    cert = dinkelbach_certify(policy)
-    assert cert.gamma_star == pytest.approx(5.0, abs=1e-12)
-    assert cert.residual == 0.0
-    assert cert.sandwich_ok and cert.convexity_ok
+def reference_dither_weights(rate, i):
+    """p_i and p_j solving p_i 2^(-i rate) + p_j 2^(-(i + 1) rate) = 1/2, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal(rate)
+        x_i, x_j = Decimal(2) ** (-r * i), Decimal(2) ** (-r * (i + 1))
+        p_i = (Decimal("0.5") - x_j) / (x_i - x_j)
+        return p_i, 1 - p_i
 
 
-def test_dinkelbach_certificate_dither():
-    cert = dinkelbach_certify(ddad_policy(0.4))
-    assert cert.gamma_star == pytest.approx(2.632764397952487, abs=1e-12)
-    assert 2.0 < cert.gamma_star < 3.0
-    assert cert.residual <= 1e-9
-    assert cert.sandwich_ok and cert.convexity_ok
-
-
-def test_dinkelbach_certificate_grid():
-    for rate in np.arange(0.01, 1.0 + 1e-12, 0.01):
-        cert = dinkelbach_certify(ddad_policy(float(rate)))
-        assert cert.sandwich_ok, f"sandwich broken at rate {rate}"
-        assert cert.residual <= 1e-9
-        assert cert.convexity_ok
+def test_dither_weights_match_a_decimal_reference():
+    # rates spread over twelve decades, and rates whose 1/rate lies within
+    # 1e-8 of an integer, where differences of powers of 2^rate cancel most
+    rng = np.random.default_rng(43)
+    rates = [float(r) for r in 10.0 ** rng.uniform(-12.0, 0.0, size=600)]
+    rates += [1.0 / (n + off) for n in (2, 7, 100, 12_345, 10**6, 10**9) for off in (-1e-8, 1e-8, 3e-7, 0.5)]
+    for rate in rates:
+        policy = ddad_policy(rate)
+        assert policy.p_j > 0.0, rate  # none collapses to a pure DAD
+        ref_i, ref_j = reference_dither_weights(rate, policy.i)
+        assert abs(Decimal(policy.p_i) - ref_i) <= Decimal("1e-15") * ref_i, rate
+        assert abs(Decimal(policy.p_j) - ref_j) <= Decimal("1e-15") * ref_j, rate
 
 
 def test_verify_two_point_optimality():
-    assert verify_two_point_optimality(0.4, 8)
-    assert verify_two_point_optimality(0.5, 8)
-    assert verify_two_point_optimality(1.0, 4)
+    assert _two_point_is_optimal(0.4, 8)
+    assert _two_point_is_optimal(0.5, 8)
+    assert _two_point_is_optimal(1.0, 4)
+    # every dither support up to (11, 12) lies inside {1..12}
     rng = np.random.default_rng(31)
-    for rate in rng.uniform(0.15, 1.0, size=10):
-        assert verify_two_point_optimality(float(rate), 10)
+    for rate in rng.uniform(1.0 / 11.0, 1.0, size=1000):
+        assert _two_point_is_optimal(float(rate), 12), rate
 
 
 def test_exchange_optimality_sample():
