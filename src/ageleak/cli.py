@@ -80,11 +80,13 @@ def _cmd_optimize(args):
 
     FCFS takes the age-optimal admission probability; a dump schedule is
     replaced by the age-optimal dither at the same leakage rate, with its
-    moment ratio gamma* = E[D^2]/E[D]; LCFS has no free choice left.
+    moment ratio gamma* = E[D^2]/E[D]; LCFS has no free choice left.  A
+    dither is rebuilt from the given rate, not from its own computed rate,
+    whose rounding its weights would magnify.
     """
     policy = _policy(args)
     if policy.kind == "rad":
-        dither = ddad_policy(policy.rate())
+        dither = ddad_policy(args.rate if args.policy == "ddad" else policy.rate())
         pmf = dither.to_pmf()
         m = pmf_moments(pmf)
         _emit(

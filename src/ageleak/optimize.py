@@ -46,7 +46,7 @@ class DitherPolicy:
     """Two-point dump schedule on consecutive periods i and j = i + 1.
 
     Weights satisfy p_i 2^(-i rate) + p_j 2^(-j rate) = 1/2, which pins the
-    asymptotic leakage rate to ``target_rate`` exactly; z0 = 2^rate.  A pure
+    asymptotic leakage rate to ``target_rate`` exactly.  A pure
     deterministic schedule is the degenerate case p_i = 1.
     """
 
@@ -54,7 +54,6 @@ class DitherPolicy:
     j: int
     p_i: float
     p_j: float
-    z0: float
     target_rate: float
 
     def __post_init__(self):
@@ -77,6 +76,11 @@ class DitherPolicy:
     @property
     def mean(self):
         return self.i * self.p_i + self.j * self.p_j
+
+    @property
+    def z0(self):
+        """The root z0 = 2^rate of p_i z0^-i + p_j z0^-j = 1/2."""
+        return 2.0 ** self.target_rate
 
 
 def greedy_smp_pmf(beta) -> FinitePmf:
@@ -112,14 +116,13 @@ def ddad_policy(target_rate) -> DitherPolicy:
     digits of 1/rate.
     """
     target_rate = _as_probability(target_rate, "target leakage rate", InvalidRate)
-    z0 = 2.0 ** target_rate
-    if z0 == 1.0:
+    if 2.0 ** target_rate == 1.0:
         raise InvalidRate(f"target leakage rate {target_rate!r} is below the resolution of 2^rate")
     inv = 1.0 / target_rate
     nearest = round(inv)
     if abs(inv - nearest) <= _INTEGER_TOL:
         i = int(nearest)
-        return DitherPolicy(i=i, j=i + 1, p_i=1.0, p_j=0.0, z0=z0, target_rate=target_rate)
+        return DitherPolicy(i=i, j=i + 1, p_i=1.0, p_j=0.0, target_rate=target_rate)
     i = math.floor(inv)
     j = i + 1
     num, den = target_rate.as_integer_ratio()
@@ -127,7 +130,7 @@ def ddad_policy(target_rate) -> DitherPolicy:
     step = math.expm1(target_rate * _LN2)
     p_i = math.expm1(delta * _LN2) / step
     p_j = 2.0 ** delta * math.expm1(eps * _LN2) / step
-    return DitherPolicy(i=i, j=j, p_i=p_i, p_j=p_j, z0=z0, target_rate=target_rate)
+    return DitherPolicy(i=i, j=j, p_i=p_i, p_j=p_j, target_rate=target_rate)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -11,25 +11,39 @@ first, then the server acts, then a transmission (if any) sets that slot's
 output bit.  Sequences are keyed as n-bit machine words with slot 1 in the
 most significant bit.
 
-All inputs walk their prefix trie together: a table of numpy rows, each
-one int64 key (input prefix, output prefix, server state) and a
-probability, advances one slot at a time, doubling the prefixes by the
-next arrival bit, branching the draws and merging equal keys, so each
-state is computed once for every input that shares its prefix.  The walk
-is depth-first: before each slot, a table of more than _ROW_BUDGET rows is
-halved by input prefix and each half finished on its own, which bounds live
-memory whatever the horizon.
+A walk advances a table of numpy rows, each one int64 key (input prefix,
+output prefix, server state) and a probability, one slot at a time,
+doubling the prefixes by the next arrival bit, branching the draws and
+merging equal keys, so each state is computed once for every input that
+shares its prefix.
 
-The server is causal: the output up to slot t depends only on the input up
-to slot t.  So at depth t the table, once its server states are summed out,
-is the horizon-t channel, and one walk to n yields the maximal leakage at
-every horizon 0..n.  Only the lumping of what happens past the horizon
-(departures drawn beyond n, timer ages alike over the slots left) depends
-on n, so an entry differs from a walk to that horizon by rounding alone.
-:func:`_maxl_series` is the walk's one reader: it keeps max_x P(y | x) for
-every output prefix y, which is all that maximal leakage needs.
+The server is causal and Markov in its packed state, so for a split depth
+k and any t > k, with x = (x_pre, x_suf) and y = (y_pre, y_suf) cut at k,
+
+    P(y | x) = sum_s P(y_pre, state s at k | x_pre) P(y_suf | s, x_suf).
+
+:func:`_maxl_series` splits at k = n // 2 (meet in the middle, Horowitz and
+Sahni, J. ACM 1974): one walk of all 2^k input prefixes to depth k, and one
+walk of all 2^(n - k) input suffixes from each of the S states reached
+there, at the same absolute slots.  Each half holds at most 2^7 inputs at
+n <= 14.  At every t > k the halves are joined: each (x_pre, y_pre) column
+of S weights is multiplied into the suffix table of S rows, one numpy pass
+per state in state order, in blocks of fixed size; the max over x_suf is
+taken per y_suf and the max over x_pre per y_pre.  Columns that repeat
+under one output reach equal maxima, so each half keeps one of each.
+Every input's mass, the sum over s of its two halves' masses, is checked
+to be 1 within :data:`_NORM_TOL`.
+
+At depth t the prefix table, once its server states are summed out, is the
+horizon-t channel, and so is the join at t > k: one split walk to n yields
+the maximal leakage at every horizon 0..n.  Only the lumping of what happens
+past the horizon (departures drawn beyond n, timer ages alike over the slots
+left) depends on n, so an entry differs from a walk to that horizon by
+rounding alone.  Maximal leakage needs max_x P(y | x) for every output y
+and nothing more, which is all the series keeps.
 """
 
+import itertools
 import logging
 import math
 
@@ -43,10 +57,8 @@ MAX_HORIZON = 14
 
 _NORM_TOL = 1e-9
 
-#: Rows a block may hold before it is halved by input prefix.  At n = 14 the
-#: traced peaks are 5.6 MB for RAD geometric(0.5) and 4.5 MB for FCFS
-#: greedy(0.3); larger budgets were no faster and held more.
-_ROW_BUDGET = 4096
+#: Cells of one block of the join; each block holds two arrays of this many floats.
+_JOIN_CELLS = 1 << 15
 
 #: A server state packs two fields of _FIELD_BITS bits (values up to n + 1).
 _FIELD_BITS = 5
@@ -157,22 +169,39 @@ def _run_sums(keys, weights):
     return new, np.bincount(run, weights=weights)[1:]
 
 
-def _walk(policy: Policy, n):
-    """Yield (t, x, y, P(y | x)) at every depth t = 1..n (t = 0 alone when n = 0),
-    one block of inputs at a time, for all 2^n inputs.
+def _distinct(labels, table):
+    """The distinct (label, column of ``table``) pairs, sorted by label, as
+    labels and a table of those columns.
 
-    x and y are t-bit prefixes, slot 1 in the most significant bit.  Each
-    input's row at depth n is checked to sum to 1 within :data:`_NORM_TOL`
-    before it is yielded.
+    Equal columns under one label reach equal maxima in the join, so it
+    needs only one of each.
     """
-    step = (_coupled_step if policy.coupled else _rad_step)(policy, n)
-    high = _STATE_BITS + n  # a row is one key: input prefix | n-bit output | state
-    expanded = peak = blocks = 0
+    order = np.lexsort((*table, labels))
+    new = _starts(labels[order])
+    for row in table:
+        row = row[order]
+        new[1:] |= row[1:] != row[:-1]
+    order = order[new]
+    return labels[order], table[:, order]
 
-    def advance(table, t):
-        """The table at depth t, sorted by key, and its channel."""
-        nonlocal expanded, peak
-        key, p = table
+
+def _starts(labels):
+    """Whether each of the sorted ``labels`` starts a run of equal ones."""
+    return np.concatenate(([True], labels[1:] != labels[:-1]))
+
+
+def _walk(step, n, table, t):
+    """Yield (t, table, (x, y, P(y | x))) at each depth t + 1 .. n of the walk
+    from ``table``, rows (key, p) at depth t with no input bits yet.
+
+    The table at each depth is sorted by key with equal keys merged.  x and y
+    are the input bits walked from the start and the output prefix, slot 1
+    in the most significant bit of y.
+    """
+    high = _STATE_BITS + n  # a row is one key: input prefix | n-bit output | state
+    key, p = table
+    while t < n:
+        t += 1
         key = key + (key >> high << high)  # the input prefix moves up a slot
         key, p = step(t, key, p)  # with each row's two children, by the slot's input bit
         if t == n:  # the final state is not part of the output
@@ -183,45 +212,16 @@ def _walk(policy: Policy, n):
         key = key[order]
         new, p = _run_sums(key, p[order])
         key = key[new]
-        expanded, peak = expanded + len(new), max(peak, len(key))
         xy, sums = key >> _STATE_BITS, p
         if t < n:  # each (x, y) is one run of states; its sum is P(y | x)
             new, sums = _run_sums(xy, p)
             xy = xy[new]
-        return (key, p), (xy >> n, (xy & ((1 << n) - 1)) >> (n - t), sums)
-
-    def finish(table, t, first, size):
-        """Advance one block, the inputs first .. first + size - 1 at depth t, to
-        depth n; a block over the row budget is halved by input prefix first."""
-        nonlocal blocks
-        channel = table[0], table[0], table[1]  # read as is only at n = 0: the empty prefixes
-        while t < n:
-            if len(table[0]) > _ROW_BUDGET and size >> (n - t) > 1:
-                half = size >> 1  # rows are sorted by input prefix
-                cut = np.searchsorted(table[0], (first + half) >> (n - t) << high)
-                yield from finish(tuple(a[:cut] for a in table), t, first, half)
-                yield from finish(tuple(a[cut:] for a in table), t, first + half, half)
-                return
-            t += 1
-            table, channel = advance(table, t)
-            if t < n:
-                yield (t, *channel)
-        x, y, p = channel
-        sums = np.bincount(x - first, weights=p, minlength=size)
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        if not abs(sums[worst] - 1.0) <= _NORM_TOL:  # also NaN
-            raise UnnormalizedMass(f"row of input {first + worst:0{n}b} sums to {sums[worst]!r}, not 1")
-        blocks += 1
-        yield n, x, y, p
-
-    yield from finish((np.zeros(1, np.int64), np.ones(1)), 0, 0, 1 << n)
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("oracle %s n=%d: %d inputs, %d states expanded, peak %d live, %d blocks",
-                   policy.kind, n, 1 << n, expanded, peak, blocks)
+        yield t, (key, p), (xy >> n, (xy & ((1 << n) - 1)) >> (n - t), sums)
 
 
 def _maxl_series(policy: Policy, n):
-    """Maximal leakage in bits at every horizon 0..n, from one walk to n.
+    """Maximal leakage in bits at every horizon 0..n, from one walk to n
+    split at k = n // 2 and joined through the server state at k.
 
     Per depth t and t-slot output y it keeps max_x P(y | x); the server is
     causal, so the depth-t channel of the walk is the horizon-t channel.
@@ -232,10 +232,60 @@ def _maxl_series(policy: Policy, n):
     n = _as_int(n, "horizon", InvalidConfig)
     if n > MAX_HORIZON:
         raise HorizonTooLarge(f"horizon {n} exceeds enumeration cap {MAX_HORIZON}")
+    if n == 0:
+        return [0.0]
+    step = (_coupled_step if policy.coupled else _rad_step)(policy, n)
     best = [np.zeros(1 << t) for t in range(n + 1)]
     best[0][0] = 1.0  # the empty output, certain
-    for t, _, y, p in _walk(policy, n):
+    k, rows = n // 2, [0, 0]
+    table = np.zeros(1, np.int64), np.ones(1)  # the empty prefixes
+    for t, table, (_, y, p) in itertools.islice(_walk(step, n, table, 0), k):
         np.maximum.at(best[t], y, p)
+        rows[0] += len(table[1])
+    # the prefix half: a(s; x, y) = P(y, state s at k | x), a column of states
+    # per (x, y), and P(state s at k | x) for the mass check
+    key, p = table
+    states, s = np.unique(key & _STATE, return_inverse=True)
+    new, _ = _run_sums(key >> _STATE_BITS, p)
+    a = np.zeros((len(states), np.count_nonzero(new)))
+    a[s, np.cumsum(new) - 1] = p
+    y_pre, a = _distinct((key[new] >> _STATE_BITS & ((1 << n) - 1)) >> (n - k), a)
+    pre_mass = np.zeros((len(states), 1 << k))
+    np.add.at(pre_mass, (s, key >> (_STATE_BITS + n)), p)
+    # the suffix half: b(s; x', y') = P(y' | x', state s at k) from a walk of
+    # each state, one table per depth t > k with a column per y' << m | x'
+    b = [np.zeros((len(states), 1 << 2 * m)) for m in range(n - k + 1)]
+    for i, state in enumerate(states.tolist()):
+        for t, suffix, (x, y, p) in _walk(step, n, (np.array([state]), np.ones(1)), k):
+            b[t - k][i, y << (t - k) | x] = p
+            rows[1] += len(suffix[1])
+    # every input's mass, the sum over s of P(state s at k | x) P(any y' | x', s)
+    suf_mass = b[-1].reshape(len(states), 1 << (n - k), -1).sum(axis=1)
+    mass = np.zeros((1 << k, 1 << (n - k)))
+    for i in range(len(states)):
+        mass += pre_mass[i, :, None] * suf_mass[i]
+    worst = int(np.argmax(np.abs(mass - 1.0)))
+    if not abs(mass.flat[worst] - 1.0) <= _NORM_TOL:  # also NaN
+        raise UnnormalizedMass(f"row of input {worst:0{n}b} sums to {mass.flat[worst]!r}, not 1")
+    # the join at each t > k: max over x, x' of the sum over s of a b, per (y, y')
+    joined = chunks = 0
+    for m in range(1, n - k + 1):
+        y_suf, b_m = _distinct(np.arange(1 << 2 * m) >> m, b[m])  # every y' has columns
+        suf_first = np.flatnonzero(_starts(y_suf))
+        out = best[k + m].reshape(1 << k, 1 << m)
+        size = max(1, _JOIN_CELLS // len(y_suf))
+        for lo in range(0, len(y_pre), size):
+            v = a[0, lo : lo + size, None] * b_m[0]
+            for i in range(1, len(states)):  # in state order
+                v += a[i, lo : lo + size, None] * b_m[i]
+            joined, chunks = joined + v.size, chunks + 1
+            v = np.maximum.reduceat(v, suf_first, axis=1)  # the max over x' per y'
+            runs = np.flatnonzero(_starts(y_pre[lo : lo + size]))
+            at = y_pre[lo + runs]
+            out[at] = np.maximum(out[at], np.maximum.reduceat(v, runs, axis=0))  # and over x per y
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("oracle %s n=%d: %d inputs, split at %d with %d states, %d + %d rows expanded, "
+                   "%d entries joined in %d chunks", policy.kind, n, 1 << n, k, len(states), *rows, joined, chunks)
     return [math.log2(math.fsum(b[b > 0])) for b in best]
 
 

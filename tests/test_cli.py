@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ageleak
-from ageleak import SweepSpec, optimal_alpha_for_fcfs, policy_from_config, read_csv, sweep
+from ageleak import SweepSpec, ddad_policy, optimal_alpha_for_fcfs, policy_from_config, read_csv, sweep
 from ageleak.cli import build_parser, main
 from ageleak.policy import FAMILIES
 
@@ -107,6 +107,17 @@ def test_optimize_ddad(capsys):
         assert code == 0
         assert (value_of(out, "support"), value_of(out, "p_j")) == (support, "0.0")
         assert float(value_of(out, "gamma_star")) == float(support)
+
+
+def test_optimize_ddad_weights_come_from_the_given_rate(capsys):
+    # p_i is about delta / r with delta = 7 r - 1 = 1.4e-8 here, so it moves
+    # about 1/delta times the rate's relative error: a rate recomputed by
+    # root-finding moved it by 2.7e-8 relative
+    rate = 1.0 / (7 - 1e-7)
+    code, out = run(capsys, "optimize", "--policy", "ddad", "--rate", repr(rate))
+    assert code == 0
+    assert float(value_of(out, "p_i")) == ddad_policy(rate).p_i
+    assert float(value_of(out, "p_j")) == ddad_policy(rate).p_j
 
 
 def test_ddad_keeps_its_target_rate_at_tiny_rates(capsys):

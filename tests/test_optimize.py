@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ageleak import (
+    DitherPolicy,
     ddad_policy,
     deterministic_pmf,
     fcfs_age,
@@ -73,6 +74,13 @@ def test_ddad_policy_dither_at_rate_point_four():
     assert policy.p_i == pytest.approx(0.4653980386192361, abs=1e-12)
     residual = abs(policy.p_i * policy.z0 ** -2 + policy.p_j * policy.z0 ** -3 - 0.5)
     assert residual <= 1e-15
+
+
+def test_dither_policy_derives_z0_from_its_rate():
+    policy = ddad_policy(0.4)
+    assert policy.z0 == 2.0 ** 0.4
+    with pytest.raises(TypeError):  # z0 is no field, so it cannot disagree with the rate
+        DitherPolicy(i=2, j=3, p_i=policy.p_i, p_j=policy.p_j, z0=3.0, target_rate=0.4)
 
 
 def test_ddad_policy_invalid_rate():

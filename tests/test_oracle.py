@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from ageleak import (
     uniform_pmf,
 )
 from ageleak.errors import AgeLeakError, HorizonTooLarge, InvalidConfig, UnnormalizedMass
-from ageleak.oracle import _ROW_BUDGET, _maxl_series, _walk
+from ageleak.oracle import _coupled_step, _maxl_series, _rad_step, _walk
+from ageleak.pmf import _pmf
 
 
 # --- per-input channels: the depth-n rows of one walk over all 2^n inputs ---
@@ -36,10 +38,20 @@ def _word(bits):
     return sum(b << (len(bits) - t) for t, b in enumerate(bits, 1))
 
 
+def _channels(policy, n):
+    """(t, x, y, P(y | x)) at every depth t = 0..n of one whole-table walk
+    over all 2^n inputs, as arrays."""
+    root = np.zeros(1, np.int64), np.ones(1)  # the empty prefixes
+    yield 0, root[0], root[0], root[1]
+    step = (_coupled_step if policy.coupled else _rad_step)(policy, n)
+    for t, _, channel in _walk(step, n, root, 0):
+        yield t, *channel
+
+
 def _depth_rows(policy, n):
-    """The depth-n rows (x, y, P(y | x)) of one full walk, as three arrays."""
-    blocks = [(x, y, p) for t, x, y, p in _walk(policy, n) if t == n]
-    return tuple(np.concatenate(a) for a in zip(*blocks))
+    """The depth-n rows (x, y, P(y | x)) of one whole-table walk, as three arrays."""
+    *_, (_, x, y, p) = _channels(policy, n)
+    return x, y, p
 
 
 def _rows(policy, n):
@@ -296,6 +308,17 @@ def _pmfs(max_duration):
     ).map(lambda e: make_pmf([(d, w / math.fsum(w for _, w in e)) for d, w in e]))
 
 
+@st.composite
+def _tailed_pmfs(draw, max_duration):
+    """A random head on at most four durations whose last mass goes on as a
+    tail of a random hazard."""
+    durations = sorted(draw(st.sets(st.integers(1, max_duration), min_size=1, max_size=4)))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(durations), max_size=len(durations)))
+    mu = draw(st.floats(0.05, 0.95))
+    total = math.fsum(weights) + weights[-1] * (1.0 - mu) / mu
+    return _pmf(tuple(durations), tuple(w / total for w in weights), mu)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(["lcfs", "fcfs", "rad"]),
@@ -336,6 +359,24 @@ def test_series_entries_are_the_horizon_answers(kind, pmf, n):
     assert series[n] == brute_force_maxl(policy, n).bits
     for t in range(1, n):
         assert abs(series[t] - brute_force_maxl(policy, t).bits) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["lcfs", "fcfs", "rad"]),
+    pmf=st.one_of(_pmfs(6), _tailed_pmfs(6)),
+    n=st.integers(0, 8),
+)
+def test_split_walk_equals_the_whole_table_walk(kind, pmf, n):
+    # the series joins two half-walks through the server state at n // 2;
+    # the whole-table walk sums the same products in another order
+    policy = Policy(kind, pmf)
+    series = _maxl_series(policy, n)
+    assert len(series) == n + 1
+    for t, _, y, p in _channels(policy, n):
+        best = np.zeros(1 << t)
+        np.maximum.at(best, y, p)
+        assert abs(series[t] - math.log2(math.fsum(best[best > 0]))) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -399,11 +440,13 @@ def test_oracle_logs_one_debug_line_per_call(caplog):
         brute_force_maxl(Policy.rad(geometric_pmf(0.5)), 3)
     lines = [r.getMessage() for r in caplog.records if r.name == "ageleak.oracle"]
     assert len(lines) == 2
-    pattern = r"oracle (\w+) n=(\d+): (\d+) inputs, (\d+) states expanded, peak (\d+) live, (\d+) blocks"
-    kind, n, inputs, expanded, peak, blocks = re.fullmatch(pattern, lines[0]).groups()
-    assert (kind, n, inputs, blocks) == ("fcfs", "9", "512", "2")  # one halving over the row budget
-    assert int(expanded) >= int(peak) > 0
-    assert re.fullmatch(pattern, lines[1]).group(1, 2, 3, 6) == ("rad", "3", "8", "1")
+    pattern = (r"oracle (\w+) n=(\d+): (\d+) inputs, split at (\d+) with (\d+) states, "
+               r"(\d+) \+ (\d+) rows expanded, (\d+) entries joined in (\d+) chunks")
+    kind, n, inputs, split, states, pre, suf, joined, chunks = re.fullmatch(pattern, lines[0]).groups()
+    assert (kind, n, inputs, split) == ("fcfs", "9", "512", "4")
+    assert all(int(c) > 0 for c in (states, pre, suf, joined))
+    assert int(chunks) >= 5  # at least one per depth past the split
+    assert re.fullmatch(pattern, lines[1]).group(1, 2, 3, 4) == ("rad", "3", "8", "1")
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="ageleak.oracle"):
         brute_force_maxl(Policy.lcfs(greedy_smp_pmf(0.5)), 4)
@@ -411,17 +454,15 @@ def test_oracle_logs_one_debug_line_per_call(caplog):
 
 
 @pytest.mark.parametrize("policy", [Policy.rad(geometric_pmf(0.5)), Policy.fcfs(greedy_smp_pmf(0.3))])
-def test_oracle_live_rows_stay_within_the_row_budget(caplog, policy):
-    """The walk halves a block over the budget, so its peak does not follow 2^n.
-
-    A whole-table walk to n = 12 holds about 10^5 rows; the peak depends on
-    where the halvings fall, not on the horizon.
-    """
-    peaks = {}
-    for n in (10, 12):
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="ageleak.oracle"):
+def test_oracle_traced_peak_stays_bounded(policy):
+    """Each half walks at most 2^7 inputs and the join runs in blocks of
+    fixed size, so one call at the horizon cap holds a few MB, not the
+    10^7 rows of a whole-table walk."""
+    for n in (12, 14):
+        tracemalloc.start()
+        try:
             _maxl_series(policy, n)
-        (line,) = [r.getMessage() for r in caplog.records if r.name == "ageleak.oracle"]
-        peaks[n] = int(re.search(r"peak (\d+) live", line).group(1))
-    assert max(peaks.values()) <= 4 * _ROW_BUDGET, peaks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, (n, peak)
