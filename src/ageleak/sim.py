@@ -10,17 +10,20 @@ repeats.
 
 A run streams through windows of :data:`_CHUNK` slots.  Each window draws
 its arrivals, the server turns them into deliveries, and a running
-accumulator adds up the sawtooth the age traces: between two deliveries it
-rises by one per slot, so the sum of ages over each inter-delivery interval
-has a closed form.  The running sum of those areas, in exact int64
-arithmetic, is read at the batch boundaries only.  The server state crosses
-window boundaries (the held-back LCFS arrival, the last FCFS departure, the
-last RAD attempt and the freshest arrival), so memory is O(_CHUNK) whatever
-the horizon; Markov arrivals and RAD attempts are renewal processes whose
-events drawn past a window wait for it.  While the sum of ages over the
-horizon stays below 2^53, every partial sum of per-slot ages is exact in
-float64 too, so the mean and the batch means equal those of the per-slot
-ages bit for bit.
+accumulator sums the ages in closed form: the age in slot t is t minus the
+timestamp in force, so the sum of ages over slots 1..p is p (p + 1) / 2
+minus the sum of the timestamps in force, and each delivery's timestamp
+holds until the next delivery.  One int64 pass per window takes the
+products of those hold times and timestamps; their running sum, read at
+the batch boundaries, gives the sum of ages there.  Horizons are capped at
+2^31 slots, where every such sum stays below 2^63.  The server state
+crosses window boundaries (the held-back LCFS arrival, the last FCFS
+departure, the last RAD attempt and the freshest arrival), so memory is
+O(_CHUNK) whatever the horizon; Markov arrivals and RAD attempts are
+renewal processes whose events drawn past a window wait for it.  While the
+sum of ages over the horizon stays below 2^53, every partial sum of
+per-slot ages is exact in float64 too, so the mean and the batch means
+equal those of the per-slot ages bit for bit.
 
 The servers select a window's deliveries by index, which numpy does faster
 than by boolean mask, and RAD finds each attempt's freshest arrival by a
@@ -61,6 +64,10 @@ _T_29 = 2.0452296421327034
 #: gives the same run.
 _CHUNK = 1 << 16
 
+#: The longest horizon: its age sums, 2^61 at most, and every partial sum
+#: stay exact in int64.
+_MAX_HORIZON = 1 << 31
+
 #: Random roles of a run; role r draws from default_rng((seed, r)).
 _ARRIVALS, _INACTIVE, _COINS, _SERVICE = range(4)
 
@@ -73,6 +80,7 @@ class SimConfig:
 
     ``policy`` may be None for source-only measurements.  The three counts
     are whole numbers; an integral float such as JSON's 6e4 is kept as an int.
+    The horizon is at most 2^31 slots.
     """
 
     policy: Optional[Policy]
@@ -89,6 +97,8 @@ class SimConfig:
             raise InvalidConfig(
                 f"need horizon > warmup >= 0, got horizon={self.horizon}, warmup={self.warmup}"
             )
+        if self.horizon > _MAX_HORIZON:
+            raise InvalidConfig(f"horizon {self.horizon} is above 2**31 slots")
         if not isinstance(self.source, (BernoulliSource, MarkovSource)):
             raise InvalidConfig(f"unsupported source {self.source!r}")
 
@@ -235,13 +245,15 @@ def _lcfs(rng, cfg, chunks):
     The update arriving in slot t with draw s departs in slot t + s - 1
     unless a later arrival lands on or before that slot.  The last arrival
     of a chunk is held back until the next chunk's first arrival decides.
+    Every arrival lies on or before the horizon, so an update that departs
+    before the next arrival does too; only the last one is tested against it.
     """
     sample = _sampler(cfg, rng)
     held = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)  # arrival, departure
     for fresh in chunks:
         arrivals = np.concatenate((held[0], fresh))
         departures = np.concatenate((held[1], fresh + sample(len(fresh)) - 1))
-        done = np.flatnonzero((arrivals[1:] > departures[:-1]) & (departures[:-1] <= cfg.horizon))
+        done = np.flatnonzero(arrivals[1:] > departures[:-1])
         yield departures.take(done), arrivals.take(done) - 1
         held = arrivals[-1:], departures[-1:]
     done = held[1] <= cfg.horizon
@@ -311,9 +323,13 @@ def _rad(rng, cfg, chunks):
 _SERVERS = {"lcfs": _lcfs, "fcfs": _fcfs, "rad": _rad}
 
 
-def _tooth_areas(starts, lengths, stamps):
-    """Sum of t - stamp over the slots start + 1 .. start + length, exactly."""
-    return lengths * (2 * starts + lengths + 1) // 2 - lengths * stamps
+def _age_sum(p, stamped, start, stamp):
+    """Sum of ages over the slots 1..p: T(p) = p (p + 1) / 2 less the timestamps in force.
+
+    ``stamped`` sums the timestamps in force over the slots 1..start, and
+    ``stamp`` holds over start + 1..p.  Exact in int64 up to 2^31 slots.
+    """
+    return p * (p + 1) // 2 - stamped - (p - start) * stamp
 
 
 class _Ages:
@@ -321,11 +337,14 @@ class _Ages:
 
     The age in slot t is t minus the timestamp of the last update delivered
     in a slot before t, or minus ``first_timestamp`` before the first
-    delivery.  Each delivery closes a sawtooth interval whose sum of ages
-    has a closed form; the running int64 sum of those areas gives the sum of
-    ages up to any slot, read at the batch boundaries.  With ``counts`` set,
-    a difference array over age values counts the post-warmup slots at each
-    age.  Memory is O(deliveries per feed).
+    delivery.  The sum of ages over the slots 1..p is therefore T(p) =
+    p (p + 1) / 2 minus the sum of the timestamps in force over those slots,
+    and between two deliveries s < s' the timestamp u of the one in s holds
+    for s' - s slots.  A running total of those products (s' - s) u, one
+    int64 pass per feed, gives the sum of ages up to any slot, read at the
+    batch boundaries.  With ``counts`` set, a difference array over age
+    values counts the post-warmup slots at each age.  Memory is
+    O(deliveries per feed).
     """
 
     def __init__(self, horizon, warmup, first_timestamp=0, counts=False):
@@ -334,7 +353,9 @@ class _Ages:
         self.points = np.append(warmup + self.per_batch * np.arange(BATCHES + 1), horizon)
         self.sums = np.zeros(len(self.points), dtype=np.int64)  # age sums over 1..point
         self.settled = 0  # points before it are summed
-        self.start, self.stamp, self.area = 0, first_timestamp, 0  # open interval; sum to start
+        # the open interval: the last delivery slot and its timestamp, and the
+        # sum of the timestamps in force over the slots up to that delivery
+        self.start, self.stamp, self.stamped = 0, first_timestamp, 0
         self.steps = np.zeros(0, dtype=np.int64) if counts else None
         self.deliveries = self.late = 0  # all deliveries, those after the warmup
 
@@ -342,20 +363,26 @@ class _Ages:
         """Deliveries in ``slots`` (increasing, none before the last fed) with their timestamps."""
         if len(slots) == 0:
             return
-        starts = np.concatenate(([self.start], slots[:-1]))  # interval k ends at slots[k]
-        marks = np.concatenate(([self.stamp], stamps[:-1]))
-        areas = _tooth_areas(starts, slots - starts, marks)
+        stamped = self.stamped + (int(slots[0]) - self.start) * self.stamp  # up to slots[0]
+        held = np.diff(slots)
+        held *= stamps[:-1]  # held[k]: the timestamp sum over slots[k] + 1 .. slots[k + 1]
+        summed = 0  # the products held[:summed] are in stamped
         settled = np.searchsorted(self.points, slots[-1], side="right")
         if settled > self.settled:  # points up to the last delivery lie in intervals fed here
-            points = self.points[self.settled : settled]
-            j = np.searchsorted(slots, points, side="left")
-            whole = self.area + np.concatenate(([0], np.cumsum(areas)))
-            tails = _tooth_areas(starts[j], points - starts[j], marks[j])
-            self.sums[self.settled : settled] = whole[j] + tails
+            points = self.points[self.settled : settled].tolist()
+            for i, (p, j) in enumerate(zip(points, np.searchsorted(slots, points).tolist()), self.settled):
+                if j == 0:  # no delivery of this feed lies before p
+                    self.sums[i] = _age_sum(p, self.stamped, self.start, self.stamp)
+                    continue
+                stamped += int(held[summed : j - 1].sum())
+                summed = j - 1
+                self.sums[i] = _age_sum(p, stamped, int(slots[j - 1]), int(stamps[j - 1]))
             self.settled = settled
         if self.steps is not None:
-            self._count(starts, slots, marks)
-        self.start, self.stamp, self.area = int(slots[-1]), int(stamps[-1]), self.area + int(areas.sum())
+            starts = np.concatenate(([self.start], slots[:-1]))  # interval k ends at slots[k]
+            self._count(starts, slots, np.concatenate(([self.stamp], stamps[:-1])))
+        self.stamped = stamped + int(held[summed:].sum())
+        self.start, self.stamp = int(slots[-1]), int(stamps[-1])
         self.deliveries += len(slots)
         self.late += len(slots) - int(np.searchsorted(slots, self.warmup, side="right"))
 
@@ -376,14 +403,14 @@ class _Ages:
     def stats(self):
         """Mean age and batch-means CI over the post-warmup slots.
 
-        The interval open at the horizon is summed up to it; the warmup
-        absorbs the artificial first update.  Batch k's sum of ages is the
-        difference of the age sums at its two boundaries, so the mean and the
-        batch means are those of the per-slot ages.  Fewer slots than batches
-        leave the spread unknown: the half-width is inf.
+        The points past the last delivery are summed in the same closed
+        form; the warmup absorbs the artificial first update.  Batch k's sum
+        of ages is the difference of the age sums at its two boundaries, so
+        the mean and the batch means are those of the per-slot ages.  Fewer
+        slots than batches leave the spread unknown: the half-width is inf.
         """
         points = self.points[self.settled :]
-        self.sums[self.settled :] = self.area + _tooth_areas(self.start, points - self.start, self.stamp)
+        self.sums[self.settled :] = _age_sum(points, self.stamped, self.start, self.stamp)
         self.settled = len(self.points)
         sums, measured = self.sums, self.horizon - self.warmup
         mean = float((sums[-1] - sums[0]) / measured)

@@ -277,6 +277,8 @@ SCENARIO = {
         ("rate", "--policy", "rad-uniform", "--tau", "inf"),
         ("age", "--policy", "rad-uniform", "--tau", "8.98846567431158e+307"),
         ("simulate", "--policy", "dad", "--tau", "5", "--slots", "20000", "--seed", "4294967296"),
+        ("simulate", "--scenario", dict(SCENARIO, horizon=2**31 + 1)),
+        ("sweep", "--policy", "dad", "--grid", "2", "--simulate", "--slots", "2147483649"),
         ("sweep", "--policy", "dad", "--grid", "2", "--simulate", "--slots", "20000", "--seed", "4294967296"),
         ("optimize", "--policy", "lcfs-geo", "--tau", "1e17"),  # its pmf line would list ~3.7e18 entries
         ("rate", "--policy", "ddad", "--rate", "5e-324"),
@@ -320,6 +322,15 @@ def test_refused_inputs_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("slots", ["2147483649", "9223372036854775808"])
+def test_horizons_past_the_cap_exit_2_at_once(slots):
+    env = {**os.environ, "PYTHONPATH": str(Path(ageleak.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "ageleak.cli", "simulate", "--policy", "dad", "--tau", "5",
+                          "--slots", slots], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 2
+    assert (out.stdout, out.stderr) == ("", f"error: horizon {slots} is above 2**31 slots\n")
 
 
 def test_readme_command_lines_parse():

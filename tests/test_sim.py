@@ -4,6 +4,7 @@ import logging
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -199,6 +200,9 @@ def test_fewer_slots_than_batches_give_an_unknown_spread():
 def test_config_validation():
     with pytest.raises(InvalidConfig):
         SimConfig(Policy.dad(3), BERN, horizon=100, warmup=100)
+    assert SimConfig(Policy.dad(3), BERN, horizon=2**31).horizon == 2**31
+    with pytest.raises(InvalidConfig, match="above 2"):
+        SimConfig(Policy.dad(3), BERN, horizon=2**31 + 1)
     with pytest.raises(InvalidConfig):
         SimConfig(Policy.dad(3), BERN, horizon=100, warmup=-1)
     with pytest.raises(InvalidConfig):
@@ -332,6 +336,28 @@ def test_sawtooth_statistics_without_deliveries():
     none = np.zeros(0, dtype=np.int64)
     for horizon, warmup in ((1, 0), (29, 0), (30, 0), (1000, 0), (1000, 999), (10_000, 37)):
         assert fed_age_stats(none, none, horizon, warmup) == per_slot_age_stats(none, none, horizon, warmup)
+
+
+@pytest.mark.parametrize("horizon", [2**31 - 1, 2**31])
+@pytest.mark.parametrize("warmup", [0, 10_000, 2**31 - 100])
+@pytest.mark.parametrize("first_timestamp", [0, -1])
+def test_age_sums_are_exact_at_the_horizon_cap(horizon, warmup, first_timestamp):
+    """Age sums near 2^61 equal the whole-run ones in Python ints, fed at once or in up to four feeds."""
+    rng = np.random.default_rng(horizon + warmup)
+    sparse = np.unique(np.concatenate((rng.integers(1, horizon + 1, 40), [warmup or 1, horizon - 1, horizon])))
+    delayed = sparse - rng.integers(0, sparse + 1)  # delays from 0 up to the whole slot
+    delayed[:3] = 0  # the oldest timestamps held longest
+    none = np.zeros(0, dtype=np.int64)
+    for slots, stamps in ((none, none), (sparse, delayed)):
+        for pieces in range(1, 5):
+            ages = sim._Ages(horizon, warmup, first_timestamp)
+            for part in np.array_split(np.arange(len(slots)), pieces):
+                ages.feed(slots[part], stamps[part])
+            mean = ages.stats()[0]
+            exact = whole_age_sums(slots.astype(object), stamps.astype(object), first_timestamp,
+                                   ages.points.astype(object))
+            assert ages.sums.tolist() == exact.tolist()
+            assert mean == pytest.approx(float(Fraction(exact[-1] - exact[0], horizon - warmup)), rel=1e-15)
 
 
 def role_streams(seed, *roles):
@@ -795,6 +821,24 @@ def test_draws_past_the_horizon_run_as_horizon_plus_one(kind):
         return repr(simulate(SimConfig(Policy(kind, pmf), BERN, horizon=20_000, warmup=1_000, seed=3)))
 
     assert stats(10 ** 20) == stats(20_001)
+
+
+@pytest.mark.parametrize("kind", ["lcfs", "fcfs", "rad"])
+@pytest.mark.parametrize("far_mass", [0.5, 0.01])
+def test_draws_past_the_horizon_run_as_horizon_plus_one_in_small_windows(monkeypatch, kind, far_mass):
+    """As above in windows of 64 slots, where draws pass the horizon in middle windows.
+
+    LCFS tests only its last arrival's departure against the horizon: every
+    earlier one that departs before the next arrival departs by the
+    horizon.  The whole-run reference tests every departure.
+    """
+    monkeypatch.setattr(sim, "_CHUNK", 64)
+
+    def cfg(far):
+        pmf = make_pmf([(2, 1.0 - far_mass), (far, far_mass)])
+        return SimConfig(Policy(kind, pmf), BERN, horizon=20_000, warmup=1_000, seed=3)
+
+    assert repr(simulate(cfg(10 ** 20))) == repr(simulate(cfg(20_001))) == repr(whole_simulate(cfg(20_001)))
 
 
 class _Crafted:
