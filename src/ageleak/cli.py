@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -39,14 +40,28 @@ def _policy(args):
 
 
 def _parse_grid(text):
-    """Either 'start:stop:step' or a comma-separated list."""
+    """Either 'start:stop:step' or a comma-separated list.
+
+    A stepped grid holds start + i step for i = 0, 1, ... up to stop.  Where
+    (stop - start) / step is a whole number to a relative 10^-9, the last
+    value is stop itself: start plus that many steps can round past stop.
+    """
     try:
-        if ":" in text:
-            start, stop, step = (float(x) for x in text.split(":"))
-            return tuple(np.arange(start, stop + step / 2, step).tolist())
-        return tuple(float(x) for x in text.split(","))
-    except (ValueError, ZeroDivisionError):
+        if ":" not in text:
+            return tuple(float(x) for x in text.split(","))
+        start, stop, step = (float(x) for x in text.split(":"))
+        span = (stop - start) / step
+        steps = round(span)
+        divides = abs(span - steps) <= 1e-9 * max(1.0, abs(span))
+        steps = steps if divides else math.floor(span)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise InvalidConfig(f"--grid {text!r} is neither start:stop:step nor a comma list") from None
+    if steps < 0:
+        raise InvalidConfig(f"--grid {text!r} holds no value: stop lies before start in the step's direction")
+    values = start + np.arange(steps + 1) * step
+    if divides:
+        values[-1] = stop
+    return tuple(values.tolist())
 
 
 def _emit(args, lines):

@@ -18,21 +18,29 @@ products of those hold times and timestamps; their running sum, read at
 the batch boundaries, gives the sum of ages there.  Horizons are capped at
 2^31 slots, where every such sum stays below 2^63.  The server state
 crosses window boundaries (the held-back LCFS arrival, the last FCFS
-departure, the last RAD attempt and the freshest arrival), so memory is
-O(_CHUNK) whatever the horizon; Markov arrivals and RAD attempts are
-renewal processes whose events drawn past a window wait for it.  While the
-sum of ages over the horizon stays below 2^53, every partial sum of
-per-slot ages is exact in float64 too, so the mean and the batch means
-equal those of the per-slot ages bit for bit.
+departure, the last RAD attempt and the freshest arrival, or a DAD
+timer's held arrival and its attempt), so memory is O(_CHUNK) whatever
+the horizon; Markov arrivals and the attempts of a RAD timer with more
+than one duration are renewal processes whose events drawn past a window
+wait for it.  While the sum of ages over the horizon stays below 2^53,
+every partial sum of per-slot ages is exact in float64 too, so the mean
+and the batch means equal those of the per-slot ages bit for bit.
 
 The servers select a window's deliveries by index, which numpy does faster
-than by boolean mask, and RAD finds each attempt's freshest arrival by a
-scan of the window's slots or a binary search, by attempt density.
+than by boolean mask.  Service and timer draws take their route from the
+pmf's support: one duration with no tail draws nothing, two durations
+with no tail take one comparison per draw, and any other pmf a guide table.
+A RAD timer of one duration tau dumps at the multiples of tau, so each
+arrival's attempt is integer arithmetic; any other timer's attempts are a
+renewal stream, and each attempt's freshest arrival is found by a scan of
+the window's slots or a binary search, by attempt density.
 
 Each random role of a run (Bernoulli arrivals or Markov stay-or-leave
 coins, Markov idle lengths, FCFS admission coins, service or timer draws)
-reads its own generator seeded with (seed, role), strictly in sequence.  A
-run is therefore the same whatever the window size.
+reads its own generator seeded with (seed, role), strictly in sequence, and
+no role reads another's.  A run is therefore the same whatever the window
+size, and a route that draws fewer doubles, or none past the horizon,
+leaves every result as it was.
 
 Confidence intervals use batch means over 30 batches of the post-warmup
 slots at the 95% level.  The default warmup is 10^4 slots; the age process
@@ -123,35 +131,60 @@ def _stream(cfg, role):
     return np.random.default_rng((cfg.seed, role))
 
 
+def _one_duration(cfg: SimConfig):
+    """The policy pmf's only duration, clipped to horizon + 1, or None when it has more or a tail."""
+    pmf = cfg.policy.pmf
+    return None if pmf.hazard or len(pmf.durations) > 1 else min(pmf.durations[0], cfg.horizon + 1)
+
+
 def _sampler(cfg: SimConfig, rng):
     """sample(size): draws of the policy's pmf by inversion, one double of ``rng`` each.
 
-    The pmf is listed as its head and its tail written out until less than
-    2^-53 of the mass is left, or up to 2^16 durations, or to the horizon.
-    The draw for u is the duration at index searchsorted(cdf, u, "right") of
-    that list, found through a guide table (Chen & Asau 1974; Devroye 1986,
-    III.2.4) of m = 2^k buckets.  For u in bucket b = floor(u m), that index
-    lies between lo = searchsorted(cdf, b/m, "right") and hi =
-    searchsorted(cdf, (b+1)/m, "left"); where the two agree the bucket holds
-    the draw itself, and only the other buckets search.  m is a power of two,
-    so u m and the edges b/m are exact and every draw equals the searched one.
-    A u past the list's cdf falls in the tail beyond its last duration L,
-    inverted in closed form: L + k with P(D > L) (1 - mu)^k <= 1 - u,
-    k >= 1; without a tail it takes the last duration.
+    The route follows the pmf's support, and every route gives the draw at
+    index searchsorted(cdf, u, "right") of the pmf's durations for u.  One
+    duration and no tail: every draw is that duration, and ``rng`` is never
+    read.  Two durations d0 <= d1 and no tail: the draw is d0 + (u >= cdf[0])
+    (d1 - d0), one comparison.
+
+    Otherwise the pmf is listed as its head and its tail written out until
+    less than 2^-53 of the mass is left, or up to 2^16 durations, or to the
+    horizon, and the index is found through a guide table (Chen & Asau
+    1974; Devroye 1986, III.2.4) of m = 2^k buckets.  For u in bucket
+    b = floor(u m), that index lies between lo = searchsorted(cdf, b/m,
+    "right") and hi = searchsorted(cdf, (b+1)/m, "left"); where the two
+    agree the bucket holds the draw itself, and only the other buckets
+    search.  m is a power of two, so u m and the edges b/m are exact and
+    every draw equals the searched one.  A u past the list's cdf falls in
+    the tail beyond its last duration L, inverted in closed form: L + k with
+    P(D > L) (1 - mu)^k <= 1 - u, k >= 1; without a tail it takes the last
+    duration.
 
     The arrays are built once per run, not once per chunk.  A draw past the
     horizon never fires, so it is clipped to horizon + 1 to fit int64.
     """
+    only = _one_duration(cfg)
+    if only is not None:
+        return lambda size: np.full(size, only, dtype=np.int64)
     pmf, cap = cfg.policy.pmf, cfg.horizon + 1
     listed, probabilities = pmf._listed(_LISTED_MAX, cap)
     keep = bisect.bisect_right(listed, cap)
     durations = np.array(listed[:keep] + [cap] * (len(listed) - keep), dtype=np.int64)
     cdf = np.cumsum(probabilities)
+    beyond = len(durations) if pmf.hazard and listed[-1] < cap else -1  # the tail goes on past the list
+    if len(durations) == 2 and beyond < 0:
+        first, step, split = int(durations[0]), int(durations[1] - durations[0]), float(cdf[0])
+
+        def sample_two(size):
+            out = (rng.random(size) >= split).astype(np.int64)
+            out *= step
+            out += first
+            return out
+
+        return sample_two
     m = 1 << min(max((16 * len(durations) - 1).bit_length(), 6), 16)  # >= 16 per duration, 64 .. 2^16
     edges = np.arange(m + 1) / m
     lo = np.searchsorted(cdf, edges[:-1], side="right")
     hi = np.searchsorted(cdf, edges[1:], side="left")
-    beyond = len(durations) if pmf.hazard and listed[-1] < cap else -1  # the tail goes on past the list
     table = np.where((lo == hi) & (lo != beyond), durations.take(lo, mode="clip"), -1)  # durations are >= 1
     rest, log_q = pmf._rest(listed[-1]), math.log1p(-pmf.hazard)
 
@@ -174,7 +207,9 @@ def _sampler(cfg: SimConfig, rng):
 
 def _bernoulli_chunks(rng, lam, horizon):
     for start in range(0, horizon, _CHUNK):
-        yield np.flatnonzero(rng.random(min(_CHUNK, horizon - start)) < lam) + (start + 1)
+        arrivals = np.flatnonzero(rng.random(min(_CHUNK, horizon - start)) < lam)
+        arrivals += start + 1
+        yield arrivals
 
 
 def _geometric_lengths(rng, p, size, cap):
@@ -187,19 +222,24 @@ def _geometric_lengths(rng, p, size, cap):
     return np.minimum(lengths, cap).astype(np.int64)
 
 
-def _renewals(gaps, horizon):
+def _renewals(gaps, horizon, shortest):
     """Event slots of a renewal process from slot 0, per window of :data:`_CHUNK` slots.
 
-    ``gaps(size)`` gives the next ``size`` gaps, each at least one slot; they
-    are drawn :data:`_CHUNK` at a time, and the events past a window's end
-    wait for the next window.
+    ``gaps(size)`` gives the next ``size`` gaps, each at least ``shortest``
+    slots.  A refill draws :data:`_CHUNK` gaps, or fewer where that many
+    pass the horizon: from the last event drawn, floor((horizon - last) /
+    shortest) + 1 gaps reach past it.  The events past a window's end wait
+    for the next window.
     """
     pending = np.zeros(0, dtype=np.int64)  # events drawn, not yet reached
     last = 0  # the last event drawn
     for start in range(0, horizon, _CHUNK):
         end = min(start + _CHUNK, horizon)
         while last <= end:
-            pending = np.concatenate((pending, last + np.cumsum(gaps(_CHUNK))))
+            events = gaps(min(_CHUNK, (horizon - last) // shortest + 1))
+            np.cumsum(events, out=events)
+            events += last
+            pending = np.concatenate((pending, events))
             last = int(pending[-1])
         reached = np.searchsorted(pending, end, side="right")
         yield pending[:reached]
@@ -236,7 +276,12 @@ def _arrival_chunks(cfg: SimConfig):
     """Arrival slots of each window of :data:`_CHUNK` slots."""
     if isinstance(cfg.source, BernoulliSource):
         return _bernoulli_chunks(_stream(cfg, _ARRIVALS), cfg.source.lam, cfg.horizon)
-    return _renewals(_markov_gaps(cfg), cfg.horizon)
+    return _renewals(_markov_gaps(cfg), cfg.horizon, 1)
+
+
+def _one(slot, stamp):
+    """A single delivery, in the form a server yields."""
+    return np.array([slot], dtype=np.int64), np.array([stamp], dtype=np.int64)
 
 
 def _lcfs(rng, cfg, chunks):
@@ -249,15 +294,20 @@ def _lcfs(rng, cfg, chunks):
     before the next arrival does too; only the last one is tested against it.
     """
     sample = _sampler(cfg, rng)
-    held = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)  # arrival, departure
+    arrival = departure = 0  # the held arrival and its departure (0: none)
     for fresh in chunks:
-        arrivals = np.concatenate((held[0], fresh))
-        departures = np.concatenate((held[1], fresh + sample(len(fresh)) - 1))
-        done = np.flatnonzero(arrivals[1:] > departures[:-1])
-        yield departures.take(done), arrivals.take(done) - 1
-        held = arrivals[-1:], departures[-1:]
-    done = held[1] <= cfg.horizon
-    yield held[1][done], held[0][done] - 1
+        if len(fresh) == 0:
+            continue
+        if arrival and fresh[0] > departure:
+            yield _one(departure, arrival - 1)
+        departures = sample(len(fresh))
+        departures += fresh
+        departures -= 1
+        done = np.flatnonzero(fresh[1:] > departures[:-1])
+        yield departures.take(done), fresh.take(done) - 1
+        arrival, departure = int(fresh[-1]), int(departures[-1])
+    if arrival and departure <= cfg.horizon:
+        yield _one(departure, arrival - 1)
 
 
 def _fcfs(rng, cfg, chunks):
@@ -288,21 +338,51 @@ def _fcfs(rng, cfg, chunks):
         yield departures[:done], arrivals[:done] - 1
 
 
+def _periodic_dumps(tau, horizon, chunks):
+    """RAD with attempts at tau, 2 tau, ...: arrival t waits for attempt ceil(t / tau) tau.
+
+    Each attempt delivers the last arrival that waits for it.  The window's
+    last arrival is held, with its attempt, until that attempt falls in a
+    window read or a later arrival replaces it.
+    """
+    held = attempt = 0  # the held arrival and its attempt (0: none)
+    for arrivals, start in zip(chunks, range(0, horizon, _CHUNK)):
+        if len(arrivals):
+            if attempt and attempt < arrivals[0]:
+                yield _one(attempt, held - 1)
+            attempts = arrivals + (tau - 1)
+            attempts //= tau
+            attempts *= tau
+            last = np.flatnonzero(attempts[1:] != attempts[:-1])  # the next arrival waits for a later attempt
+            yield attempts.take(last), arrivals.take(last) - 1
+            held, attempt = int(arrivals[-1]), int(attempts[-1])
+        if attempt and attempt <= min(start + _CHUNK, horizon):
+            yield _one(attempt, held - 1)
+            attempt = 0
+
+
 def _rad(rng, cfg, chunks):
     """Accumulate-and-dump: the timer runs from slot 0, first attempt at D1.
 
     An attempt transmits the freshest update that arrived since the previous
     attempt (the buffer only ever holds the freshest update and is empty
-    after every attempt); an empty-buffer attempt produces no output.  The
-    attempts are a renewal process of timer draws.
+    after every attempt); an empty-buffer attempt produces no output.
 
-    The freshest arrival at each attempt is a running maximum over the
-    window's slots where attempts are dense (more than one per 8 slots), and
-    a binary search over the window's arrivals where they are sparse; both
-    give the last arrival on or before the attempt.
+    A timer of one duration tau (clipped to horizon + 1) attempts at the
+    multiples of tau and draws nothing.  Any other timer's attempts are a
+    renewal process of its draws, and the freshest arrival at each attempt
+    is a running maximum over the window's slots where attempts are dense
+    (more than one per 8 slots), and a binary search over the window's
+    arrivals where they are sparse; both give the last arrival on or before
+    the attempt.
     """
+    tau = _one_duration(cfg)
+    if tau is not None:
+        yield from _periodic_dumps(tau, cfg.horizon, chunks)
+        return
     previous = latest = 0  # the last attempt reached, the freshest arrival (0: none)
-    attempt_chunks = _renewals(_sampler(cfg, rng), cfg.horizon)
+    shortest = min(cfg.policy.pmf.durations[0], cfg.horizon + 1)
+    attempt_chunks = _renewals(_sampler(cfg, rng), cfg.horizon, shortest)
     for attempts, arrivals, start in zip(attempt_chunks, chunks, range(0, cfg.horizon, _CHUNK)):
         window = min(_CHUNK, cfg.horizon - start)
         if 8 * len(attempts) > window:
@@ -425,12 +505,24 @@ class _Ages:
         return np.cumsum(self.steps)
 
 
-def _log_run(what, cfg, arrivals, ages):
+class _Counted:
+    """A generator's ``random(size)`` that counts the doubles drawn."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def random(self, size):
+        self.draws += size
+        return self.rng.random(size)
+
+
+def _log_run(what, cfg, arrivals, ages, draws=0):
     if _log.isEnabledFor(logging.DEBUG):
         # the post-warmup intervals: one per late delivery before the horizon, plus the open one
         intervals = ages.late - (ages.start == cfg.horizon) + 1
-        _log.debug("sim %s horizon=%d: %d arrivals, %d deliveries, %d intervals summed, %d chunks",
-                   what, cfg.horizon, arrivals, ages.deliveries, intervals, -(-cfg.horizon // _CHUNK))
+        _log.debug("sim %s horizon=%d: %d arrivals, %d deliveries, %d intervals summed, %d chunks, "
+                   "%d service/timer draws", what, cfg.horizon, arrivals, ages.deliveries, intervals,
+                   -(-cfg.horizon // _CHUNK), draws)
 
 
 def simulate(cfg: SimConfig) -> SimStats:
@@ -444,11 +536,11 @@ def simulate(cfg: SimConfig) -> SimStats:
             arrived[0] += len(arrivals)
             yield arrivals
 
-    ages = _Ages(cfg.horizon, cfg.warmup)
-    for slots, stamps in _SERVERS[cfg.policy.kind](_stream(cfg, _SERVICE), cfg, chunks()):
+    ages, service = _Ages(cfg.horizon, cfg.warmup), _Counted(_stream(cfg, _SERVICE))
+    for slots, stamps in _SERVERS[cfg.policy.kind](service, cfg, chunks()):
         ages.feed(slots, stamps)
     mean, ci = ages.stats()
-    _log_run(cfg.policy.kind, cfg, arrived[0], ages)
+    _log_run(cfg.policy.kind, cfg, arrived[0], ages, service.draws)
     return SimStats(mean, ci, ages.late, ages.late / (cfg.horizon - cfg.warmup))
 
 

@@ -309,6 +309,8 @@ SCENARIO = {
         # run flags that only a simulated sweep reads
         ("sweep", "--policy", "ddad", "--grid", "0.5", "--slots", "5", "--seed", "3", "--warmup", "7"),
         ("sweep", "--policy", "dad", "--grid", "3", "--seed", "3"),
+        # a stepped grid whose stop lies before its start
+        ("sweep", "--policy", "dad", "--grid", "5:1:1"),
     ],
 )
 def test_refused_inputs_exit_2(capsys, tmp_path, argv):
@@ -339,6 +341,20 @@ def test_readme_command_lines_parse():
     assert len(lines) >= 10
     for argv in lines:
         build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("family, grid, values", [
+    ("ddad", "0.05:1.0:0.01", [0.05 + i * 0.01 for i in range(95)] + [1.0]),  # the README's; arange passed 1
+    ("dad", "1:25:1", [float(i) for i in range(1, 26)]),
+    ("rad-geo", "1:2:0.3", [1.0, 1.0 + 0.3, 1.0 + 2 * 0.3, 1.0 + 3 * 0.3]),  # 0.3 does not divide the range
+    ("rad-geo", "1:2:0.35", [1.0, 1.0 + 0.35, 1.0 + 2 * 0.35]),  # nor 0.35, where rounding the steps passes 2
+    ("rad-geo", "2:2:1", [2.0]),
+    ("dad", "5:1:-1", [5.0, 4.0, 3.0, 2.0, 1.0]),
+])
+def test_stepped_grids_run_from_start_to_stop(capsys, family, grid, values):
+    code, out = run(capsys, "sweep", "--policy", family, "--grid", grid)
+    assert code == 0
+    assert [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]] == values
 
 
 def test_stepped_grid_reports_plain_floats(capsys):

@@ -434,8 +434,13 @@ def test_runs_report_counters_at_debug(caplog):
     with caplog.at_level(logging.DEBUG, logger="ageleak.sim"):
         simulate(cfg)
         empirical_source_age(SimConfig(None, BernoulliSource(1.0), horizon=1_000, warmup=0))
+        for policy in (Policy.lcfs(geometric_pmf(0.25)), Policy.rad(make_pmf([(1, 0.5), (2, 0.5)]))):
+            simulate(SimConfig(policy, BernoulliSource(1.0), horizon=1_000, warmup=0, seed=1))
     assert "sim rad horizon=1000: 1000 arrivals, 250 deliveries, 250 intervals summed" in caplog.text
     assert "sim source horizon=1000: 1000 arrivals, 1000 deliveries, 1000 intervals summed" in caplog.text
+    draws = [line.rsplit(", ", 1)[1] for line in caplog.text.splitlines()]
+    # DAD reads no timer draw; LCFS one per arrival; a timer of gaps >= 1 one refill of 1000 + 1 gaps
+    assert draws == ["0 service/timer draws"] * 2 + ["1000 service/timer draws", "1001 service/timer draws"]
 
 
 # --- the whole-run simulator the chunked one replaces ---------------------
@@ -680,8 +685,8 @@ SERVICE_PMFS = (
     deterministic_pmf(1),
     deterministic_pmf(5),
     make_pmf([(2, 0.3), (7, 0.7)]),
-    # dump periods dense enough for RAD's scan over a window's slots and sparse enough
-    # for its binary search, at chunks of 7 and 64 slots
+    # dump periods dense enough for RAD's scan over a window's slots, at chunks of 7 and 64
+    # slots, and one period whose attempts often fall in a later chunk than their arrivals
     make_pmf([(1, 0.5), (2, 0.5)]),
     deterministic_pmf(40),
 )
@@ -725,9 +730,11 @@ def test_server_state_crosses_chunk_boundaries(chunk):
     """Every server, source kind and warmup edge, on a horizon no chunk divides.
 
     With chunks of 7 or 64 slots, LCFS departures, FCFS backlogs, RAD
-    attempts (period 5 and 9, 1 and 2, and 40), Markov runs (p01 = 1 or
-    p10 = 1 included) and the warmup all reach across chunk boundaries.
-    RAD's dense periods take its scan and period 40 its binary search.
+    attempts (periods 5 or 9, 1 or 2, 30 or 50, and DAD at 1, 2, 5, 40 and
+    past the horizon), Markov runs (p01 = 1 or p10 = 1 included) and the
+    warmup all reach across chunk boundaries.  RAD's dense two-point timers
+    take its scan, the sparse one its binary search, and DAD its attempt
+    arithmetic, whose last attempt of a chunk may fall in a later one.
     """
     greedy = greedy_smp_pmf(0.5)
     policies = [
@@ -736,7 +743,8 @@ def test_server_state_crosses_chunk_boundaries(chunk):
         Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0]),
         Policy.rad(make_pmf([(5, 0.5), (9, 0.5)])),
         Policy.rad(make_pmf([(1, 0.5), (2, 0.5)])),
-        Policy.rad(deterministic_pmf(40)),
+        Policy.rad(make_pmf([(30, 0.5), (50, 0.5)])),
+        *(Policy.dad(tau) for tau in (1, 2, 5, 40, 1_003 + 5)),
         None,
     ]
     sources = [BERN, MarkovSource(0.05, 0.2), MarkovSource(1.0, 0.3), MarkovSource(0.3, 1.0)]
@@ -841,6 +849,31 @@ def test_draws_past_the_horizon_run_as_horizon_plus_one_in_small_windows(monkeyp
     assert repr(simulate(cfg(10 ** 20))) == repr(simulate(cfg(20_001))) == repr(whole_simulate(cfg(20_001)))
 
 
+class _Refusing:
+    """Stands in for a generator that must not be read."""
+
+    def random(self, size):
+        raise AssertionError(f"read {size} doubles of a stream that must not be read")
+
+
+@pytest.mark.parametrize("kind", ["lcfs", "fcfs", "rad"])
+@pytest.mark.parametrize("source", [BERN, MarkovSource(0.05, 0.2)], ids=["bernoulli", "markov"])
+@pytest.mark.parametrize("tau", [1, 2, 5, 40, 20_000 + 5])
+def test_one_point_pmfs_read_no_service_draw(monkeypatch, kind, source, tau):
+    """A pmf of one duration and no tail draws nothing, in windows of 64 slots and of 2^16.
+
+    Its service stream raises when read, and the run still equals the
+    whole-run reference, which draws every service time or timer gap.
+    """
+    cfg = SimConfig(Policy(kind, deterministic_pmf(tau)), source, horizon=20_000, warmup=1_000, seed=tau)
+    expected = repr(whole_simulate(cfg))
+    stream = sim._stream
+    monkeypatch.setattr(sim, "_stream", lambda cfg, role: _Refusing() if role == sim._SERVICE else stream(cfg, role))
+    assert repr(simulate(cfg)) == expected
+    monkeypatch.setattr(sim, "_CHUNK", 64)
+    assert repr(simulate(cfg)) == expected
+
+
 class _Crafted:
     """Stands in for a generator: random(size) returns the next ``size`` of the given values."""
 
@@ -857,9 +890,18 @@ class _Crafted:
     (uniform_pmf(10_000), 20_000),  # more buckets than the table's cap allows
     (FinitePmf((1, 2, 3), (0.5, 0.25, 0.25 - 5e-10)), 100),  # u >= cdf[-1] occurs
     (make_pmf([(2, 0.5), (10 ** 20, 0.5)]), 1_000),  # a lag past the horizon
+    # two durations and no tail, drawn by one comparison with cdf[0]
+    (make_pmf([(3, 0.1), (8, 0.9)]), 100),
+    (FinitePmf((3, 8), (0.1, 0.9 - 5e-10)), 100),  # u >= cdf[-1] occurs
+    (make_pmf([(2, 0.3), (10 ** 20, 0.7)]), 50),  # the second duration is clipped to horizon + 1
+    # two durations listed and a tail of under 2^-53 past them, which the comparison would miss
+    (FinitePmf((1, 2), (0.5, 0.5 - 5e-10), 1.0 - 2.0 ** -53), 100),
+    # one duration and no tail, drawn without reading the stream
+    (deterministic_pmf(5), 100),
+    (deterministic_pmf(10 ** 20), 100),
 ])
 def test_sampler_draws_equal_searched_inversion(pmf, horizon):
-    """Every draw of the guide table equals inversion by binary search of the same u.
+    """Every draw, by whichever route the support picks, equals inversion by binary search of the same u.
 
     The search runs over the durations ``entries`` lists, each with its own
     mass: a tail's rest is not folded onto the last, so a u past their cdf
