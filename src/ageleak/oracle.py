@@ -1,8 +1,7 @@
 """Brute-force ground truth for maximal leakage at small horizons.
 
-The channel from arrival sequences to output sequences is expanded exactly:
-every service-time or inter-dump draw is branched with its pmf weight, so
-the conditional output distribution is computed in full rather than
+The channel from arrival sequences to output sequences is expanded exactly,
+so the conditional output distribution is computed in full rather than
 sampled.  (Maximal leakage takes a max over inputs, which no unbiased
 Monte Carlo estimate survives.)
 
@@ -11,11 +10,15 @@ first, then the server acts, then a transmission (if any) sets that slot's
 output bit.  Sequences are keyed as n-bit machine words with slot 1 in the
 most significant bit.
 
+Every server is one clock and a count of the updates it holds (:func:`_step`):
+a dump timer always runs, a service clock runs while an update is held and
+LCFS restarts it on an arrival, and a fire sends an update iff one is held.
+
 A walk advances a table of numpy rows, each one int64 key (input prefix,
 output prefix, server state) and a probability, one slot at a time,
-doubling the prefixes by the next arrival bit, branching the draws and
-merging equal keys, so each state is computed once for every input that
-shares its prefix.
+doubling the prefixes by the next arrival bit, branching each row on
+whether the clock fires and merging equal keys, so each state is computed
+once for every input that shares its prefix.
 
 The server is causal and Markov in its packed state, so for a split depth
 k and any t > k, with x = (x_pre, x_suf) and y = (y_pre, y_suf) cut at k,
@@ -37,8 +40,8 @@ to be 1 within :data:`_NORM_TOL`.
 At depth t the prefix table, once its server states are summed out, is the
 horizon-t channel, and so is the join at t > k: one split walk to n yields
 the maximal leakage at every horizon 0..n.  Only the lumping of what happens
-past the horizon (departures drawn beyond n, timer ages alike over the slots
-left) depends on n, so an entry differs from a walk to that horizon by
+past the horizon (clock ages whose hazards agree over the slots left)
+depends on n, so an entry differs from a walk to that horizon by
 rounding alone.  Maximal leakage needs max_x P(y | x) for every output y
 and nothing more, which is all the series keeps.
 """
@@ -69,63 +72,19 @@ _STATE = (1 << _STATE_BITS) - 1
 _log = logging.getLogger(__name__)
 
 
-def _coupled_step(policy: Policy, n):
-    """Slot step of an LCFS/FCFS server; state = pending departure | queue << 5.
+def _step(policy: Policy, n):
+    """Slot step of any server; state = clock age r | updates held h << 5.
 
-    An LCFS arrival replaces any in-service update and redraws its service,
-    an FCFS arrival queues (the queue counts arrivals minus departures).  A
-    service started in slot t with draw s departs in slot t + s - 1; every
-    slot past n is one "never", n + 1.  Same-slot preemption beats the
-    would-be departure.
+    An arrival raises h, to at most 1 for LCFS and RAD, and an LCFS arrival
+    resets r: it replaces any update in service and restarts its clock.  A
+    dump timer always runs; a service clock runs while an update is held.
+    At age r the clock fires with hazard g(r+1) / P(D > r), sends an update
+    iff one is held, then drops one and restarts at age 0; otherwise it ages.
+    Age 0 divides by the nominal P(D > 0) = 1, so a pmf whose mass is not 1
+    shows in the row sums.  Two ages whose hazards agree over every
+    remaining slot are one state, so a memoryless clock stays at age 0.
     """
-    lcfs, pmf = policy.kind == "lcfs", policy.pmf
-    never = n + 1
-    arrival = 1 << (_STATE_BITS + n)  # the input bit of the slot
-    draws = []  # per start slot t: departure slots and their weights
-    for t in range(1, n + 1):
-        due = [(t + s - 1, g) for s in range(1, n - t + 2) if (g := pmf.prob(s)) > 0.0]
-        if pmf.d_max > n - t + 1:  # some draw departs past the horizon
-            due.append((never, pmf.tail(n - t + 1)))
-        draws.append(tuple(map(np.array, zip(*due))))
-
-    def step(t, key, p):
-        # each row's two children, by the slot's input bit: the rows that
-        # start no service, first those of bit 0 and then of bit 1, then
-        # every draw of the rows that start one, in the same order
-        if lcfs:  # an arrival starts a service; without one nothing starts
-            stay_key, stay_p, go_key, go_p = key, p, key | arrival, p
-        else:  # an arrival joins the queue; an idle server starts a queued update
-            queued = key + (arrival | (1 << _FIELD_BITS))
-            idle = (key & _FIELD) == 0
-            start = idle & ((key & (_FIELD << _FIELD_BITS)) > 0)
-            stay_key = np.concatenate((key[~start], queued[~idle]))
-            stay_p = np.concatenate((p[~start], p[~idle]))
-            go_key = np.concatenate((key[start], queued[idle]))
-            go_p = np.concatenate((p[start], p[idle]))
-        deps, weights = draws[t - 1]
-        key = np.concatenate((stay_key, np.tile(go_key & ~_FIELD, len(deps)) | np.repeat(deps, len(go_key))))
-        p = np.concatenate((stay_p, np.tile(go_p, len(deps)) * np.repeat(weights, len(go_key))))
-        pend = key & _FIELD
-        # a departure sets the slot's output bit and frees the server
-        done = (1 << (_STATE_BITS + n - t)) - t
-        if lcfs:
-            return key + (pend == t) * done, p
-        key += (pend == t) * (done - (1 << _FIELD_BITS))
-        key[pend == never] &= ~(_FIELD << _FIELD_BITS)
-        return key, p
-
-    return step
-
-
-def _rad_step(policy: Policy, n):
-    """Slot step of a dump timer; state = slots since the last attempt | full << 5.
-
-    At timer age r the attempt hazard is g(r+1) / P(D > r); an attempt sends
-    the buffer if it is full and empties it.  Age 0 divides by the nominal
-    P(D > 0) = 1, so a pmf whose mass is not 1 shows in the row sums.  Two
-    ages whose hazards agree over every remaining slot are one state.
-    """
-    pmf = policy.pmf
+    kind, pmf = policy.kind, policy.pmf
     arrival = 1 << (_STATE_BITS + n)  # the input bit of the slot
     tails = [pmf.tail(r) for r in range(n + 1)]
     hazard, survive = np.ones(n + 1), np.zeros(n + 1)
@@ -138,18 +97,26 @@ def _rad_step(policy: Policy, n):
     for m in range(n + 1):
         first = {}
         canon.append(np.array([first.setdefault(tuple(pairs[r : r + m]), r) for r in range(n + 2)]))
+    # the rules, applied once to every packed state; each row looks its state up
+    state = np.arange((n + 1) << _FIELD_BITS)  # h <= n
+    age, held = np.minimum(state & _FIELD, n), state >> _FIELD_BITS
+    run = (held > 0) | (kind == "rad")
+    fire, wait = np.where(run, hazard[age], 0.0), np.where(run, survive[age], 1.0)
+    raised = np.minimum(held + 1, n if kind == "fcfs" else 1) << _FIELD_BITS
+    arrived = raised if kind == "lcfs" else age | raised
+    sent = np.minimum(held, 1)
+    # per slot t: the state after a fire, with the slot's output bit, and after a wait
+    fired = [(held - sent) << _FIELD_BITS | sent << (_STATE_BITS + n - t) for t in range(n + 1)]
+    aged = [np.where(run, canon[n - t][age + 1] | held << _FIELD_BITS, state) for t in range(n + 1)]
 
     def step(t, key, p):
-        # each row's two children, by the slot's input bit: the attempts of
+        # each row's two children, by the slot's input bit: the fires of
         # bit 0 and then of bit 1, then the waits of bit 0 and of bit 1
-        age = key & _FIELD
-        full = (key >> _FIELD_BITS) & 1  # an arrival fills the buffer
+        s = key & _STATE
         key &= ~_STATE
-        sent, aged = _STATE_BITS + n - t, canon[n - t][age + 1]
-        key = np.concatenate((key | (full << sent), key | (arrival | (1 << sent)),
-                              key | aged | (full << _FIELD_BITS), key | (arrival | (1 << _FIELD_BITS)) | aged))
-        attempt, wait = p * hazard[age], p * survive[age]
-        p = np.concatenate((attempt, attempt, wait, wait))
+        s1, key1 = arrived[s], key | arrival
+        key = np.concatenate((key | fired[t][s], key1 | fired[t][s1], key | aged[t][s], key1 | aged[t][s1]))
+        p = np.concatenate((p * fire[s], p * fire[s1], p * wait[s], p * wait[s1]))
         live = p > 0.0
         if live.all():
             return key, p
@@ -234,7 +201,7 @@ def _maxl_series(policy: Policy, n):
         raise HorizonTooLarge(f"horizon {n} exceeds enumeration cap {MAX_HORIZON}")
     if n == 0:
         return [0.0]
-    step = (_coupled_step if policy.coupled else _rad_step)(policy, n)
+    step = _step(policy, n)
     best = [np.zeros(1 << t) for t in range(n + 1)]
     best[0][0] = 1.0  # the empty output, certain
     k, rows = n // 2, [0, 0]

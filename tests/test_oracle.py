@@ -27,7 +27,7 @@ from ageleak import (
     uniform_pmf,
 )
 from ageleak.errors import AgeLeakError, HorizonTooLarge, InvalidConfig, UnnormalizedMass
-from ageleak.oracle import _coupled_step, _maxl_series, _rad_step, _walk
+from ageleak.oracle import _maxl_series, _step, _walk
 from ageleak.pmf import _pmf
 
 
@@ -43,7 +43,7 @@ def _channels(policy, n):
     over all 2^n inputs, as arrays."""
     root = np.zeros(1, np.int64), np.ones(1)  # the empty prefixes
     yield 0, root[0], root[0], root[1]
-    step = (_coupled_step if policy.coupled else _rad_step)(policy, n)
+    step = _step(policy, n)
     for t, _, channel in _walk(step, n, root, 0):
         yield t, *channel
 
@@ -225,7 +225,9 @@ def _ref_coupled_row(kind, entries, n, x):
     States are (pending departure slot, output-so-far); an LCFS arrival
     replaces any in-service update and redraws its service, an FCFS arrival
     queues.  A service started in slot t with draw s departs in slot
-    t + s - 1; same-slot preemption beats the would-be departure.
+    t + s - 1; same-slot preemption beats the would-be departure.  Drawing
+    each service whole, with its pmf weight, is the independent
+    representation the oracle's clock-and-count step is checked against.
     """
     lcfs = kind == "lcfs"
     states = {(0, 0): 1.0}
@@ -322,7 +324,7 @@ def _tailed_pmfs(draw, max_duration):
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(["lcfs", "fcfs", "rad"]),
-    pmf=_pmfs(6),
+    pmf=st.one_of(_pmfs(6), _tailed_pmfs(6)),
     bits=st.lists(st.integers(0, 1), max_size=7),
 )
 def test_kernel_matches_per_input_reference(kind, pmf, bits):
@@ -448,12 +450,20 @@ def test_oracle_logs_one_debug_line_per_call(caplog):
     assert int(chunks) >= 5  # at least one per depth past the split
     assert re.fullmatch(pattern, lines[1]).group(1, 2, 3, 4) == ("rad", "3", "8", "1")
     caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ageleak.oracle"):
+        brute_force_maxl(Policy.lcfs(geometric_pmf(0.25)), 14)
+    # a memoryless service clock stays at age 0, so the split sees only idle and busy
+    line, = (r.getMessage() for r in caplog.records if r.name == "ageleak.oracle")
+    assert re.fullmatch(pattern, line).group(1, 2, 5) == ("lcfs", "14", "2")
+    caplog.clear()
     with caplog.at_level(logging.INFO, logger="ageleak.oracle"):
         brute_force_maxl(Policy.lcfs(greedy_smp_pmf(0.5)), 4)
     assert not caplog.records
 
 
-@pytest.mark.parametrize("policy", [Policy.rad(geometric_pmf(0.5)), Policy.fcfs(greedy_smp_pmf(0.3))])
+@pytest.mark.parametrize("policy", [
+    Policy.rad(geometric_pmf(0.5)), Policy.fcfs(greedy_smp_pmf(0.3)), Policy.fcfs(geometric_pmf(0.5)),
+])
 def test_oracle_traced_peak_stays_bounded(policy):
     """Each half walks at most 2^7 inputs and the join runs in blocks of
     fixed size, so one call at the horizon cap holds a few MB, not the
