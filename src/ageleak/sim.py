@@ -35,12 +35,17 @@ arrival's attempt is integer arithmetic; any other timer's attempts are a
 renewal stream, and each attempt's freshest arrival is found by a scan of
 the window's slots or a binary search, by attempt density.
 
-Each random role of a run (Bernoulli arrivals or Markov stay-or-leave
-coins, Markov idle lengths, FCFS admission coins, service or timer draws)
-reads its own generator seeded with (seed, role), strictly in sequence, and
-no role reads another's.  A run is therefore the same whatever the window
-size, and a route that draws fewer doubles, or none past the horizon,
-leaves every result as it was.
+Each random role of a run (arrival coins: Bernoulli arrivals or Markov
+stay-or-leave coins; Markov idle lengths; FCFS admission coins; service or
+timer draws) reads its own generator seeded with (seed, role), strictly in
+sequence, and no role reads another's.  A coin takes one byte of its role's
+raw 64-bit words, read little-endian: heads when the byte is below
+c = floor(256 p), and a byte equal to c, one coin in 256, is settled by
+one double of the role's tie stream, seeded with (seed, role, 1).  So
+P(heads) is within 2^-61 of p, and a slot's coin costs one byte, not a
+53-bit double.  Bytes a window leaves in a word go to the next window, so a
+run is the same whatever the window size, and a route that draws fewer
+doubles, or none past the horizon, leaves every result as it was.
 
 Confidence intervals use batch means over 30 batches of the post-warmup
 slots at the 95% level.  The default warmup is 10^4 slots; the age process
@@ -76,7 +81,8 @@ _CHUNK = 1 << 16
 #: stay exact in int64.
 _MAX_HORIZON = 1 << 31
 
-#: Random roles of a run; role r draws from default_rng((seed, r)).
+#: Random roles of a run; role r draws from default_rng((seed, r)), and a
+#: coin role's ties from default_rng((seed, r, 1)).
 _ARRIVALS, _INACTIVE, _COINS, _SERVICE = range(4)
 
 _log = logging.getLogger(__name__)
@@ -129,6 +135,45 @@ class SimStats:
 
 def _stream(cfg, role):
     return np.random.default_rng((cfg.seed, role))
+
+
+class _Coins:
+    """Bernoulli coins of one random role, one byte of its raw 64-bit words each.
+
+    A coin of probability p is heads when its byte is below c = floor(256 p).
+    A byte equal to c is settled by the next double u of the tie stream:
+    heads when u < 256 p - c.  256 p, c and their difference are exact in
+    float64 and u is a multiple of 2^-53, so P(heads) is within 2^-61 of p.
+    The words are read as little-endian bytes, and those a call leaves unread
+    go to the next call, so the coins are the same on any host and in any
+    split into calls.  ``drawn`` counts the coins, ``settled`` the ties.
+    """
+
+    def __init__(self, words, ties):
+        self.words, self.ties = words, ties
+        self.spare = np.zeros(0, dtype=np.uint8)  # the bytes of the last word not yet read
+        self.drawn = self.settled = 0
+
+    def heads(self, size, p):
+        """Indices of the heads among the next ``size`` coins, each heads with probability p."""
+        fresh = self.words(-(-(size - len(self.spare)) // 8)).astype("<u8", copy=False).view(np.uint8)
+        coins = np.concatenate((self.spare, fresh)) if len(self.spare) else fresh
+        coins, self.spare = coins[:size], coins[size:].copy()  # a view would hold the whole buffer
+        self.drawn += size
+        scaled = 256.0 * p
+        c = math.floor(scaled)
+        heads = coins < c
+        ties = np.flatnonzero(coins == c)
+        if len(ties):
+            self.settled += len(ties)
+            u = self.ties.random(len(ties))
+            heads[ties[u < scaled - c]] = True
+        return np.flatnonzero(heads)
+
+
+def _coins(cfg: SimConfig, role):
+    """The coins of ``role`` in a run."""
+    return _Coins(_stream(cfg, role).bit_generator.random_raw, np.random.default_rng((cfg.seed, role, 1)))
 
 
 def _one_duration(cfg: SimConfig):
@@ -205,9 +250,9 @@ def _sampler(cfg: SimConfig, rng):
     return sample
 
 
-def _bernoulli_chunks(rng, lam, horizon):
+def _bernoulli_chunks(coins, lam, horizon):
     for start in range(0, horizon, _CHUNK):
-        arrivals = np.flatnonzero(rng.random(min(_CHUNK, horizon - start)) < lam)
+        arrivals = coins.heads(min(_CHUNK, horizon - start), lam)
         arrivals += start + 1
         yield arrivals
 
@@ -246,25 +291,27 @@ def _renewals(gaps, horizon, shortest):
         pending = pending[reached:]
 
 
-def _markov_gaps(cfg: SimConfig):
+def _markov_gaps(cfg: SimConfig, coins):
     """gaps(size): the next gaps between the two-state source's arrivals.
 
     Slot t receives an update generated at t - 1, when the state was active.
     A gap is one slot, plus a Geometric(p01) idle stretch if the source
-    leaves: the arrivals stream gives one coin per gap, leaving below p10
-    (for the first gap, not below the stationary active probability), and
-    the inactive stream one idle length per leave.
+    leaves: ``coins`` gives one coin per gap, leaving on heads at p10 (the
+    first gap on tails at the stationary active probability), and the
+    inactive stream one idle length per leave.
     """
-    src, coins, idles = cfg.source, _stream(cfg, _ARRIVALS), _stream(cfg, _INACTIVE)
+    src, idles = cfg.source, _stream(cfg, _INACTIVE)
     first = True
 
     def gaps(size):
         nonlocal first
-        u = coins.random(size)
-        leave = u < src.p10
         if first:
-            leave[0], first = u[0] >= src.effective_rate, False
-        leave = np.flatnonzero(leave)
+            first, active = False, len(coins.heads(1, src.effective_rate))
+            leave = coins.heads(size - 1, src.p10) + 1
+            if not active:
+                leave = np.concatenate(([0], leave))
+        else:
+            leave = coins.heads(size, src.p10)
         out = np.ones(size, dtype=np.int64)
         out[leave] += _geometric_lengths(idles, src.p01, len(leave), cfg.horizon + 1)
         return out
@@ -272,11 +319,11 @@ def _markov_gaps(cfg: SimConfig):
     return gaps
 
 
-def _arrival_chunks(cfg: SimConfig):
-    """Arrival slots of each window of :data:`_CHUNK` slots."""
+def _arrival_chunks(cfg: SimConfig, coins):
+    """Arrival slots of each window of :data:`_CHUNK` slots, from the arrival role's coins."""
     if isinstance(cfg.source, BernoulliSource):
-        return _bernoulli_chunks(_stream(cfg, _ARRIVALS), cfg.source.lam, cfg.horizon)
-    return _renewals(_markov_gaps(cfg), cfg.horizon, 1)
+        return _bernoulli_chunks(coins, cfg.source.lam, cfg.horizon)
+    return _renewals(_markov_gaps(cfg, coins), cfg.horizon, 1)
 
 
 def _one(slot, stamp):
@@ -311,23 +358,19 @@ def _lcfs(rng, cfg, chunks):
 
 
 def _fcfs(rng, cfg, chunks):
-    """FCFS with optional Bernoulli(alpha) admission thinning.
+    """FCFS of the admitted arrivals.
 
     Departures follow the waiting-time recursion dep_k = max(arr_k,
     dep_{k-1} + 1) + s_k - 1.  With x_k = dep_k - k - sum_{i<=k} (s_i - 1)
     it reads x_k = max(x_{k-1}, arr_k - k - sum_{i<k} (s_i - 1)), a
-    cumulative maximum that a chunk starts from the last departure.  Thinning
-    takes one admission draw per arrival.  Once the last departure is past
-    the horizon every later one is too, so the windows left are only read.
+    cumulative maximum that a chunk starts from the last departure.  Once
+    the last departure is past the horizon every later one is too, so the
+    windows left are only read.
     """
-    alpha, sample, coins = cfg.policy.alpha, _sampler(cfg, rng), _stream(cfg, _COINS)
+    sample = _sampler(cfg, rng)
     last = np.iinfo(np.int64).min  # departure slot of the previous update
     for arrivals in chunks:
-        if last > cfg.horizon:
-            continue
-        if alpha < 1.0:
-            arrivals = arrivals.take(np.flatnonzero(coins.random(len(arrivals)) < alpha))
-        if len(arrivals) == 0:
+        if last > cfg.horizon or len(arrivals) == 0:
             continue
         steps = sample(len(arrivals)) - 1
         k = np.arange(1, len(arrivals) + 1)
@@ -516,31 +559,36 @@ class _Counted:
         return self.rng.random(size)
 
 
-def _log_run(what, cfg, arrivals, ages, draws=0):
+def _log_run(what, cfg, arrivals, ages, coins, draws=0):
     if _log.isEnabledFor(logging.DEBUG):
         # the post-warmup intervals: one per late delivery before the horizon, plus the open one
         intervals = ages.late - (ages.start == cfg.horizon) + 1
         _log.debug("sim %s horizon=%d: %d arrivals, %d deliveries, %d intervals summed, %d chunks, "
-                   "%d service/timer draws", what, cfg.horizon, arrivals, ages.deliveries, intervals,
-                   -(-cfg.horizon // _CHUNK), draws)
+                   "%d service/timer draws, %d coin bytes, %d ties settled", what, cfg.horizon, arrivals,
+                   ages.deliveries, intervals, -(-cfg.horizon // _CHUNK), draws,
+                   sum(c.drawn for c in coins), sum(c.settled for c in coins))
 
 
 def simulate(cfg: SimConfig) -> SimStats:
-    """Run one policy simulation; deterministic given the seed."""
+    """Run one policy simulation; deterministic given the seed.
+
+    FCFS thinning admits each arrival on a coin of the admission role.
+    """
     if cfg.policy is None:
         raise InvalidConfig("simulate needs a policy; use empirical_source_age for sources")
-    arrived = [0]
+    alpha, arrived = cfg.policy.alpha, [0]
+    coins = [_coins(cfg, _ARRIVALS)] + ([_coins(cfg, _COINS)] if alpha < 1.0 else [])
 
     def chunks():
-        for arrivals in _arrival_chunks(cfg):
+        for arrivals in _arrival_chunks(cfg, coins[0]):
             arrived[0] += len(arrivals)
-            yield arrivals
+            yield arrivals.take(coins[1].heads(len(arrivals), alpha)) if alpha < 1.0 else arrivals
 
     ages, service = _Ages(cfg.horizon, cfg.warmup), _Counted(_stream(cfg, _SERVICE))
     for slots, stamps in _SERVERS[cfg.policy.kind](service, cfg, chunks()):
         ages.feed(slots, stamps)
     mean, ci = ages.stats()
-    _log_run(cfg.policy.kind, cfg, arrived[0], ages, service.draws)
+    _log_run(cfg.policy.kind, cfg, arrived[0], ages, coins, service.draws)
     return SimStats(mean, ci, ages.late, ages.late / (cfg.horizon - cfg.warmup))
 
 
@@ -556,13 +604,13 @@ def empirical_source_age(cfg: SimConfig, return_pmf=False):
     is t - a + 1.  Before the first arrival the age is t + 1 (timestamp -1).
     """
     ages = _Ages(cfg.horizon, cfg.warmup, first_timestamp=-1, counts=return_pmf)
-    generated = 0
-    for generated_at in _arrival_chunks(cfg):
+    generated, coins = 0, _coins(cfg, _ARRIVALS)
+    for generated_at in _arrival_chunks(cfg, coins):
         generated_at -= 1
         ages.feed(generated_at, generated_at)
         generated += int(np.count_nonzero(generated_at >= cfg.warmup))
     mean, ci = ages.stats()
-    _log_run("source", cfg, ages.deliveries, ages)
+    _log_run("source", cfg, ages.deliveries, ages, [coins])
     measured = cfg.horizon - cfg.warmup
     stats = SimStats(mean, ci, generated, generated / measured)
     if not return_pmf:

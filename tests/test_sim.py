@@ -365,6 +365,27 @@ def role_streams(seed, *roles):
     return [np.random.default_rng((seed, role)) for role in roles]
 
 
+class ScalarCoins:
+    """The coins of one role, one at a time: each reads the next byte of the role's raw words.
+
+    A word's bytes are split off by integer shifts, the least significant
+    first.  A byte below c = floor(256 p) is heads, and a byte equal to c is
+    heads when the next double of the role's tie stream is below 256 p - c.
+    """
+
+    def __init__(self, seed, role):
+        self.words = np.random.default_rng((seed, role)).bit_generator
+        self.ties = np.random.default_rng((seed, role, 1))
+        self.word = self.left = 0
+
+    def __call__(self, p):
+        if not self.left:
+            self.word, self.left = int(self.words.random_raw()), 8
+        byte, self.word, self.left = self.word & 0xFF, self.word >> 8, self.left - 1
+        c = math.floor(256 * p)
+        return byte < c or (byte == c and self.ties.random() < 256 * p - c)
+
+
 def chain_idle_length(idles, p):
     """One Geometric(p) idle length on {1, 2, ...}, by inversion of one double."""
     if p >= 1.0:
@@ -372,20 +393,20 @@ def chain_idle_length(idles, p):
     return math.ceil(math.log(max(idles.random(), 1e-300)) / math.log1p(-p))
 
 
-def chain_markov_arrivals(coins, idles, src, horizon):
-    """The arrivals of the two-state chain, stepped with one scalar draw at a time.
+def chain_markov_arrivals(coin, idles, src, horizon):
+    """The arrivals of the two-state chain, stepped one coin at a time.
 
-    The state at time 0 is active when its coin is below the stationary
-    active probability; after each active time, a coin below p10 sends the
+    The state at time 0 is active when its coin at the stationary active
+    probability is heads; after each active time, a coin at p10 sends the
     chain idle for one idle length.  Slot t receives an arrival when the
     state at time t - 1 is active.
     """
     arrivals = []
-    t, active = 0, coins.random() < src.effective_rate
+    t, active = 0, coin(src.effective_rate)
     while t < horizon:
         if active:
             arrivals.append(t + 1)
-            t, active = t + 1, not coins.random() < src.p10
+            t, active = t + 1, not coin(src.p10)
         else:
             t, active = t + chain_idle_length(idles, src.p01), True
     return np.array(arrivals, dtype=np.int64)
@@ -397,18 +418,108 @@ def test_markov_arrivals_equal_the_scalar_chain(src):
     for seed in range(6):
         for horizon in (1, 7, 64, 513, 100_003):
             cfg = SimConfig(None, src, horizon=horizon, warmup=0, seed=seed)
-            arrivals = np.concatenate(list(sim._arrival_chunks(cfg)))
-            reference = chain_markov_arrivals(*role_streams(seed, sim._ARRIVALS, sim._INACTIVE), src, horizon)
+            arrivals = np.concatenate(list(sim._arrival_chunks(cfg, sim._coins(cfg, sim._ARRIVALS))))
+            idles, = role_streams(seed, sim._INACTIVE)
+            reference = chain_markov_arrivals(ScalarCoins(seed, sim._ARRIVALS), idles, src, horizon)
             assert np.array_equal(arrivals, reference)
 
 
 def test_bernoulli_arrivals_in_chunks_equal_one_draw(monkeypatch):
+    """Windows of 7 slots, which split the words, read the coins of one draw of the whole run.
+
+    Afterwards both streams stand where that one draw leaves them: past
+    ceil(horizon / 8) words and one tie double per tie.
+    """
     monkeypatch.setattr(sim, "_CHUNK", 7)
-    for horizon in (1, 6, 7, 8, 50, 1001):
-        rng, reference = np.random.default_rng(horizon), np.random.default_rng(horizon)
-        expected = np.flatnonzero(reference.random(horizon) < 0.3) + 1
-        assert np.array_equal(np.concatenate(list(sim._bernoulli_chunks(rng, 0.3, horizon))), expected)
-        assert rng.random() == reference.random()
+    for horizon in (1, 6, 7, 8, 50, 1001, 20_000):
+        cfg = SimConfig(None, BernoulliSource(0.3), horizon=horizon, warmup=0, seed=horizon)
+        coins = sim._coins(cfg, sim._ARRIVALS)
+        arrivals = np.concatenate(list(sim._bernoulli_chunks(coins, 0.3, horizon)))
+        assert np.array_equal(arrivals, whole_bernoulli_arrivals(horizon, 0.3, horizon))
+        words, = role_streams(horizon, sim._ARRIVALS)
+        ties = np.random.default_rng((horizon, sim._ARRIVALS, 1))
+        words.bit_generator.random_raw(-(-horizon // 8))
+        ties.random(coins.settled)
+        assert coins.drawn == horizon
+        assert coins.words(1)[0] == words.bit_generator.random_raw()
+        assert coins.ties.random() == ties.random()
+    assert coins.settled > 0
+
+
+class _CraftedWords:
+    """Stands in for a bit generator: random_raw(size) packs the next 8 size bytes, the first least significant."""
+
+    def __init__(self, coins):
+        self.coins, self.at = list(coins), 0
+
+    def random_raw(self, size):
+        words = []
+        for _ in range(size):
+            word = self.coins[self.at : self.at + 8]
+            words.append(sum(byte << (8 * i) for i, byte in enumerate(word)))
+            self.at += 8
+        return np.array(words, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 1 / 256, 255 / 256, 1e-9, 1.0])
+def test_coins_settle_bytes_and_ties_by_the_byte_rule(p):
+    """Bytes below, at and above c = floor(256 p), and tie doubles on each side of 256 p - c.
+
+    A byte below c is heads and one above is tails, with no double read; a
+    tie reads one double and is heads when it is below 256 p - c.  With u
+    uniform on the multiples of 2^-53, P(heads) is within 2^-61 of p.
+    """
+    c = math.floor(256 * p)
+    fraction = 256 * p - c
+    others = [byte for byte in (c - 1, c + 1, 0, 255) if 0 <= byte <= 255 and byte != c]
+    coins = [byte for other in others for byte in (other, c) if byte <= 255]  # four ties, or none at p = 1
+    below = np.nextafter(fraction, 0.0) if fraction > 0 else 0.0
+    doubles = np.array([below, fraction, 0.0, np.nextafter(1.0, 0.0)])
+    ties = _Crafted(doubles)
+    drawn = sim._Coins(_CraftedWords(coins).random_raw, ties).heads(len(coins), p)
+    settled = iter(doubles)
+    expected = [k for k, byte in enumerate(coins) if byte < c or (byte == c and next(settled) < fraction)]
+    np.testing.assert_array_equal(drawn, expected)
+    assert ties.at == coins.count(c)
+    heads = Fraction(c, 256) + Fraction(math.ceil(Fraction(fraction) * 2**53), 2**61)
+    assert abs(heads - Fraction(p)) <= Fraction(1, 2**61)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 100), max_size=16),
+       st.sampled_from([0.5, 0.3, 1 / 256, 1e-9, 1.0]) | st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_coins_in_any_split_equal_one_draw(sizes, p, seed):
+    cfg = SimConfig(None, BERN, horizon=1, warmup=0, seed=seed)
+    split, whole = sim._coins(cfg, sim._COINS), sim._coins(cfg, sim._COINS)
+    offsets = np.cumsum([0] + sizes)
+    drawn = [split.heads(size, p) + offset for size, offset in zip(sizes, offsets)]
+    np.testing.assert_array_equal(np.concatenate([np.zeros(0, dtype=np.intp)] + drawn), whole.heads(sum(sizes), p))
+    assert (split.drawn, split.settled) == (whole.drawn, whole.settled)
+    assert split.words(1)[0] == whole.words(1)[0]
+
+
+def test_coins_read_the_raw_words_little_endian():
+    """At p = c / 256 no tie is heads, so coin k is heads exactly when byte k of the words is below c.
+
+    The first two raw words of seed 7's arrival role are 0xa00641a9f1e54a8b
+    and 0xe5afcdbcaf266a95; each is read from its least significant byte.
+    """
+    cfg = SimConfig(None, BERN, horizon=1, warmup=0, seed=7)
+    coins = role_bytes(7, sim._ARRIVALS, 16)
+    assert coins.tolist() == [0x8B, 0x4A, 0xE5, 0xF1, 0xA9, 0x41, 0x06, 0xA0,
+                              0x95, 0x6A, 0x26, 0xAF, 0xBC, 0xCD, 0xAF, 0xE5]
+    for c in range(257):
+        drawn = sim._coins(cfg, sim._ARRIVALS).heads(16, c / 256)
+        np.testing.assert_array_equal(drawn, np.flatnonzero(coins < c))
+
+
+def test_coin_frequency_is_p():
+    """4 10^6 coins at p = 0.3 land within 5 sigma of p, and about one in 256 is a tie."""
+    size, p = 4_000_000, 0.3
+    coins = sim._coins(SimConfig(None, BERN, horizon=1, warmup=0, seed=2026), sim._ARRIVALS)
+    heads = len(coins.heads(size, p))
+    assert abs(heads - size * p) <= 5 * math.sqrt(size * p * (1 - p))
+    assert abs(coins.settled - size / 256) <= 5 * math.sqrt(size / 256 * (1 - 1 / 256))
 
 
 MEMORY_SLOTS = 2_000_000
@@ -431,25 +542,34 @@ def test_traced_memory_grows_with_arrivals_not_slots(run, bytes_per_slot):
 
 def test_runs_report_counters_at_debug(caplog):
     cfg = SimConfig(Policy.dad(4), BernoulliSource(1.0), horizon=1_000, warmup=0, seed=1)
+    thinned = Policy.fcfs(geometric_pmf(0.25), alpha=0.5)
     with caplog.at_level(logging.DEBUG, logger="ageleak.sim"):
         simulate(cfg)
         empirical_source_age(SimConfig(None, BernoulliSource(1.0), horizon=1_000, warmup=0))
         for policy in (Policy.lcfs(geometric_pmf(0.25)), Policy.rad(make_pmf([(1, 0.5), (2, 0.5)]))):
             simulate(SimConfig(policy, BernoulliSource(1.0), horizon=1_000, warmup=0, seed=1))
+        simulate(SimConfig(thinned, BernoulliSource(0.5), horizon=1_000, warmup=0, seed=1))
     assert "sim rad horizon=1000: 1000 arrivals, 250 deliveries, 250 intervals summed" in caplog.text
     assert "sim source horizon=1000: 1000 arrivals, 1000 deliveries, 1000 intervals summed" in caplog.text
-    draws = [line.rsplit(", ", 1)[1] for line in caplog.text.splitlines()]
+    lines = caplog.text.splitlines()
+    draws = [line.split(", ")[-3] for line in lines]
     # DAD reads no timer draw; LCFS one per arrival; a timer of gaps >= 1 one refill of 1000 + 1 gaps
-    assert draws == ["0 service/timer draws"] * 2 + ["1000 service/timer draws", "1001 service/timer draws"]
+    assert draws[:4] == ["0 service/timer draws"] * 2 + ["1000 service/timer draws", "1001 service/timer draws"]
+    # one coin byte per slot; at lambda = 1 no byte ties with c = 256
+    assert [line.split(", ", 5)[-1] for line in lines[:4]] == ["1000 coin bytes, 0 ties settled"] * 4
+    # at lambda = alpha = 0.5 (c = 128) a byte of 128 ties: one coin per slot, then one per arrival
+    arrived = int(whole_coins(1, sim._ARRIVALS, np.full(1_000, 0.5)).sum())
+    ties = np.count_nonzero(role_bytes(1, sim._ARRIVALS, 1_000) == 128)
+    ties += np.count_nonzero(role_bytes(1, sim._COINS, arrived) == 128)
+    assert lines[4].endswith(f"{1_000 + arrived} coin bytes, {ties} ties settled")
 
 
 # --- the whole-run simulator the chunked one replaces ---------------------
 # A copy of the simulator that held every arrival and delivery of a run at
 # once (helpers renamed whole_*, debug logging left out), reading the same
-# per-role streams in its own block sizes.  The chunked simulator must
-# reproduce its results exactly, whatever _CHUNK is.
-
-WHOLE_CHUNK = 1 << 20
+# per-role streams in its own block sizes; its coins are the whole run's
+# bytes, drawn at once, with the ties settled in slot order.  The chunked
+# simulator must reproduce its results exactly, whatever _CHUNK is.
 
 
 def whole_sample_durations(rng, pmf: FinitePmf, size):
@@ -459,11 +579,30 @@ def whole_sample_durations(rng, pmf: FinitePmf, size):
     return durations[np.minimum(idx, len(durations) - 1)]
 
 
-def whole_bernoulli_arrivals(rng, lam, horizon):
-    return np.concatenate([
-        np.flatnonzero(rng.random(min(WHOLE_CHUNK, horizon - start)) < lam) + (start + 1)
-        for start in range(0, horizon, WHOLE_CHUNK)
-    ])
+def role_bytes(seed, role, size):
+    """The first ``size`` bytes of the role's raw words, split off by shifts, the least significant first."""
+    words = np.random.default_rng((seed, role)).bit_generator.random_raw(-(-size // 8))
+    return ((words[:, None] >> (8 * np.arange(8, dtype=np.uint64))) & 0xFF).ravel()[:size]
+
+
+def whole_coins(seed, role, ps):
+    """Heads of the role's coins at probabilities ``ps``, in order, all drawn at once.
+
+    Coin k reads byte k of the role's raw words, the least significant byte
+    of each word first: heads below c = floor(256 p), and a byte equal to c
+    is settled, in coin order, by the role's tie stream.
+    """
+    ps = np.asarray(ps, dtype=np.float64)
+    coins = role_bytes(seed, role, len(ps))
+    c = np.floor(256 * ps)
+    heads = coins < c
+    tie = np.flatnonzero(coins == c)
+    heads[tie] = np.random.default_rng((seed, role, 1)).random(len(tie)) < 256 * ps[tie] - c[tie]
+    return heads
+
+
+def whole_bernoulli_arrivals(seed, lam, horizon):
+    return np.flatnonzero(whole_coins(seed, sim._ARRIVALS, np.full(horizon, lam))) + 1
 
 
 def whole_geometric_lengths(rng, p, size, cap):
@@ -475,35 +614,28 @@ def whole_geometric_lengths(rng, p, size, cap):
     return np.minimum(lengths, cap).astype(np.int64)
 
 
-def whole_markov_arrivals(coins, idles, src: MarkovSource, horizon):
+def whole_markov_arrivals(seed, src: MarkovSource, horizon):
     """Arrival slots of the two-state source over slots 1..horizon.
 
     The arrivals are a renewal process from slot 0.  One coin per gap leaves
-    the active state (below p10, or for the first gap not below the
+    the active state (heads at p10, or for the first gap tails at the
     stationary active probability), and a leave adds one Geometric(p01) idle
     length to the gap of one slot.  Every gap is at least one slot, so
-    horizon - total more gaps reach past the horizon.
+    horizon + 1 gaps reach past the horizon.
     """
-    gaps, total = [], 0
-    while total < horizon:
-        size = min(WHOLE_CHUNK, horizon - total)
-        u = coins.random(size)
-        leave = u < src.p10
-        if not gaps:
-            leave[0] = u[0] >= src.effective_rate
-        block = np.ones(size, dtype=np.int64)
-        block[leave] += whole_geometric_lengths(idles, src.p01, int(leave.sum()), horizon + 1)
-        gaps.append(block)
-        total += int(block.sum())
-    arrivals = np.cumsum(np.concatenate(gaps))
+    heads = whole_coins(seed, sim._ARRIVALS, [src.effective_rate] + [src.p10] * horizon)
+    heads[0] = not heads[0]
+    idles, = role_streams(seed, sim._INACTIVE)
+    gaps = np.ones(horizon + 1, dtype=np.int64)
+    gaps[heads] += whole_geometric_lengths(idles, src.p01, int(heads.sum()), horizon + 1)
+    arrivals = np.cumsum(gaps)
     return arrivals[arrivals <= horizon]
 
 
 def whole_arrivals(seed, source, horizon):
-    coins, idles = role_streams(seed, sim._ARRIVALS, sim._INACTIVE)
     if isinstance(source, BernoulliSource):
-        return whole_bernoulli_arrivals(coins, source.lam, horizon)
-    return whole_markov_arrivals(coins, idles, source, horizon)
+        return whole_bernoulli_arrivals(seed, source.lam, horizon)
+    return whole_markov_arrivals(seed, source, horizon)
 
 
 def whole_lcfs_deliveries(rng, policy, arrivals, horizon):
@@ -642,10 +774,10 @@ def whole_simulate(cfg: SimConfig) -> SimStats:
     """Run one policy simulation; deterministic given the seed."""
     if cfg.policy is None:
         raise InvalidConfig("simulate needs a policy; use empirical_source_age for sources")
-    rng, coins = role_streams(cfg.seed, sim._SERVICE, sim._COINS)
+    rng, = role_streams(cfg.seed, sim._SERVICE)
     arrivals = whole_arrivals(cfg.seed, cfg.source, cfg.horizon)
     if cfg.policy.alpha < 1.0:  # FCFS admission thinning
-        arrivals = arrivals[coins.random(len(arrivals)) < cfg.policy.alpha]
+        arrivals = arrivals[whole_coins(cfg.seed, sim._COINS, np.full(len(arrivals), cfg.policy.alpha))]
     slots, timestamps = whole_DELIVERY_FNS[cfg.policy.kind](rng, cfg.policy, arrivals, cfg.horizon)
     delivered = int(np.count_nonzero(slots > cfg.warmup))
     mean, ci = whole_age_stats(slots, timestamps, cfg.horizon, cfg.warmup)
@@ -763,26 +895,26 @@ def test_random_streams_are_pinned():
     greedy = greedy_smp_pmf(0.5)
     thinned = Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0])
     runs = {
-        (Policy.lcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=5.886666666666667, "
-        "ci_half_width=0.5531230483299243, delivered=177, output_rate=0.19666666666666666)",
-        (thinned, BERN): "SimStats(mean_age=4.07, ci_half_width=0.23478680748168113, delivered=427, "
-        "output_rate=0.47444444444444445)",
-        (Policy.dad(5), MarkovSource(0.05, 0.2)): "SimStats(mean_age=25.05, "
-        "ci_half_width=6.8153777856270965, delivered=59, output_rate=0.06555555555555556)",
+        (Policy.lcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=5.822222222222222, "
+        "ci_half_width=0.43768157643408084, delivered=178, output_rate=0.19777777777777777)",
+        (thinned, BERN): "SimStats(mean_age=4.471111111111111, ci_half_width=0.38416341997985826, delivered=440, "
+        "output_rate=0.4888888888888889)",
+        (Policy.dad(5), MarkovSource(0.05, 0.2)): "SimStats(mean_age=25.88888888888889, "
+        "ci_half_width=7.351821302043738, delivered=49, output_rate=0.05444444444444444)",
         # D-DAD at mean period about 1.56: dense attempts, RAD's scan over the window's slots
-        (policy_from_config({"kind": "ddad", "rate": 1 / 1.5}), BERN): "SimStats(mean_age=3.3644444444444446, "
-        "ci_half_width=0.15559647694961407, delivered=375, output_rate=0.4166666666666667)",
-        # an overloaded queue: 507 arrivals, 241 departures by the horizon
-        (Policy.fcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=285.3177777777778, "
-        "ci_half_width=56.137635759268726, delivered=213, output_rate=0.23666666666666666)",
+        (policy_from_config({"kind": "ddad", "rate": 1 / 1.5}), BERN): "SimStats(mean_age=3.2822222222222224, "
+        "ci_half_width=0.1700901409100618, delivered=386, output_rate=0.4288888888888889)",
+        # an overloaded queue: 524 arrivals, 241 departures by the horizon
+        (Policy.fcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=293.7688888888889, "
+        "ci_half_width=54.716006736812744, delivered=213, output_rate=0.23666666666666666)",
     }
     for (policy, source), expected in runs.items():
         assert repr(simulate(SimConfig(policy, source, horizon=1_000, warmup=100, seed=1))) == expected
     cfg = SimConfig(None, MarkovSource(0.4, 0.6), horizon=1_000, warmup=100, seed=1)
     assert repr(empirical_source_age(cfg, return_pmf=True)) == (
-        "(SimStats(mean_age=2.4166666666666665, ci_half_width=0.1627065129829961, delivered=363, "
-        "output_rate=0.4033333333333333), {1: 0.4033333333333333, 2: 0.24444444444444444, "
-        "3: 0.14333333333333334, 4: 0.08888888888888889, 5: 0.052222222222222225, 6: 0.03, "
+        "(SimStats(mean_age=2.4355555555555557, ci_half_width=0.15692978493494353, delivered=352, "
+        "output_rate=0.39111111111111113), {1: 0.39111111111111113, 2: 0.2511111111111111, "
+        "3: 0.14777777777777779, 4: 0.09, 5: 0.052222222222222225, 6: 0.03, "
         "7: 0.02, 8: 0.0077777777777777776, 9: 0.005555555555555556, 10: 0.0033333333333333335, "
         "11: 0.0011111111111111111})"
     )
