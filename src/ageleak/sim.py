@@ -361,21 +361,24 @@ def _fcfs(rng, cfg, chunks):
     """FCFS of the admitted arrivals.
 
     Departures follow the waiting-time recursion dep_k = max(arr_k,
-    dep_{k-1} + 1) + s_k - 1.  With x_k = dep_k - k - sum_{i<=k} (s_i - 1)
-    it reads x_k = max(x_{k-1}, arr_k - k - sum_{i<k} (s_i - 1)), a
-    cumulative maximum that a chunk starts from the last departure.  Once
-    the last departure is past the horizon every later one is too, so the
-    windows left are only read.
+    dep_{k-1} + 1) + s_k - 1.  With T_k = s_1 + ... + s_k, the window's
+    running service sum, and x_k = dep_k - T_k it reads x_k = max(x_{k-1},
+    arr_k - 1 - T_{k-1}), a cumulative maximum that a window starts from
+    x_0, the last departure.  Once the last departure is past the horizon
+    every later one is too, so the windows left are only read.
     """
     sample = _sampler(cfg, rng)
     last = np.iinfo(np.int64).min  # departure slot of the previous update
     for arrivals in chunks:
         if last > cfg.horizon or len(arrivals) == 0:
             continue
-        steps = sample(len(arrivals)) - 1
-        k = np.arange(1, len(arrivals) + 1)
-        csum = np.cumsum(steps)
-        departures = np.maximum(np.maximum.accumulate(arrivals - k - (csum - steps)), last) + csum + k
+        total = sample(len(arrivals))
+        np.cumsum(total, out=total)  # T_1 .. T_n
+        departures = np.subtract(arrivals, 1)
+        departures[1:] -= total[:-1]
+        departures[0] = max(departures[0], last)
+        np.maximum.accumulate(departures, out=departures)
+        departures += total
         last = int(departures[-1])
         done = np.searchsorted(departures, cfg.horizon, side="right")  # departures increase
         yield departures[:done], arrivals[:done] - 1
