@@ -29,7 +29,7 @@ and the batch means equal those of the per-slot ages bit for bit.
 The servers select a window's deliveries by index, which numpy does faster
 than by boolean mask.  Service and timer draws take their route from the
 pmf's support: one duration with no tail draws nothing, two durations
-with no tail take one comparison per draw, and any other pmf a guide table.
+with no tail take one coin per draw, and any other pmf a guide-table bucket.
 A RAD timer of one duration tau dumps at the multiples of tau, so each
 arrival's attempt is integer arithmetic; any other timer's attempts are a
 renewal stream, and each attempt's freshest arrival is found by a scan of
@@ -43,9 +43,12 @@ raw 64-bit words, read little-endian: heads when the byte is below
 c = floor(256 p), and a byte equal to c, one coin in 256, is settled by
 one double of the role's tie stream, seeded with (seed, role, 1).  So
 P(heads) is within 2^-61 of p, and a slot's coin costs one byte, not a
-53-bit double.  Bytes a window leaves in a word go to the next window, so a
-run is the same whatever the window size, and a route that draws fewer
-doubles, or none past the horizon, leaves every result as it was.
+53-bit double.  A service or timer draw reads its guide-table bucket from
+one byte, or two when there are more than 256 buckets, and one tie double
+only where a cdf point splits the bucket; each duration's probability is
+within 2^-53 of the pmf's.  Bytes a window leaves in a word go to the next
+window, so a run is the same whatever the window size, and a route that
+draws fewer doubles, or none past the horizon, leaves every result as it was.
 
 Confidence intervals use batch means over 30 batches of the post-warmup
 slots at the 95% level.  The default warmup is 10^4 slots; the age process
@@ -81,8 +84,8 @@ _CHUNK = 1 << 16
 #: stay exact in int64.
 _MAX_HORIZON = 1 << 31
 
-#: Random roles of a run; role r draws from default_rng((seed, r)), and a
-#: coin role's ties from default_rng((seed, r, 1)).
+#: Random roles of a run; role r draws from default_rng((seed, r)), and the
+#: ties or refinement doubles of a byte-reading role from default_rng((seed, r, 1)).
 _ARRIVALS, _INACTIVE, _COINS, _SERVICE = range(4)
 
 _log = logging.getLogger(__name__)
@@ -138,15 +141,16 @@ def _stream(cfg, role):
 
 
 class _Coins:
-    """Bernoulli coins of one random role, one byte of its raw 64-bit words each.
+    """Bytes and Bernoulli coins of one random role, read from its raw 64-bit words.
 
-    A coin of probability p is heads when its byte is below c = floor(256 p).
-    A byte equal to c is settled by the next double u of the tie stream:
-    heads when u < 256 p - c.  256 p, c and their difference are exact in
-    float64 and u is a multiple of 2^-53, so P(heads) is within 2^-61 of p.
     The words are read as little-endian bytes, and those a call leaves unread
-    go to the next call, so the coins are the same on any host and in any
-    split into calls.  ``drawn`` counts the coins, ``settled`` the ties.
+    go to the next call, so the bytes are the same on any host and in any
+    split into calls.  A coin of probability p is heads when its byte is
+    below c = floor(256 p).  A byte equal to c is settled by the next double
+    u of the tie stream: heads when u < 256 p - c.  256 p, c and their
+    difference are exact in float64 and u is a multiple of 2^-53, so
+    P(heads) is within 2^-61 of p; when 256 p is whole a tie is tails and
+    reads nothing.  ``drawn`` counts the bytes, ``settled`` the doubles.
     """
 
     def __init__(self, words, ties):
@@ -154,21 +158,34 @@ class _Coins:
         self.spare = np.zeros(0, dtype=np.uint8)  # the bytes of the last word not yet read
         self.drawn = self.settled = 0
 
-    def heads(self, size, p):
-        """Indices of the heads among the next ``size`` coins, each heads with probability p."""
+    def bytes(self, size):
+        """The next ``size`` bytes of the role's words."""
         fresh = self.words(-(-(size - len(self.spare)) // 8)).astype("<u8", copy=False).view(np.uint8)
-        coins = np.concatenate((self.spare, fresh)) if len(self.spare) else fresh
-        coins, self.spare = coins[:size], coins[size:].copy()  # a view would hold the whole buffer
+        out = np.concatenate((self.spare, fresh)) if len(self.spare) else fresh
+        out, self.spare = out[:size], out[size:].copy()  # a view would hold the whole buffer
         self.drawn += size
+        return out
+
+    def doubles(self, size):
+        """The next ``size`` doubles of the tie stream."""
+        self.settled += size
+        return self.ties.random(size)
+
+    def flips(self, size, p):
+        """The next ``size`` coins, each True with probability p."""
+        coins = self.bytes(size)
         scaled = 256.0 * p
         c = math.floor(scaled)
         heads = coins < c
-        ties = np.flatnonzero(coins == c)
-        if len(ties):
-            self.settled += len(ties)
-            u = self.ties.random(len(ties))
-            heads[ties[u < scaled - c]] = True
-        return np.flatnonzero(heads)
+        if scaled > c:
+            ties = np.flatnonzero(coins == c)
+            if len(ties):
+                heads[ties[self.doubles(len(ties)) < scaled - c]] = True
+        return heads
+
+    def heads(self, size, p):
+        """Indices of the heads among the next ``size`` coins, each heads with probability p."""
+        return np.flatnonzero(self.flips(size, p))
 
 
 def _coins(cfg: SimConfig, role):
@@ -182,27 +199,28 @@ def _one_duration(cfg: SimConfig):
     return None if pmf.hazard or len(pmf.durations) > 1 else min(pmf.durations[0], cfg.horizon + 1)
 
 
-def _sampler(cfg: SimConfig, rng):
-    """sample(size): draws of the policy's pmf by inversion, one double of ``rng`` each.
+def _sampler(cfg: SimConfig, coins):
+    """sample(size): draws of the policy's pmf by inversion, from the bytes of the service role's ``coins``.
 
-    The route follows the pmf's support, and every route gives the draw at
-    index searchsorted(cdf, u, "right") of the pmf's durations for u.  One
-    duration and no tail: every draw is that duration, and ``rng`` is never
-    read.  Two durations d0 <= d1 and no tail: the draw is d0 + (u >= cdf[0])
-    (d1 - d0), one comparison.
+    The route follows the pmf's support.  One duration and no tail: every
+    draw is that duration, and nothing is read.  Two durations d0 <= d1 and
+    no tail: one coin per draw, d0 on heads at p = cdf[0].
 
     Otherwise the pmf is listed as its head and its tail written out until
     less than 2^-53 of the mass is left, or up to 2^16 durations, or to the
-    horizon, and the index is found through a guide table (Chen & Asau
-    1974; Devroye 1986, III.2.4) of m = 2^k buckets.  For u in bucket
-    b = floor(u m), that index lies between lo = searchsorted(cdf, b/m,
-    "right") and hi = searchsorted(cdf, (b+1)/m, "left"); where the two
-    agree the bucket holds the draw itself, and only the other buckets
-    search.  m is a power of two, so u m and the edges b/m are exact and
-    every draw equals the searched one.  A u past the list's cdf falls in
-    the tail beyond its last duration L, inverted in closed form: L + k with
-    P(D > L) (1 - mu)^k <= 1 - u, k >= 1; without a tail it takes the last
-    duration.
+    horizon, and each draw is found through a guide table (Chen & Asau
+    1974; Devroye 1986, III.2.4) of m = 2^k buckets, 64 <= m <= 2^16.  The
+    bucket b, of probability 1/m, is the top k bits of one byte when m <=
+    256, and of two bytes taken little-endian otherwise.  A bucket with no
+    cdf point inside gives its duration.  One with a cdf point inside, or
+    past the list's cdf while the tail goes on, reads one double v of the
+    tie stream, and the draw is at index searchsorted(cdf, u, "right") for
+    u = (b + v) / m.  A u past the list's cdf falls in the tail beyond its
+    last duration L, inverted in closed form: L + k with P(D > L)
+    (1 - mu)^k <= 1 - u, k >= 1; without a tail it takes the last duration.
+    b + v rounds by at most 2^-54 m, so P(u < c) is within 2^-54 + 2^-53 / m
+    of each cdf point c, and a duration's probability within 2^-53 of its
+    step of the cdf.
 
     The arrays are built once per run, not once per chunk.  A draw past the
     horizon never fires, so it is clipped to horizon + 1 to fit int64.
@@ -217,16 +235,17 @@ def _sampler(cfg: SimConfig, rng):
     cdf = np.cumsum(probabilities)
     beyond = len(durations) if pmf.hazard and listed[-1] < cap else -1  # the tail goes on past the list
     if len(durations) == 2 and beyond < 0:
-        first, step, split = int(durations[0]), int(durations[1] - durations[0]), float(cdf[0])
+        second, step, split = int(durations[1]), int(durations[1] - durations[0]), float(cdf[0])
 
         def sample_two(size):
-            out = (rng.random(size) >= split).astype(np.int64)
-            out *= step
-            out += first
+            out = coins.flips(size, split).astype(np.int64)
+            out *= -step
+            out += second  # d0 on heads, d1 on tails
             return out
 
         return sample_two
-    m = 1 << min(max((16 * len(durations) - 1).bit_length(), 6), 16)  # >= 16 per duration, 64 .. 2^16
+    bits = min(max((16 * len(durations) - 1).bit_length(), 6), 16)  # >= 16 buckets per duration
+    m, index_type = 1 << bits, np.dtype("<u1" if bits <= 8 else "<u2")
     edges = np.arange(m + 1) / m
     lo = np.searchsorted(cdf, edges[:-1], side="right")
     hi = np.searchsorted(cdf, edges[1:], side="left")
@@ -234,17 +253,20 @@ def _sampler(cfg: SimConfig, rng):
     rest, log_q = pmf._rest(listed[-1]), math.log1p(-pmf.hazard)
 
     def sample(size):
-        u = rng.random(size)
-        out = table.take(np.multiply(u, m, out=u).astype(np.intp))
+        buckets = coins.bytes(index_type.itemsize * size).view(index_type)
+        buckets >>= 8 * index_type.itemsize - bits
+        out = table.take(buckets)
         slow = np.flatnonzero(out < 0)
         if len(slow):
-            index = np.searchsorted(cdf, u[slow] / m, side="right")
+            u = buckets.take(slow) + coins.doubles(len(slow))
+            u /= m
+            index = np.searchsorted(cdf, u, side="right")
             out[slow] = durations.take(index, mode="clip")
             if index.max() == beyond:
-                far = slow[index == beyond]
+                far = index == beyond
                 with np.errstate(divide="ignore"):  # a rest that underflowed to 0 gives k = 1
-                    k = np.maximum(np.ceil(np.log((1.0 - u[far] / m) / rest) / log_q), 1.0)
-                out[far] = np.minimum(listed[-1] + k, cap).astype(np.int64)
+                    k = np.maximum(np.ceil(np.log((1.0 - u[far]) / rest) / log_q), 1.0)
+                out[slow[far]] = np.minimum(listed[-1] + k, cap).astype(np.int64)
         return out
 
     return sample
@@ -331,7 +353,7 @@ def _one(slot, stamp):
     return np.array([slot], dtype=np.int64), np.array([stamp], dtype=np.int64)
 
 
-def _lcfs(rng, cfg, chunks):
+def _lcfs(service, cfg, chunks):
     """Preemptive LCFS: an arrival replaces the in-service update.
 
     The update arriving in slot t with draw s departs in slot t + s - 1
@@ -340,7 +362,7 @@ def _lcfs(rng, cfg, chunks):
     Every arrival lies on or before the horizon, so an update that departs
     before the next arrival does too; only the last one is tested against it.
     """
-    sample = _sampler(cfg, rng)
+    sample = _sampler(cfg, service)
     arrival = departure = 0  # the held arrival and its departure (0: none)
     for fresh in chunks:
         if len(fresh) == 0:
@@ -357,7 +379,7 @@ def _lcfs(rng, cfg, chunks):
         yield _one(departure, arrival - 1)
 
 
-def _fcfs(rng, cfg, chunks):
+def _fcfs(service, cfg, chunks):
     """FCFS of the admitted arrivals.
 
     Departures follow the waiting-time recursion dep_k = max(arr_k,
@@ -367,7 +389,7 @@ def _fcfs(rng, cfg, chunks):
     x_0, the last departure.  Once the last departure is past the horizon
     every later one is too, so the windows left are only read.
     """
-    sample = _sampler(cfg, rng)
+    sample = _sampler(cfg, service)
     last = np.iinfo(np.int64).min  # departure slot of the previous update
     for arrivals in chunks:
         if last > cfg.horizon or len(arrivals) == 0:
@@ -407,7 +429,7 @@ def _periodic_dumps(tau, horizon, chunks):
             attempt = 0
 
 
-def _rad(rng, cfg, chunks):
+def _rad(service, cfg, chunks):
     """Accumulate-and-dump: the timer runs from slot 0, first attempt at D1.
 
     An attempt transmits the freshest update that arrived since the previous
@@ -428,7 +450,7 @@ def _rad(rng, cfg, chunks):
         return
     previous = latest = 0  # the last attempt reached, the freshest arrival (0: none)
     shortest = min(cfg.policy.pmf.durations[0], cfg.horizon + 1)
-    attempt_chunks = _renewals(_sampler(cfg, rng), cfg.horizon, shortest)
+    attempt_chunks = _renewals(_sampler(cfg, service), cfg.horizon, shortest)
     for attempts, arrivals, start in zip(attempt_chunks, chunks, range(0, cfg.horizon, _CHUNK)):
         window = min(_CHUNK, cfg.horizon - start)
         if 8 * len(attempts) > window:
@@ -551,24 +573,14 @@ class _Ages:
         return np.cumsum(self.steps)
 
 
-class _Counted:
-    """A generator's ``random(size)`` that counts the doubles drawn."""
-
-    def __init__(self, rng):
-        self.rng, self.draws = rng, 0
-
-    def random(self, size):
-        self.draws += size
-        return self.rng.random(size)
-
-
-def _log_run(what, cfg, arrivals, ages, coins, draws=0):
+def _log_run(what, cfg, arrivals, ages, coins, service=None):
     if _log.isEnabledFor(logging.DEBUG):
         # the post-warmup intervals: one per late delivery before the horizon, plus the open one
         intervals = ages.late - (ages.start == cfg.horizon) + 1
+        drawn, refined = (service.drawn, service.settled) if service else (0, 0)
         _log.debug("sim %s horizon=%d: %d arrivals, %d deliveries, %d intervals summed, %d chunks, "
-                   "%d service/timer draws, %d coin bytes, %d ties settled", what, cfg.horizon, arrivals,
-                   ages.deliveries, intervals, -(-cfg.horizon // _CHUNK), draws,
+                   "%d service bytes, %d refined, %d coin bytes, %d ties settled", what, cfg.horizon, arrivals,
+                   ages.deliveries, intervals, -(-cfg.horizon // _CHUNK), drawn, refined,
                    sum(c.drawn for c in coins), sum(c.settled for c in coins))
 
 
@@ -587,11 +599,11 @@ def simulate(cfg: SimConfig) -> SimStats:
             arrived[0] += len(arrivals)
             yield arrivals.take(coins[1].heads(len(arrivals), alpha)) if alpha < 1.0 else arrivals
 
-    ages, service = _Ages(cfg.horizon, cfg.warmup), _Counted(_stream(cfg, _SERVICE))
+    ages, service = _Ages(cfg.horizon, cfg.warmup), _coins(cfg, _SERVICE)
     for slots, stamps in _SERVERS[cfg.policy.kind](service, cfg, chunks()):
         ages.feed(slots, stamps)
     mean, ci = ages.stats()
-    _log_run(cfg.policy.kind, cfg, arrived[0], ages, coins, service.draws)
+    _log_run(cfg.policy.kind, cfg, arrived[0], ages, coins, service)
     return SimStats(mean, ci, ages.late, ages.late / (cfg.horizon - cfg.warmup))
 
 

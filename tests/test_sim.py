@@ -467,7 +467,9 @@ def test_coins_settle_bytes_and_ties_by_the_byte_rule(p):
 
     A byte below c is heads and one above is tails, with no double read; a
     tie reads one double and is heads when it is below 256 p - c.  With u
-    uniform on the multiples of 2^-53, P(heads) is within 2^-61 of p.
+    uniform on the multiples of 2^-53, P(heads) is within 2^-61 of p.  When
+    256 p is whole (p = 1/2, 1/256, 255/256 and 1) a tie is tails and the
+    tie stream is never read.
     """
     c = math.floor(256 * p)
     fraction = 256 * p - c
@@ -475,12 +477,13 @@ def test_coins_settle_bytes_and_ties_by_the_byte_rule(p):
     coins = [byte for other in others for byte in (other, c) if byte <= 255]  # four ties, or none at p = 1
     below = np.nextafter(fraction, 0.0) if fraction > 0 else 0.0
     doubles = np.array([below, fraction, 0.0, np.nextafter(1.0, 0.0)])
-    ties = _Crafted(doubles)
+    ties = _Crafted(doubles) if fraction else _Refusing()
     drawn = sim._Coins(_CraftedWords(coins).random_raw, ties).heads(len(coins), p)
     settled = iter(doubles)
     expected = [k for k, byte in enumerate(coins) if byte < c or (byte == c and next(settled) < fraction)]
     np.testing.assert_array_equal(drawn, expected)
-    assert ties.at == coins.count(c)
+    if fraction:
+        assert ties.at == coins.count(c)
     heads = Fraction(c, 256) + Fraction(math.ceil(Fraction(fraction) * 2**53), 2**61)
     assert abs(heads - Fraction(p)) <= Fraction(1, 2**61)
 
@@ -542,41 +545,44 @@ def test_traced_memory_grows_with_arrivals_not_slots(run, bytes_per_slot):
 
 def test_runs_report_counters_at_debug(caplog):
     cfg = SimConfig(Policy.dad(4), BernoulliSource(1.0), horizon=1_000, warmup=0, seed=1)
-    thinned = Policy.fcfs(geometric_pmf(0.25), alpha=0.5)
     with caplog.at_level(logging.DEBUG, logger="ageleak.sim"):
         simulate(cfg)
         empirical_source_age(SimConfig(None, BernoulliSource(1.0), horizon=1_000, warmup=0))
         for policy in (Policy.lcfs(geometric_pmf(0.25)), Policy.rad(make_pmf([(1, 0.5), (2, 0.5)]))):
             simulate(SimConfig(policy, BernoulliSource(1.0), horizon=1_000, warmup=0, seed=1))
-        simulate(SimConfig(thinned, BernoulliSource(0.5), horizon=1_000, warmup=0, seed=1))
+        for lam, alpha in ((0.5, 0.5), (0.3, 0.7)):
+            thinned = Policy.fcfs(geometric_pmf(0.25), alpha=alpha)
+            simulate(SimConfig(thinned, BernoulliSource(lam), horizon=1_000, warmup=0, seed=1))
     assert "sim rad horizon=1000: 1000 arrivals, 250 deliveries, 250 intervals summed" in caplog.text
     assert "sim source horizon=1000: 1000 arrivals, 1000 deliveries, 1000 intervals summed" in caplog.text
     lines = caplog.text.splitlines()
-    draws = [line.split(", ")[-3] for line in lines]
-    # DAD reads no timer draw; LCFS one per arrival; a timer of gaps >= 1 one refill of 1000 + 1 gaps
-    assert draws[:4] == ["0 service/timer draws"] * 2 + ["1000 service/timer draws", "1001 service/timer draws"]
+    # the service role's bytes and refinement doubles: none for DAD or a source; two bytes per LCFS
+    # draw of geometric(0.25), whose 2^11 buckets refine where a cdf point lies inside; one byte per
+    # timer gap of {1, 2}, a refill of 1000 + 1 gaps at p = 1/2, where a tie reads no double
+    durations, cdf, tailed = listed_cdf(geometric_pmf(0.25), 1_000)
+    raw = role_bytes(1, sim._SERVICE, 2_000).reshape(1_000, 2).astype(np.int64)
+    refined = np.count_nonzero(refined_buckets(cdf, 11, tailed)[(raw[:, 0] | raw[:, 1] << 8) >> 5])
+    assert guide_bits(len(durations)) == 11 and refined > 0
+    assert [line.split(", ")[4:6] for line in lines[:4]] == [["0 service bytes", "0 refined"]] * 2 + [
+        ["2000 service bytes", f"{refined} refined"], ["1001 service bytes", "0 refined"]]
     # one coin byte per slot; at lambda = 1 no byte ties with c = 256
-    assert [line.split(", ", 5)[-1] for line in lines[:4]] == ["1000 coin bytes, 0 ties settled"] * 4
-    # at lambda = alpha = 0.5 (c = 128) a byte of 128 ties: one coin per slot, then one per arrival
-    arrived = int(whole_coins(1, sim._ARRIVALS, np.full(1_000, 0.5)).sum())
-    ties = np.count_nonzero(role_bytes(1, sim._ARRIVALS, 1_000) == 128)
-    ties += np.count_nonzero(role_bytes(1, sim._COINS, arrived) == 128)
-    assert lines[4].endswith(f"{1_000 + arrived} coin bytes, {ties} ties settled")
+    assert [line.split(", ", 6)[-1] for line in lines[:4]] == ["1000 coin bytes, 0 ties settled"] * 4
+    # one coin per slot, then one per arrival; at lambda = alpha = 0.5 a byte of 128 ties but is tails
+    for line, lam, alpha in zip(lines[4:], (0.5, 0.3), (0.5, 0.7)):
+        arrived = int(whole_coins(1, sim._ARRIVALS, np.full(1_000, lam)).sum())
+        ties = np.count_nonzero(role_bytes(1, sim._ARRIVALS, 1_000) == math.floor(256 * lam)) * (lam != 0.5)
+        ties += np.count_nonzero(role_bytes(1, sim._COINS, arrived) == math.floor(256 * alpha)) * (alpha != 0.5)
+        assert line.endswith(f"{1_000 + arrived} coin bytes, {ties} ties settled")
+    assert ties > 0
 
 
 # --- the whole-run simulator the chunked one replaces ---------------------
 # A copy of the simulator that held every arrival and delivery of a run at
 # once (helpers renamed whole_*, debug logging left out), reading the same
 # per-role streams in its own block sizes; its coins are the whole run's
-# bytes, drawn at once, with the ties settled in slot order.  The chunked
-# simulator must reproduce its results exactly, whatever _CHUNK is.
-
-
-def whole_sample_durations(rng, pmf: FinitePmf, size):
-    durations, probabilities = zip(*pmf.entries)
-    durations, cdf = np.array(durations, dtype=np.int64), np.cumsum(probabilities)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return durations[np.minimum(idx, len(durations) - 1)]
+# bytes, drawn at once, with the ties settled in slot order, and so are its
+# service and timer draws.  The chunked simulator must reproduce its results
+# exactly, whatever _CHUNK is.
 
 
 def role_bytes(seed, role, size):
@@ -590,15 +596,74 @@ def whole_coins(seed, role, ps):
 
     Coin k reads byte k of the role's raw words, the least significant byte
     of each word first: heads below c = floor(256 p), and a byte equal to c
-    is settled, in coin order, by the role's tie stream.
+    is settled, in coin order, by the role's tie stream, unless 256 p is
+    whole and the tie is tails.
     """
     ps = np.asarray(ps, dtype=np.float64)
     coins = role_bytes(seed, role, len(ps))
     c = np.floor(256 * ps)
     heads = coins < c
-    tie = np.flatnonzero(coins == c)
+    tie = np.flatnonzero((coins == c) & (256 * ps > c))
     heads[tie] = np.random.default_rng((seed, role, 1)).random(len(tie)) < 256 * ps[tie] - c[tie]
     return heads
+
+
+def listed_cdf(pmf: FinitePmf, horizon):
+    """The durations the sampler lists, clipped to horizon + 1, their cdf, and whether the tail goes on past them."""
+    listed, probabilities = pmf._listed(sim._LISTED_MAX, horizon + 1)
+    durations = np.minimum(np.array(listed, dtype=np.float64), horizon + 1).astype(np.int64)
+    return durations, np.cumsum(probabilities), bool(pmf.hazard) and listed[-1] < horizon + 1
+
+
+def guide_bits(count):
+    """log2 of the guide table's buckets for ``count`` durations: 16 or more per duration, 2^6 to 2^16."""
+    return min(max((16 * count - 1).bit_length(), 6), 16)
+
+
+def refined_buckets(cdf, bits, tailed):
+    """Which of the 2^bits buckets a draw refines: those with a cdf point strictly inside,
+    and, when the tail goes on past the list, those from the list's last cdf point on."""
+    m = 1 << bits
+    scaled = cdf * m  # exact: m is a power of two
+    refined = np.zeros(m, dtype=bool)
+    refined[np.floor(scaled[(scaled < m) & (scaled != np.floor(scaled))]).astype(np.int64)] = True
+    if tailed:
+        refined[int(math.ceil(scaled[-1])):] = True
+    return refined
+
+
+def whole_durations(seed, pmf: FinitePmf, size, horizon):
+    """The first ``size`` service or timer draws of a run, all at once, clipped to horizon + 1.
+
+    One duration and no tail reads nothing.  Two durations and no tail read
+    one coin each, the first duration on heads at cdf[0].  Any other pmf
+    reads a bucket b of 2^bits per draw, the top bits of one byte, or of two
+    bytes taken little-endian; a refined bucket reads one double v of the
+    tie stream, in draw order, and u = (b + v) / m is inverted by binary
+    search, past the list's cdf by the tail's survival (1 - mu)^k.  Any
+    other bucket inverts its lower edge.
+    """
+    durations, cdf, tailed = listed_cdf(pmf, horizon)
+    if not pmf.hazard and len(pmf.durations) == 1:
+        return np.full(size, durations[0])
+    if len(durations) == 2 and not tailed:
+        return np.where(whole_coins(seed, sim._SERVICE, np.full(size, cdf[0])), durations[0], durations[1])
+    bits = guide_bits(len(durations))
+    width = 1 if bits <= 8 else 2
+    raw = role_bytes(seed, sim._SERVICE, width * size).reshape(size, width).astype(np.int64)
+    buckets = (raw[:, 0] | (raw[:, -1] << 8 if width == 2 else 0)) >> (8 * width - bits)
+    refined = refined_buckets(cdf, bits, tailed)[buckets]
+    u = buckets.astype(np.float64)
+    u[refined] += np.random.default_rng((seed, sim._SERVICE, 1)).random(int(refined.sum()))
+    u /= 1 << bits
+    index = np.searchsorted(cdf, u, side="right")
+    draws = durations[np.minimum(index, len(durations) - 1)]
+    past = np.flatnonzero(index == len(durations)) if tailed else []
+    for k in past:  # the smallest j >= 1 with P(D > last) (1 - mu)^j <= 1 - u
+        last = int(durations[-1])
+        j = math.ceil(math.log((1.0 - u[k]) / pmf._rest(last)) / math.log1p(-pmf.hazard))
+        draws[k] = min(last + max(j, 1), horizon + 1)
+    return draws
 
 
 def whole_bernoulli_arrivals(seed, lam, horizon):
@@ -638,20 +703,20 @@ def whole_arrivals(seed, source, horizon):
     return whole_markov_arrivals(seed, source, horizon)
 
 
-def whole_lcfs_deliveries(rng, policy, arrivals, horizon):
+def whole_lcfs_deliveries(seed, policy, arrivals, horizon):
     """Preemptive LCFS: an arrival replaces the in-service update.
 
     The update arriving in slot t with draw s departs in slot t + s - 1
     unless a later arrival lands on or before that slot.
     """
-    draws = whole_sample_durations(rng, policy.pmf, len(arrivals))
+    draws = whole_durations(seed, policy.pmf, len(arrivals), horizon)
     departures = arrivals + draws - 1
     next_arrival = np.append(arrivals[1:], horizon + 1)
     done = (next_arrival > departures) & (departures <= horizon)
     return departures[done], arrivals[done] - 1
 
 
-def whole_fcfs_deliveries(rng, policy, arrivals, horizon):
+def whole_fcfs_deliveries(seed, policy, arrivals, horizon):
     """FCFS of the admitted arrivals.
 
     Departures follow the waiting-time recursion dep_k = max(arr_k,
@@ -660,7 +725,7 @@ def whole_fcfs_deliveries(rng, policy, arrivals, horizon):
     """
     if len(arrivals) == 0:
         return arrivals, arrivals
-    draws = whole_sample_durations(rng, policy.pmf, len(arrivals))
+    draws = whole_durations(seed, policy.pmf, len(arrivals), horizon)
     k = np.arange(1, len(arrivals) + 1)
     csum = np.cumsum(draws - 1)
     csum_prev = np.concatenate(([0], csum[:-1]))
@@ -669,24 +734,20 @@ def whole_fcfs_deliveries(rng, policy, arrivals, horizon):
     return departures[done], arrivals[done] - 1
 
 
-def whole_rad_attempts(rng, pmf, horizon):
-    mean_d = sum(d * p for d, p in pmf.entries)
-    block = max(64, int(horizon / mean_d * 1.1) + 16)
-    attempts = np.cumsum(whole_sample_durations(rng, pmf, block))
-    while attempts[-1] <= horizon:
-        more = np.cumsum(whole_sample_durations(rng, pmf, block)) + attempts[-1]
-        attempts = np.concatenate((attempts, more))
+def whole_rad_attempts(seed, pmf, horizon):
+    """Every gap is at least the shortest duration, so horizon // shortest + 1 gaps pass the horizon."""
+    attempts = np.cumsum(whole_durations(seed, pmf, horizon // min(pmf.durations[0], horizon + 1) + 1, horizon))
     return attempts[attempts <= horizon]
 
 
-def whole_rad_deliveries(rng, policy, arrivals, horizon):
+def whole_rad_deliveries(seed, policy, arrivals, horizon):
     """Accumulate-and-dump: the timer runs from slot 0, first attempt at D1.
 
     An attempt transmits the freshest update that arrived since the previous
     attempt (the buffer only ever holds the freshest update and is empty
     after every attempt); an empty-buffer attempt produces no output.
     """
-    attempts = whole_rad_attempts(rng, policy.pmf, horizon)
+    attempts = whole_rad_attempts(seed, policy.pmf, horizon)
     last_arrival_idx = np.searchsorted(arrivals, attempts, side="right") - 1
     previous_attempt = np.concatenate(([0], attempts[:-1]))
     filled = np.zeros(len(attempts), dtype=bool)
@@ -774,11 +835,10 @@ def whole_simulate(cfg: SimConfig) -> SimStats:
     """Run one policy simulation; deterministic given the seed."""
     if cfg.policy is None:
         raise InvalidConfig("simulate needs a policy; use empirical_source_age for sources")
-    rng, = role_streams(cfg.seed, sim._SERVICE)
     arrivals = whole_arrivals(cfg.seed, cfg.source, cfg.horizon)
     if cfg.policy.alpha < 1.0:  # FCFS admission thinning
         arrivals = arrivals[whole_coins(cfg.seed, sim._COINS, np.full(len(arrivals), cfg.policy.alpha))]
-    slots, timestamps = whole_DELIVERY_FNS[cfg.policy.kind](rng, cfg.policy, arrivals, cfg.horizon)
+    slots, timestamps = whole_DELIVERY_FNS[cfg.policy.kind](cfg.seed, cfg.policy, arrivals, cfg.horizon)
     delivered = int(np.count_nonzero(slots > cfg.warmup))
     mean, ci = whole_age_stats(slots, timestamps, cfg.horizon, cfg.warmup)
     measured = cfg.horizon - cfg.warmup
@@ -895,18 +955,18 @@ def test_random_streams_are_pinned():
     greedy = greedy_smp_pmf(0.5)
     thinned = Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0])
     runs = {
-        (Policy.lcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=5.822222222222222, "
-        "ci_half_width=0.43768157643408084, delivered=178, output_rate=0.19777777777777777)",
-        (thinned, BERN): "SimStats(mean_age=4.471111111111111, ci_half_width=0.38416341997985826, delivered=440, "
-        "output_rate=0.4888888888888889)",
+        (Policy.lcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=6.036666666666667, "
+        "ci_half_width=0.6162911325946533, delivered=174, output_rate=0.19333333333333333)",
+        (thinned, BERN): "SimStats(mean_age=4.278888888888889, ci_half_width=0.24986883970399432, delivered=439, "
+        "output_rate=0.48777777777777775)",
         (Policy.dad(5), MarkovSource(0.05, 0.2)): "SimStats(mean_age=25.88888888888889, "
         "ci_half_width=7.351821302043738, delivered=49, output_rate=0.05444444444444444)",
         # D-DAD at mean period about 1.56: dense attempts, RAD's scan over the window's slots
-        (policy_from_config({"kind": "ddad", "rate": 1 / 1.5}), BERN): "SimStats(mean_age=3.2822222222222224, "
-        "ci_half_width=0.1700901409100618, delivered=386, output_rate=0.4288888888888889)",
-        # an overloaded queue: 524 arrivals, 241 departures by the horizon
-        (Policy.fcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=293.7688888888889, "
-        "ci_half_width=54.716006736812744, delivered=213, output_rate=0.23666666666666666)",
+        (policy_from_config({"kind": "ddad", "rate": 1 / 1.5}), BERN): "SimStats(mean_age=3.2855555555555553, "
+        "ci_half_width=0.1807475620914356, delivered=379, output_rate=0.4211111111111111)",
+        # an overloaded queue: 524 arrivals, 239 departures by the horizon
+        (Policy.fcfs(geometric_pmf(0.25)), BERN): "SimStats(mean_age=302.22333333333336, "
+        "ci_half_width=53.37044567085367, delivered=218, output_rate=0.24222222222222223)",
     }
     for (policy, source), expected in runs.items():
         assert repr(simulate(SimConfig(policy, source, horizon=1_000, warmup=100, seed=1))) == expected
@@ -987,6 +1047,9 @@ class _Refusing:
     def random(self, size):
         raise AssertionError(f"read {size} doubles of a stream that must not be read")
 
+    def random_raw(self, size):
+        raise AssertionError(f"read {size} words of a stream that must not be read")
+
 
 @pytest.mark.parametrize("kind", ["lcfs", "fcfs", "rad"])
 @pytest.mark.parametrize("source", [BERN, MarkovSource(0.05, 0.2)], ids=["bernoulli", "markov"])
@@ -994,13 +1057,14 @@ class _Refusing:
 def test_one_point_pmfs_read_no_service_draw(monkeypatch, kind, source, tau):
     """A pmf of one duration and no tail draws nothing, in windows of 64 slots and of 2^16.
 
-    Its service stream raises when read, and the run still equals the
-    whole-run reference, which draws every service time or timer gap.
+    Its service role's words and tie stream raise when read, and the run
+    still equals the whole-run reference.
     """
     cfg = SimConfig(Policy(kind, deterministic_pmf(tau)), source, horizon=20_000, warmup=1_000, seed=tau)
     expected = repr(whole_simulate(cfg))
-    stream = sim._stream
-    monkeypatch.setattr(sim, "_stream", lambda cfg, role: _Refusing() if role == sim._SERVICE else stream(cfg, role))
+    coins = sim._coins
+    refusing = sim._Coins(_Refusing().random_raw, _Refusing())
+    monkeypatch.setattr(sim, "_coins", lambda cfg, role: refusing if role == sim._SERVICE else coins(cfg, role))
     assert repr(simulate(cfg)) == expected
     monkeypatch.setattr(sim, "_CHUNK", 64)
     assert repr(simulate(cfg)) == expected
@@ -1017,29 +1081,65 @@ class _Crafted:
         return self.values[self.at - size : self.at].copy()
 
 
+def crafted_sampler(pmf, horizon, u):
+    """The sampler of a run, with service coins crafted so that draw k sees u_k.
+
+    Through a guide table of m = 2^bits buckets, draw k reads the bucket
+    b = floor(u_k m) in the top bits of one byte, or of two bytes taken
+    little-endian, and, where b is refined, the double u_k m - b, so that
+    (b + v) / m is u_k exactly.  A coin at p = cdf[0] reads the byte
+    b = floor(256 u_k), and a tie (b = floor(256 p)) the double 256 u_k - b:
+    it is heads exactly when u_k < p.  One duration reads neither stream.
+    Returns the sampler, its coins and which draws read a double.
+    """
+    durations, cdf, tailed = listed_cdf(pmf, horizon)
+    if not pmf.hazard and len(pmf.durations) == 1:
+        refined = np.zeros(len(u), dtype=bool)
+        coins = sim._Coins(_Refusing().random_raw, _Refusing())
+        return sim._sampler(SimConfig(Policy.rad(pmf), BERN, horizon=horizon, warmup=0), coins), coins, refined
+    if len(durations) == 2 and not tailed:
+        bits, c = 8, math.floor(256 * cdf[0])
+        by_bucket = (np.arange(256) == c) & (256 * cdf[0] > c)
+    else:
+        bits = guide_bits(len(durations))
+        by_bucket = refined_buckets(cdf, bits, tailed)
+    width = 1 if bits <= 8 else 2
+    scaled = np.asarray(u) * (1 << bits)
+    buckets = np.floor(scaled).astype(np.int64)
+    refined = by_bucket[buckets]
+    raw = [(value >> (8 * i)) & 0xFF for value in (buckets << (8 * width - bits)).tolist() for i in range(width)]
+    coins = sim._Coins(_CraftedWords(raw).random_raw, _Crafted((scaled - buckets)[refined]))
+    return sim._sampler(SimConfig(Policy.rad(pmf), BERN, horizon=horizon, warmup=0), coins), coins, refined
+
+
 @pytest.mark.parametrize("pmf, horizon", [
     (geometric_pmf(0.02), 10_000),  # about 1,820 listed durations, the cdf crowding near 1
     (uniform_pmf(10_000), 20_000),  # more buckets than the table's cap allows
     (FinitePmf((1, 2, 3), (0.5, 0.25, 0.25 - 5e-10)), 100),  # u >= cdf[-1] occurs
     (make_pmf([(2, 0.5), (10 ** 20, 0.5)]), 1_000),  # a lag past the horizon
-    # two durations and no tail, drawn by one comparison with cdf[0]
+    # two durations and no tail, drawn by one coin at cdf[0]
     (make_pmf([(3, 0.1), (8, 0.9)]), 100),
     (FinitePmf((3, 8), (0.1, 0.9 - 5e-10)), 100),  # u >= cdf[-1] occurs
     (make_pmf([(2, 0.3), (10 ** 20, 0.7)]), 50),  # the second duration is clipped to horizon + 1
-    # two durations listed and a tail of under 2^-53 past them, which the comparison would miss
+    # two durations listed and a tail of under 2^-53 past them, which a coin would miss
     (FinitePmf((1, 2), (0.5, 0.5 - 5e-10), 1.0 - 2.0 ** -53), 100),
     # one duration and no tail, drawn without reading the stream
     (deterministic_pmf(5), 100),
     (deterministic_pmf(10 ** 20), 100),
+    (make_pmf([(1, 0.1), (2, 0.2), (5, 0.7)]), 100),  # 64 buckets, one byte per draw
+    (make_pmf([(2, 0.3), (3, 0.3), (10 ** 20, 0.4)]), 50),  # the last duration is clipped to horizon + 1
 ])
 def test_sampler_draws_equal_searched_inversion(pmf, horizon):
-    """Every draw, by whichever route the support picks, equals inversion by binary search of the same u.
+    """Every draw, by whichever route the support picks, equals inversion by binary search of the u it sees.
 
     The search runs over the durations ``entries`` lists, each with its own
     mass: a tail's rest is not folded onto the last, so a u past their cdf
-    falls in the tail beyond them.  The u values are 0, every possible
-    bucket edge, every cdf value with its two neighbouring doubles, and the
-    largest double below 1.
+    falls in the tail beyond them.  The u values are 0, every edge of a
+    table of 2^16 buckets, every cdf value with its two neighbouring
+    doubles, and the largest double below 1.  A guide-table draw from a
+    bucket that holds no cdf point reads no double: it sees only the bucket,
+    and every u in it inverts alike.  Each other draw reads one double, and
+    a coin's tie reads one only where 256 cdf[0] is not whole.
     """
     listed = [d for d, _ in pmf.entries]
     cdf = np.cumsum([pmf.prob(d) for d in listed])
@@ -1049,13 +1149,137 @@ def test_sampler_draws_equal_searched_inversion(pmf, horizon):
         cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
     ))
     u = u[(u >= 0.0) & (u < 1.0)]
-    cfg = SimConfig(Policy.rad(pmf), BERN, horizon=horizon, warmup=0)
-    drawn = sim._sampler(cfg, _Crafted(u))(len(u))
+    sample, coins, refined = crafted_sampler(pmf, horizon, u)
+    drawn = sample(len(u))
+    assert coins.settled == np.count_nonzero(refined) == getattr(coins.ties, "at", 0)
     durations = np.minimum(np.array(listed, dtype=np.float64), horizon + 1).astype(np.int64)
     expected = durations[np.minimum(np.searchsorted(cdf, u, side="right"), len(durations) - 1)]
     inside = u < cdf[-1] if pmf.hazard else np.ones(len(u), dtype=bool)
     np.testing.assert_array_equal(drawn[inside], expected[inside])
     assert np.all(drawn[~inside] > listed[-1])
+
+
+@pytest.mark.parametrize("pmf", [make_pmf([(1, 0.1), (2, 0.2), (5, 0.7)]), uniform_pmf(20), geometric_pmf(0.25)],
+                         ids=["64-buckets", "512-buckets", "2048-buckets"])
+def test_service_bytes_pick_the_bucket_by_their_top_bits(pmf):
+    """Bytes, or little-endian byte pairs, just below, at and just above each bucket edge.
+
+    With m = 2^bits buckets a draw reads w, one byte when m <= 256 and two
+    otherwise, and its bucket is w >> (8 width - bits): the low bits do not
+    count.  Each refined draw reads v = 1/2 and inverts u = (b + 1/2) / m;
+    any other inverts the bucket's lower edge.
+    """
+    horizon = 1_000
+    durations, cdf, tailed = listed_cdf(pmf, horizon)
+    bits = guide_bits(len(durations))
+    width = 1 if bits <= 8 else 2
+    shift = 8 * width - bits
+    values = [w for e in range(1 << bits) for w in (e << shift) + np.array([-1, 0, 1]) if 0 <= w < 1 << 8 * width]
+    buckets = np.array(values) >> shift
+    refined = refined_buckets(cdf, bits, tailed)[buckets]
+    raw = [(int(w) >> (8 * i)) & 0xFF for w in values for i in range(width)]
+    coins = sim._Coins(_CraftedWords(raw).random_raw, _Crafted(np.full(np.count_nonzero(refined), 0.5)))
+    drawn = sim._sampler(SimConfig(Policy.lcfs(pmf), BERN, horizon=horizon, warmup=0), coins)(len(values))
+    u = (buckets + np.where(refined, 0.5, 0.0)) / (1 << bits)
+    np.testing.assert_array_equal(drawn, durations[np.searchsorted(cdf, u, side="right")])
+    assert coins.ties.at == np.count_nonzero(refined) > 0
+    assert coins.drawn == len(raw)
+
+
+def test_service_byte_pairs_are_little_endian():
+    """uniform(32) has 512 buckets and its cdf on their edges, so no draw is refined.
+
+    Draw k is 1 plus the top 5 bits of bytes 2k and 2k + 1 of seed 7's
+    service role, the first least significant: 0xd5c6 gives 27, where the
+    bytes read the other way round, 0xc6d5, would give 25.
+    """
+    cfg = SimConfig(Policy.lcfs(uniform_pmf(32)), BERN, horizon=100, warmup=0, seed=7)
+    coins = sim._Coins(sim._stream(cfg, sim._SERVICE).bit_generator.random_raw, _Refusing())
+    assert role_bytes(7, sim._SERVICE, 16).tolist() == [0xC6, 0xD5, 0x58, 0xBA, 0x89, 0xCC, 0x9B, 0xF9,
+                                                        0x21, 0x62, 0xC7, 0x89, 0x9A, 0xFF, 0x72, 0xE2]
+    assert sim._sampler(cfg, coins)(8).tolist() == [27, 24, 26, 32, 13, 18, 32, 29]
+
+
+def rule_reach(c, bits):
+    """P(u >= c) under the byte rule, exactly: the buckets above c's, and in c's the doubles
+    v = i 2^-53 with float64 (b + v) / m >= c, found by bisection over i (the sum is monotone in i)."""
+    m = 1 << bits
+    b = math.floor(c * m)
+    if b >= m:
+        return Fraction(0)
+    low, high = 0, 1 << 53
+    while low < high:
+        mid = (low + high) // 2
+        if (b + mid * 2.0 ** -53) / m >= c:
+            high = mid
+        else:
+            low = mid + 1
+    return Fraction(m - 1 - b, m) + Fraction((1 << 53) - low, m << 53)
+
+
+@pytest.mark.parametrize("pmf, horizon", [
+    (make_pmf([(1, 0.1), (2, 0.2), (5, 0.7)]), 100),
+    (uniform_pmf(20), 100),
+    (geometric_pmf(0.02), 10_000),  # 2^15 buckets: the rounding of b + v is largest near 1
+    (geometric_pmf(0.3), 40),  # a tail past the list
+])
+def test_guide_table_probabilities_are_within_the_bound(pmf, horizon):
+    """Each listed duration's probability under the byte rule, in exact rationals.
+
+    A bucket has probability 1/m and holds no cdf point unless it is
+    refined, so P(u >= c) for each cdf point c settles every duration's
+    probability.  v is a multiple of 2^-53 and b + v rounds by at most
+    2^-54 m, so P(u < c) lies in [c - 2^-54, c + 2^-53 / m], and each step of
+    the cdf (a duration's probability, or the tail's past the list) is
+    matched within 2^-54 + 2^-53 / m < 2^-53.
+    """
+    durations, cdf, tailed = listed_cdf(pmf, horizon)
+    cdf = np.minimum(cdf, 1.0)  # a cdf that rounds past 1 is reached by every u
+    bits = guide_bits(len(durations))
+    bound = Fraction(1, 2**54) + Fraction(1, 2**53 << bits)
+    below = [1 - rule_reach(c, bits) for c in cdf.tolist()]  # P(u < c)
+    for c, p in zip(cdf.tolist(), below):
+        assert -Fraction(1, 2**54) <= p - Fraction(c) <= Fraction(1, 2**53 << bits)
+    steps = np.diff(np.array([Fraction(0)] + [Fraction(c) for c in cdf.tolist()] + [Fraction(1)], dtype=object))
+    drawn = np.diff(np.array([Fraction(0)] + below + [Fraction(1)], dtype=object))
+    if not tailed:  # a u past the list's cdf takes the last duration
+        steps[-2:], drawn[-2:] = [steps[-2] + steps[-1], 0], [drawn[-2] + drawn[-1], 0]
+    assert max(abs(drawn - steps)) <= bound < Fraction(1, 2**53)
+    assert len(durations) > 2
+
+
+SPLIT_PMFS = [geometric_pmf(0.25), uniform_pmf(3), make_pmf([(2, 0.3), (7, 0.7)]), geometric_pmf(0.02)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 40) | st.just(7) | st.integers(0, 400).map(lambda k: 2 * k + 1), max_size=12),
+       st.sampled_from(SPLIT_PMFS), st.integers(0, 2**32 - 1))
+def test_service_draws_in_any_split_equal_one_draw(sizes, pmf, seed):
+    """Sizes of 0, 7 and odd counts split the service role's words between calls; the draws,
+    the bytes and doubles read, and both streams' next values are those of one call."""
+    cfg = SimConfig(Policy.lcfs(pmf), BERN, horizon=10_000, warmup=0, seed=seed)
+    split, whole = sim._coins(cfg, sim._SERVICE), sim._coins(cfg, sim._SERVICE)
+    sample = sim._sampler(cfg, split)
+    drawn = [sample(size) for size in sizes]
+    np.testing.assert_array_equal(np.concatenate([np.zeros(0, dtype=np.int64)] + drawn),
+                                  sim._sampler(cfg, whole)(sum(sizes)))
+    assert (split.drawn, split.settled) == (whole.drawn, whole.settled)
+    assert split.words(1)[0] == whole.words(1)[0]
+    assert split.ties.random() == whole.ties.random()
+
+
+def test_guide_table_draw_frequencies_are_the_pmf():
+    """4 10^6 draws of a 3-point pmf land within 5 sigma of each probability, and the refined
+    draws within 5 sigma of the refined buckets' share: 2 of 64, one per inner cdf point."""
+    pmf, size = make_pmf([(1, 0.1), (4, 0.3), (9, 0.6)]), 4_000_000
+    cfg = SimConfig(Policy.lcfs(pmf), BERN, horizon=100, warmup=0, seed=2026)
+    coins = sim._coins(cfg, sim._SERVICE)
+    counts = np.bincount(sim._sampler(cfg, coins)(size), minlength=10)
+    for duration, p in pmf.entries:
+        assert abs(counts[duration] - size * p) <= 5 * math.sqrt(size * p * (1 - p))
+    assert counts.sum() == counts[[1, 4, 9]].sum() == size
+    assert coins.drawn == size
+    assert abs(coins.settled - size / 32) <= 5 * math.sqrt(size / 32 * (1 - 1 / 32))
 
 
 @pytest.mark.parametrize("mu, horizon, reach", [
@@ -1067,8 +1291,7 @@ def test_sampler_inverts_the_tail_in_closed_form(mu, horizon, reach):
     """Each draw d for u has P(D > d) <= 1 - u < P(D > d - 1) up to rounding,
     P(D > d) = (1 - mu)^d, or is horizon + 1 where P(D > horizon) >= 1 - u."""
     u = np.concatenate((np.random.default_rng(5).random(20_000), 1.0 - 2.0 ** -np.arange(1.0, 54.0)))
-    cfg = SimConfig(Policy.rad(geometric_pmf(mu)), BERN, horizon=horizon, warmup=0)
-    drawn = sim._sampler(cfg, _Crafted(u))(len(u))
+    drawn = crafted_sampler(geometric_pmf(mu), horizon, u)[0](len(u))
     left, tol = 1.0 - u, 1e-9 * (1.0 - u) + 1e-12
     survival = (1.0 - mu) ** drawn.astype(np.float64)
     before = survival / (1.0 - mu)
@@ -1096,7 +1319,7 @@ def test_fcfs_stops_serving_past_the_horizon():
     with mock.patch.object(sim, "_sampler", counting):
         stats = simulate(cfg)
     arrivals = whole_arrivals(cfg.seed, cfg.source, cfg.horizon)
-    steps = whole_sample_durations(role_streams(cfg.seed, sim._SERVICE)[0], cfg.policy.pmf, len(arrivals)) - 1
+    steps = whole_durations(cfg.seed, cfg.policy.pmf, len(arrivals), cfg.horizon) - 1
     k = np.arange(1, len(arrivals) + 1)
     departures = np.maximum.accumulate(arrivals - k - (np.cumsum(steps) - steps)) + np.cumsum(steps) + k
     ends = np.minimum(np.arange(1, -(-cfg.horizon // sim._CHUNK) + 1) * sim._CHUNK, cfg.horizon)
