@@ -253,7 +253,8 @@ def _sampler(cfg: SimConfig, coins):
     rest, log_q = pmf._rest(listed[-1]), math.log1p(-pmf.hazard)
 
     def sample(size):
-        buckets = coins.bytes(index_type.itemsize * size).view(index_type)
+        # intp, which take() wants, so that the bytes are freed here and not copied there
+        buckets = coins.bytes(index_type.itemsize * size).view(index_type).astype(np.intp)
         buckets >>= 8 * index_type.itemsize - bits
         out = table.take(buckets)
         slow = np.flatnonzero(out < 0)
