@@ -14,7 +14,7 @@ import numpy as np
 
 from .age import lcfs_age
 from .errors import InvalidConfig
-from .leakage import rad_leakage_bits, rad_rate, smp_leakage_bits
+from .leakage import rad_rate, smp_leakage_bits
 from .optimize import ddad_policy, greedy_smp_pmf
 from .oracle import _maxl_series
 from .pmf import deterministic_pmf, geometric_pmf, make_pmf, pmf_moments, uniform_pmf
@@ -38,16 +38,17 @@ class CheckResult:
         return f"{status} criterion {self.criterion}: {self.description} [{self.detail}] ({self.seconds:.3f}s)"
 
 
+def _oracle_gap(policy, horizon):
+    """Worst gap, over the horizons 1..``horizon``, between the oracle and ``policy.leakage_bits``."""
+    series = _maxl_series(policy, horizon)
+    return max(abs(series[n] - policy.leakage_bits(n).bits) for n in range(1, horizon + 1))
+
+
 def _criterion_1():
     """Coupled closed form vs. brute force, beta in {0.3, 0.5, 1.0}, n in [1, 10]."""
     start = time.time()
-    worst = 0.0
-    for beta in (0.3, 0.5, 1.0):
-        pmf = greedy_smp_pmf(beta)
-        for kind in ("lcfs", "fcfs"):
-            series = _maxl_series(Policy(kind, pmf), 10)
-            for n in range(1, 11):
-                worst = max(worst, abs(series[n] - smp_leakage_bits(n, 1, beta).bits))
+    worst = max(_oracle_gap(Policy(kind, greedy_smp_pmf(beta)), 10) for beta in (0.3, 0.5, 1.0)
+                for kind in ("lcfs", "fcfs"))
     elapsed = time.time() - start
     return worst <= 1e-9 and elapsed < 60.0, f"worst gap {worst:.2e}, {elapsed:.1f}s"
 
@@ -57,11 +58,7 @@ def _criterion_2():
     pmfs = [deterministic_pmf(t) for t in (1, 2, 3)]
     pmfs += [uniform_pmf(k) for k in (2, 3)]
     pmfs.append(geometric_pmf(0.5))
-    worst = 0.0
-    for pmf in pmfs:
-        series = _maxl_series(Policy.rad(pmf), 12)
-        for n in range(1, 13):
-            worst = max(worst, abs(series[n] - rad_leakage_bits(n, pmf).bits))
+    worst = max(_oracle_gap(Policy.rad(pmf), 12) for pmf in pmfs)
     return worst <= 1e-9, f"worst gap {worst:.2e}"
 
 
@@ -112,15 +109,19 @@ _SIM_CASES = (
 )
 
 
+def _simulated_age(policy, source, expected, seed):
+    """Mean age of a seeded 10^6-slot run, and its gate about ``expected``: max(3 CI, 2% of expected)."""
+    stats = simulate(SimConfig(policy, source, horizon=1_000_000, seed=seed))
+    return stats.mean_age, max(3.0 * stats.ci_half_width, 0.02 * expected)
+
+
 def _criterion_5():
     """Simulated ages agree with the closed forms at 10^6 slots, lambda = 0.5."""
-    source = BernoulliSource(0.5)
     failures = []
     for name, policy, expected, seed in _SIM_CASES:
-        stats = simulate(SimConfig(policy, source, horizon=1_000_000, seed=seed))
-        tol = max(3.0 * stats.ci_half_width, 0.02 * expected)
-        if abs(stats.mean_age - expected) > tol:
-            failures.append(f"{name}: {stats.mean_age:.4f} vs {expected:.4f} (tol {tol:.4f})")
+        age, tol = _simulated_age(policy, BernoulliSource(0.5), expected, seed)
+        if abs(age - expected) > tol:
+            failures.append(f"{name}: {age:.4f} vs {expected:.4f} (tol {tol:.4f})")
     return not failures, "; ".join(failures) or "all five policies within tolerance"
 
 
@@ -129,11 +130,9 @@ def _criterion_6():
     low = MarkovSource(0.05, 0.2)
     high = MarkovSource(0.2, 0.05)
     rates_ok = low.effective_rate == 0.2 and high.effective_rate == 0.8
-    stats = simulate(SimConfig(Policy.dad(5), low, horizon=1_000_000, seed=16))
-    tol = max(3.0 * stats.ci_half_width, 0.02 * 20.0)
-    age_ok = abs(stats.mean_age - 20.0) <= tol
-    return rates_ok and age_ok, (
-        f"rates {'exact' if rates_ok else 'off'}, age {stats.mean_age:.4f} vs 20.0 (tol {tol:.4f})"
+    age, tol = _simulated_age(Policy.dad(5), low, 20.0, 16)
+    return rates_ok and abs(age - 20.0) <= tol, (
+        f"rates {'exact' if rates_ok else 'off'}, age {age:.4f} vs 20.0 (tol {tol:.4f})"
     )
 
 

@@ -29,13 +29,13 @@ k and any t > k, with x = (x_pre, x_suf) and y = (y_pre, y_suf) cut at k,
 Sahni, J. ACM 1974): one walk of all 2^k input prefixes to depth k, and one
 walk of all 2^(n - k) input suffixes from each of the S states reached
 there, at the same absolute slots.  Each half holds at most 2^7 inputs at
-n <= 14.  At every t > k the halves are joined: each (x_pre, y_pre) column
-of S weights is multiplied into the suffix table of S rows, one numpy pass
-per state in state order, in blocks of fixed size; the max over x_suf is
-taken per y_suf and the max over x_pre per y_pre.  Columns that repeat
-under one output reach equal maxima, so each half keeps one of each.
-Every input's mass, the sum over s of its two halves' masses, is checked
-to be 1 within :data:`_NORM_TOL`.
+n <= 14.  At every t > k the halves are joined: the sum over s is one
+matrix product of the prefix table's (x_pre, y_pre) columns of S weights,
+in blocks of fixed size, with the suffix table of S rows; the max over
+x_suf is taken per y_suf and the max over x_pre per y_pre.  Columns that
+repeat under one output reach equal maxima, so each half keeps one of
+each.  Every input's mass, one more such product of its two halves'
+masses, is checked to be 1 within :data:`_NORM_TOL`.
 
 At depth t the prefix table, once its server states are summed out, is the
 horizon-t channel, and so is the join at t > k: one split walk to n yields
@@ -228,9 +228,7 @@ def _maxl_series(policy: Policy, n):
             rows[1] += len(suffix[1])
     # every input's mass, the sum over s of P(state s at k | x) P(any y' | x', s)
     suf_mass = b[-1].reshape(len(states), 1 << (n - k), -1).sum(axis=1)
-    mass = np.zeros((1 << k, 1 << (n - k)))
-    for i in range(len(states)):
-        mass += pre_mass[i, :, None] * suf_mass[i]
+    mass = np.einsum("si,sj->ij", pre_mass, suf_mass)
     worst = int(np.argmax(np.abs(mass - 1.0)))
     if not abs(mass.flat[worst] - 1.0) <= _NORM_TOL:  # also NaN
         raise UnnormalizedMass(f"row of input {worst:0{n}b} sums to {mass.flat[worst]!r}, not 1")
@@ -242,9 +240,7 @@ def _maxl_series(policy: Policy, n):
         out = best[k + m].reshape(1 << k, 1 << m)
         size = max(1, _JOIN_CELLS // len(y_suf))
         for lo in range(0, len(y_pre), size):
-            v = a[0, lo : lo + size, None] * b_m[0]
-            for i in range(1, len(states)):  # in state order
-                v += a[i, lo : lo + size, None] * b_m[i]
+            v = np.einsum("si,sj->ij", a[:, lo : lo + size], b_m)  # in state order; BLAS would keep buffers resident
             joined, chunks = joined + v.size, chunks + 1
             v = np.maximum.reduceat(v, suf_first, axis=1)  # the max over x' per y'
             runs = np.flatnonzero(_starts(y_pre[lo : lo + size]))

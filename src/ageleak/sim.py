@@ -17,23 +17,25 @@ holds until the next delivery.  One int64 pass per window takes the
 products of those hold times and timestamps; their running sum, read at
 the batch boundaries, gives the sum of ages there.  Horizons are capped at
 2^31 slots, where every such sum stays below 2^63.  The server state
-crosses window boundaries (the held-back LCFS arrival, the last FCFS
-departure, the last RAD attempt and the freshest arrival, or a DAD
-timer's held arrival and its attempt), so memory is O(_CHUNK) whatever
-the horizon; Markov arrivals and the attempts of a RAD timer with more
-than one duration are renewal processes whose events drawn past a window
-wait for it.  While the sum of ages over the horizon stays below 2^53,
-every partial sum of per-slot ages is exact in float64 too, so the mean
-and the batch means equal those of the per-slot ages bit for bit.
+crosses window boundaries (a last-come server's held-back arrival and its
+exit, the last FCFS departure, or the last RAD attempt and the freshest
+arrival), so memory is O(_CHUNK) whatever the horizon; Markov arrivals and
+the attempts of a RAD timer with more than one duration are renewal
+processes whose events drawn past a window wait for it.  While the sum of
+ages over the horizon stays below 2^53, every partial sum of per-slot ages
+is exact in float64 too, so the mean and the batch means equal those of
+the per-slot ages bit for bit.
 
 The servers select a window's deliveries by index, which numpy does faster
 than by boolean mask.  Service and timer draws take their route from the
 pmf's support: one duration with no tail draws nothing, two durations
 with no tail take one coin per draw, and any other pmf a guide-table bucket.
-A RAD timer of one duration tau dumps at the multiples of tau, so each
-arrival's attempt is integer arithmetic; any other timer's attempts are a
-renewal stream, and each attempt's freshest arrival is found by a scan of
-the window's slots or a binary search, by attempt density.
+Preemptive LCFS and a RAD timer of one duration tau (DAD) are one
+last-come server: the update arriving in slot t leaves at its exit,
+t + s - 1 or ceil(t / tau) tau, unless a fresher one lands first.  Any
+other timer's attempts are a renewal stream, and each attempt's freshest
+arrival is found by a scan of the window's slots or a binary search, by
+attempt density.
 
 Each random role of a run (arrival coins: Bernoulli arrivals or Markov
 stay-or-leave coins; Markov idle lengths; FCFS admission coins; service or
@@ -354,30 +356,39 @@ def _one(slot, stamp):
     return np.array([slot], dtype=np.int64), np.array([stamp], dtype=np.int64)
 
 
-def _lcfs(service, cfg, chunks):
-    """Preemptive LCFS: an arrival replaces the in-service update.
-
-    The update arriving in slot t with draw s departs in slot t + s - 1
-    unless a later arrival lands on or before that slot.  The last arrival
-    of a chunk is held back until the next chunk's first arrival decides.
-    Every arrival lies on or before the horizon, so an update that departs
-    before the next arrival does too; only the last one is tested against it.
+def _last_come(exits, horizon, chunks):
+    """A last-come server: an update leaves at its exit slot, ``exits(fresh)``
+    per chunk and never before its arrival, unless a later arrival lands on
+    or before it.  A chunk's last arrival is held back until the next chunk's
+    first arrival decides.  An update that leaves before the next arrival
+    does so by the horizon; only the last one is tested against it.
     """
-    sample = _sampler(cfg, service)
     arrival = departure = 0  # the held arrival and its departure (0: none)
     for fresh in chunks:
         if len(fresh) == 0:
             continue
         if arrival and fresh[0] > departure:
             yield _one(departure, arrival - 1)
-        departures = sample(len(fresh))
-        departures += fresh
-        departures -= 1
+        departures = exits(fresh)
         done = np.flatnonzero(fresh[1:] > departures[:-1])
         yield departures.take(done), fresh.take(done) - 1
         arrival, departure = int(fresh[-1]), int(departures[-1])
-    if arrival and departure <= cfg.horizon:
+    if arrival and departure <= horizon:
         yield _one(departure, arrival - 1)
+
+
+def _lcfs(service, cfg, chunks):
+    """Preemptive LCFS: an arrival replaces the update in service, so the one
+    arriving in slot t with draw s is last-come with exit t + s - 1."""
+    sample = _sampler(cfg, service)
+
+    def exits(fresh):
+        departures = sample(len(fresh))
+        departures += fresh
+        departures -= 1
+        return departures
+
+    return _last_come(exits, cfg.horizon, chunks)
 
 
 def _fcfs(service, cfg, chunks):
@@ -407,29 +418,6 @@ def _fcfs(service, cfg, chunks):
         yield departures[:done], arrivals[:done] - 1
 
 
-def _periodic_dumps(tau, horizon, chunks):
-    """RAD with attempts at tau, 2 tau, ...: arrival t waits for attempt ceil(t / tau) tau.
-
-    Each attempt delivers the last arrival that waits for it.  The window's
-    last arrival is held, with its attempt, until that attempt falls in a
-    window read or a later arrival replaces it.
-    """
-    held = attempt = 0  # the held arrival and its attempt (0: none)
-    for arrivals, start in zip(chunks, range(0, horizon, _CHUNK)):
-        if len(arrivals):
-            if attempt and attempt < arrivals[0]:
-                yield _one(attempt, held - 1)
-            attempts = arrivals + (tau - 1)
-            attempts //= tau
-            attempts *= tau
-            last = np.flatnonzero(attempts[1:] != attempts[:-1])  # the next arrival waits for a later attempt
-            yield attempts.take(last), arrivals.take(last) - 1
-            held, attempt = int(arrivals[-1]), int(attempts[-1])
-        if attempt and attempt <= min(start + _CHUNK, horizon):
-            yield _one(attempt, held - 1)
-            attempt = 0
-
-
 def _rad(service, cfg, chunks):
     """Accumulate-and-dump: the timer runs from slot 0, first attempt at D1.
 
@@ -437,17 +425,23 @@ def _rad(service, cfg, chunks):
     attempt (the buffer only ever holds the freshest update and is empty
     after every attempt); an empty-buffer attempt produces no output.
 
-    A timer of one duration tau (clipped to horizon + 1) attempts at the
-    multiples of tau and draws nothing.  Any other timer's attempts are a
-    renewal process of its draws, and the freshest arrival at each attempt
-    is a running maximum over the window's slots where attempts are dense
-    (more than one per 8 slots), and a binary search over the window's
-    arrivals where they are sparse; both give the last arrival on or before
-    the attempt.
+    A timer of one duration tau (clipped to horizon + 1) draws nothing: it is
+    the last-come server with exit ceil(t / tau) tau, the first attempt on
+    or after t.  Any other timer's attempts are a renewal process of its
+    draws, and the freshest arrival at each attempt is a running maximum
+    over the window's slots where attempts are dense (more than one per 8
+    slots), and a binary search over the window's arrivals where they are
+    sparse; both give the last arrival on or before the attempt.
     """
     tau = _one_duration(cfg)
     if tau is not None:
-        yield from _periodic_dumps(tau, cfg.horizon, chunks)
+        def exits(fresh):
+            attempts = fresh + (tau - 1)
+            attempts //= tau
+            attempts *= tau
+            return attempts
+
+        yield from _last_come(exits, cfg.horizon, chunks)
         return
     previous = latest = 0  # the last attempt reached, the freshest arrival (0: none)
     shortest = min(cfg.policy.pmf.durations[0], cfg.horizon + 1)

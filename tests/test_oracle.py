@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ageleak
@@ -369,9 +369,14 @@ def test_series_entries_are_the_horizon_answers(kind, pmf, n):
     pmf=st.one_of(_pmfs(6), _tailed_pmfs(6)),
     n=st.integers(0, 8),
 )
+@example(kind="fcfs", pmf=make_pmf([(d, 0.1) for d in range(1, 6)] + [(6, 0.5)]), n=12)
+@example(kind="fcfs", pmf=greedy_smp_pmf(0.3), n=11)
+@example(kind="lcfs", pmf=greedy_smp_pmf(0.3), n=11)
 def test_split_walk_equals_the_whole_table_walk(kind, pmf, n):
     # the series joins two half-walks through the server state at n // 2;
-    # the whole-table walk sums the same products in another order
+    # the whole-table walk sums the same products in another order.  Few
+    # states meet at the split up to n = 8, so the fixed cases past it make
+    # the matrix-product join sum over many states
     policy = Policy(kind, pmf)
     series = _maxl_series(policy, n)
     assert len(series) == n + 1
