@@ -62,10 +62,18 @@ def fcfs_age(lam, service_pmf: FinitePmf, alpha=1.0) -> AgeResult:
     return _fcfs_age_rows(lam, [service_pmf], [alpha])[0]
 
 
+#: The least effective arrival rate FCFS takes, the smallest normal double:
+#: below it 1 / rate, and with it the age, overflows.
+_LEAST_RATE = float(np.finfo(float).tiny)
+
+
 def _fcfs_age_rows(lam, service_pmfs, alphas):
     """:func:`fcfs_age` of each service pmf at its admission probability, in one batch."""
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
     rates = np.array([_as_probability(alpha, "admission probability", InvalidLambda) * lam for alpha in alphas])
+    if (rates < _LEAST_RATE).any():
+        raise InvalidLambda(f"effective arrival rate alpha*lambda {float(rates.min())!r} is below "
+                            f"{_LEAST_RATE!r}: the age, about 1 / rate, would pass the float range")
     table = _fcfs_table(service_pmfs)
     rho = rates * table.mean
     if (rho >= 1.0).any():
@@ -99,12 +107,17 @@ def _fcfs_ages(rates, table):
 
     M_g adds the head's g(s) lbar^s in duration order, so that padding
     changes nothing, then the tail's lbar g(H) lbar^(H-1) (1 - mu) lbar /
-    (rate + mu lbar).
+    (rate + mu lbar).  At rate 1, which rho < 1 allows only for a pmf whose
+    mass at one slot falls short of 1 within rounding, lbar and M_g(lbar)
+    both vanish, and lbar / M_g(lbar) takes its limit 1 / g(1).
     """
     t = table
     lbar, room = 1.0 - rates, 1.0 - rates * t.mean
     tail = lbar * (t.last * lbar ** (t.h - 1.0) * ((1.0 - t.mu) * lbar) / (rates + t.mu * lbar))
     mg = np.cumsum(t.masses * lbar ** t.durations, axis=0)[-1] + tail
+    edge = lbar == 0.0
+    if edge.any():
+        lbar, mg = np.where(edge, 1.0, lbar), np.where(edge, t.masses[0] * (t.durations[0] == 1.0), mg)
     return 1.0 + t.mean + lbar * room / (rates * mg) + rates * (t.second - t.mean) / (2.0 * room)
 
 

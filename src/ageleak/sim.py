@@ -19,12 +19,13 @@ the batch boundaries, gives the sum of ages there.  Horizons are capped at
 2^31 slots, where every such sum stays below 2^63.  The server state
 crosses window boundaries (a last-come server's held-back arrival and its
 exit, the last FCFS departure, or the last RAD attempt and the freshest
-arrival), so memory is O(_CHUNK) whatever the horizon; Markov arrivals and
-the attempts of a RAD timer with more than one duration are renewal
-processes whose events drawn past a window wait for it.  While the sum of
-ages over the horizon stays below 2^53, every partial sum of per-slot ages
-is exact in float64 too, so the mean and the batch means equal those of
-the per-slot ages bit for bit.
+arrival), so memory is O(_CHUNK) whatever the horizon: at most about 45
+bytes per window slot, 1.4 MB traced in windows of 2^15 slots.  Markov
+arrivals and the attempts of a RAD timer with more than one duration are
+renewal processes whose events drawn past a window wait for it.  While the
+sum of ages over the horizon stays below 2^53, every partial sum of
+per-slot ages is exact in float64 too, so the mean and the batch means
+equal those of the per-slot ages bit for bit.
 
 The servers select a window's deliveries by index, which numpy does faster
 than by boolean mask.  Service and timer draws take their route from the
@@ -79,8 +80,10 @@ DEFAULT_WARMUP = 10_000
 _T_29 = 2.0452296421327034
 
 #: Slots per window of a run, and the most draws taken at once; any value
-#: gives the same run.
-_CHUNK = 1 << 16
+#: gives the same run.  A window's buffers take at most about 45 bytes per
+#: slot, so 2^15 slots keep its working set within one core's L2 cache
+#: (1-2 MB); 2^14 slots pay more in per-window overhead than they save.
+_CHUNK = 1 << 15
 
 #: The longest horizon: its age sums, 2^61 at most, and every partial sum
 #: stay exact in int64.
@@ -187,7 +190,7 @@ class _Coins:
 
     def heads(self, size, p):
         """Indices of the heads among the next ``size`` coins, each heads with probability p."""
-        return np.flatnonzero(self.flips(size, p))
+        return self.flips(size, p).nonzero()[0]
 
 
 def _coins(cfg: SimConfig, role):
@@ -286,10 +289,14 @@ def _geometric_lengths(rng, p, size, cap):
     """``size`` Geometric(p) draws on {1, 2, ...} by inversion, each clipped to ``cap``."""
     if p >= 1.0:
         return np.ones(size, dtype=np.int64)
-    u = np.maximum(rng.random(size), 1e-300)
+    u = rng.random(size)
+    np.maximum(u, 1e-300, out=u)
+    np.log(u, out=u)
     with np.errstate(over="ignore"):  # a p near the smallest double overflows; the cap takes inf
-        lengths = np.ceil(np.log(u) / np.log1p(-p))
-    return np.minimum(lengths, cap).astype(np.int64)
+        u /= np.log1p(-p)
+    np.ceil(u, out=u)
+    np.minimum(u, cap, out=u)
+    return u.astype(np.int64)
 
 
 def _renewals(gaps, horizon, shortest):
@@ -299,7 +306,8 @@ def _renewals(gaps, horizon, shortest):
     slots.  A refill draws :data:`_CHUNK` gaps, or fewer where that many
     pass the horizon: from the last event drawn, floor((horizon - last) /
     shortest) + 1 gaps reach past it.  The events past a window's end wait
-    for the next window.
+    for the next window, and a refill writes its running sums straight
+    after them.
     """
     pending = np.zeros(0, dtype=np.int64)  # events drawn, not yet reached
     last = 0  # the last event drawn
@@ -307,10 +315,11 @@ def _renewals(gaps, horizon, shortest):
         end = min(start + _CHUNK, horizon)
         while last <= end:
             events = gaps(min(_CHUNK, (horizon - last) // shortest + 1))
-            np.cumsum(events, out=events)
-            events += last
-            pending = np.concatenate((pending, events))
-            last = int(pending[-1])
+            events[0] += last
+            drawn = np.empty(len(pending) + len(events), dtype=np.int64)
+            drawn[: len(pending)] = pending
+            np.cumsum(events, out=drawn[len(pending) :])
+            pending, last = drawn, int(drawn[-1])
         reached = np.searchsorted(pending, end, side="right")
         yield pending[:reached]
         pending = pending[reached:]
@@ -337,8 +346,10 @@ def _markov_gaps(cfg: SimConfig, coins):
                 leave = np.concatenate(([0], leave))
         else:
             leave = coins.heads(size, src.p10)
+        lengths = _geometric_lengths(idles, src.p01, len(leave), cfg.horizon + 1)
+        lengths += 1
         out = np.ones(size, dtype=np.int64)
-        out[leave] += _geometric_lengths(idles, src.p01, len(leave), cfg.horizon + 1)
+        out[leave] = lengths
         return out
 
     return gaps
@@ -370,8 +381,10 @@ def _last_come(exits, horizon, chunks):
         if arrival and fresh[0] > departure:
             yield _one(departure, arrival - 1)
         departures = exits(fresh)
-        done = np.flatnonzero(fresh[1:] > departures[:-1])
-        yield departures.take(done), fresh.take(done) - 1
+        done = (fresh[1:] > departures[:-1]).nonzero()[0]
+        stamps = fresh.take(done)
+        stamps -= 1
+        yield departures.take(done), stamps
         arrival, departure = int(fresh[-1]), int(departures[-1])
     if arrival and departure <= horizon:
         yield _one(departure, arrival - 1)
@@ -447,18 +460,31 @@ def _rad(service, cfg, chunks):
     shortest = min(cfg.policy.pmf.durations[0], cfg.horizon + 1)
     attempt_chunks = _renewals(_sampler(cfg, service), cfg.horizon, shortest)
     for attempts, arrivals, start in zip(attempt_chunks, chunks, range(0, cfg.horizon, _CHUNK)):
-        window = min(_CHUNK, cfg.horizon - start)
-        if 8 * len(attempts) > window:
-            mark = np.zeros(window + 1, dtype=np.int64)  # mark[i]: freshest arrival by slot start + i
-            mark[0] = latest
-            mark[arrivals - start] = arrivals
-            freshest = np.maximum.accumulate(mark, out=mark).take(attempts - start)
-        else:
-            freshest = np.concatenate(([latest], arrivals))[np.searchsorted(arrivals, attempts, side="right")]
-        filled = np.flatnonzero(freshest > np.concatenate(([previous], attempts[:-1])))
-        yield attempts.take(filled), freshest.take(filled) - 1
+        yield _dumps(attempts, arrivals, start, min(_CHUNK, cfg.horizon - start), previous, latest)
         previous = int(attempts[-1]) if len(attempts) else previous
         latest = int(arrivals[-1]) if len(arrivals) else latest
+
+
+def _dumps(attempts, arrivals, start, window, previous, latest):
+    """The deliveries of a window's attempts, given the attempt and the freshest arrival before it.
+
+    A function of its own, so that its window-length buffers are freed when it returns.
+    """
+    if 8 * len(attempts) > window:
+        mark = np.zeros(window + 1, dtype=np.int64)  # mark[i]: freshest arrival by slot start + i
+        mark[0] = latest
+        mark[arrivals - start] = arrivals
+        freshest = np.maximum.accumulate(mark, out=mark).take(attempts - start)
+        del mark
+    else:
+        freshest = np.concatenate(([latest], arrivals))[np.searchsorted(arrivals, attempts, side="right")]
+    filled = np.empty(len(freshest), dtype=bool)  # an attempt with an arrival since the one before
+    filled[:1] = freshest[:1] > previous
+    np.greater(freshest[1:], attempts[:-1], out=filled[1:])
+    filled = filled.nonzero()[0]
+    stamps = freshest.take(filled)
+    stamps -= 1
+    return attempts.take(filled), stamps
 
 
 #: Per chunk of arrivals, each server yields its delivery slots and their
@@ -506,12 +532,14 @@ class _Ages:
         """Deliveries in ``slots`` (increasing, none before the last fed) with their timestamps."""
         if len(slots) == 0:
             return
-        stamped = self.stamped + (int(slots[0]) - self.start) * self.stamp  # up to slots[0]
-        held = np.diff(slots)
+        first, last = int(slots[0]), int(slots[-1])
+        stamped = self.stamped + (first - self.start) * self.stamp  # up to slots[0]
+        held = np.subtract(slots[1:], slots[:-1])
         held *= stamps[:-1]  # held[k]: the timestamp sum over slots[k] + 1 .. slots[k + 1]
         summed = 0  # the products held[:summed] are in stamped
-        settled = np.searchsorted(self.points, slots[-1], side="right")
-        if settled > self.settled:  # points up to the last delivery lie in intervals fed here
+        if self.settled < len(self.points) and self.points[self.settled] <= last:
+            # points up to the last delivery lie in intervals fed here
+            settled = np.searchsorted(self.points, last, side="right")
             points = self.points[self.settled : settled].tolist()
             for i, (p, j) in enumerate(zip(points, np.searchsorted(slots, points).tolist()), self.settled):
                 if j == 0:  # no delivery of this feed lies before p
@@ -525,9 +553,11 @@ class _Ages:
             starts = np.concatenate(([self.start], slots[:-1]))  # interval k ends at slots[k]
             self._count(starts, slots, np.concatenate(([self.stamp], stamps[:-1])))
         self.stamped = stamped + int(held[summed:].sum())
-        self.start, self.stamp = int(slots[-1]), int(stamps[-1])
+        self.start, self.stamp = last, int(stamps[-1])
         self.deliveries += len(slots)
-        self.late += len(slots) - int(np.searchsorted(slots, self.warmup, side="right"))
+        self.late += len(slots)
+        if first <= self.warmup:
+            self.late -= int(np.searchsorted(slots, self.warmup, side="right"))
 
     def _count(self, starts, ends, marks):
         first = np.maximum(starts, self.warmup) + 1
@@ -597,6 +627,7 @@ def simulate(cfg: SimConfig) -> SimStats:
     ages, service = _Ages(cfg.horizon, cfg.warmup), _coins(cfg, _SERVICE)
     for slots, stamps in _SERVERS[cfg.policy.kind](service, cfg, chunks()):
         ages.feed(slots, stamps)
+        del slots, stamps  # freed before the server's next window
     mean, ci = ages.stats()
     _log_run(cfg.policy.kind, cfg, arrived[0], ages, coins, service)
     return SimStats(mean, ci, ages.late, ages.late / (cfg.horizon - cfg.warmup))
@@ -618,7 +649,7 @@ def empirical_source_age(cfg: SimConfig, return_pmf=False):
     for generated_at in _arrival_chunks(cfg, coins):
         generated_at -= 1
         ages.feed(generated_at, generated_at)
-        generated += int(np.count_nonzero(generated_at >= cfg.warmup))
+        generated += len(generated_at) - int(np.searchsorted(generated_at, cfg.warmup))
     mean, ci = ages.stats()
     _log_run("source", cfg, ages.deliveries, ages, [coins])
     measured = cfg.horizon - cfg.warmup

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,23 @@ def test_fcfs_age_geometric():
 def test_fcfs_age_unstable():
     with pytest.raises(Unstable):
         fcfs_age(0.5, deterministic_pmf(2))
+
+
+def test_fcfs_age_at_rate_one_takes_the_limit():
+    """At rate 1 only a pmf one slot long within rounding is stable; lbar / M_g(lbar) takes its limit 1 / g(1)."""
+    pmf = make_pmf([(1, 0.999999999999999)])
+    assert fcfs_age(1.0, pmf).delta == 2.0  # an update every slot, each served in one slot
+    assert fcfs_age(1.0 - 1e-9, pmf).delta == pytest.approx(2.0, abs=1e-8)
+
+
+def test_fcfs_age_refuses_rates_whose_age_overflows():
+    """An effective rate that underflows to 0 or is subnormal is refused; the smallest normal one answers."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam, alpha in ((1e-300, 1e-300), (1e-300, 1e-12), (5e-324, 1.0)):
+            with pytest.raises(InvalidLambda, match="effective arrival rate"):
+                fcfs_age(lam, deterministic_pmf(1), alpha)
+        assert math.isfinite(fcfs_age(2.2250738585072014e-308, geometric_pmf(0.5)).delta)
 
 
 def test_mbt_age():

@@ -219,6 +219,22 @@ def test_unstable_fcfs_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["--pmf", '{"entries": [[1, 0.999999999999999]]}', "--lambda", "1"], 0, "delta 2.0\n", ""),
+    (["--pmf", '{"entries": [[1, 1.0]]}', "--lambda", "1e-300", "--alpha", "1e-300"], 2, "",
+     "error: effective arrival rate alpha*lambda 0.0 is below 2.2250738585072014e-308: the age, about 1 / rate, "
+     "would pass the float range\n"),
+    (["--pmf", '{"entries": [[1, 1.0]]}', "--lambda", "1e-300", "--alpha", "1e-12"], 2, "",
+     "error: effective arrival rate alpha*lambda 1e-312 is below 2.2250738585072014e-308: the age, about 1 / rate, "
+     "would pass the float range\n"),
+], ids=["rate-one", "rate-underflows-to-zero", "subnormal-rate"])
+def test_fcfs_ages_at_the_edges_under_warnings_as_errors(argv, code, out, err):
+    env = {**os.environ, "PYTHONPATH": str(Path(ageleak.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "ageleak.cli", "age", "--policy", "fcfs", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "age.txt"
     code, _ = run(

@@ -989,21 +989,52 @@ def traced_peak(run, cfg):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["lcfs-geo", "thinned-fcfs", "dad5-markov", "markov-source"])
+GREEDY = greedy_smp_pmf(0.5)
+
+#: One run per server route, and the source-only route: RAD's scan over the
+#: window's slots (dense attempts, two-point and guide-table timers), RAD's
+#: binary search (sparse attempts), DAD, LCFS with guide-table service,
+#: thinned FCFS, DAD under a Markov source and the Markov source alone.
+ROUTES = {
+    "ddad-dense": (policy_from_config({"kind": "ddad", "rate": 1 / 1.5}), BERN),
+    "rad-uniform3": (Policy.rad(uniform_pmf(3)), BERN),
+    "ddad-sparse": (policy_from_config({"kind": "ddad", "rate": 1 / 11.5}), BERN),
+    "dad5": (Policy.dad(5), BERN),
+    "lcfs-geo": (Policy.lcfs(geometric_pmf(0.25)), BERN),
+    "thinned-fcfs": (Policy.fcfs(GREEDY, alpha=optimal_alpha_for_fcfs(0.5, GREEDY)[0]), BERN),
+    "dad5-markov": (Policy.dad(5), MarkovSource(0.05, 0.2)),
+    "markov-source": (None, MarkovSource(0.05, 0.2)),
+}
+
+
+def route_run(name, horizon, return_pmf=False):
+    """The run of route ``name`` and its config at ``horizon`` slots."""
+    policy, source = ROUTES[name]
+    run = (lambda cfg: empirical_source_age(cfg, return_pmf)) if policy is None else simulate
+    return run, SimConfig(policy, source, horizon=horizon, seed=1)
+
+
+@pytest.mark.parametrize("name", ROUTES)
 def test_traced_memory_does_not_grow_with_the_horizon(name):
-    greedy = greedy_smp_pmf(0.5)
-    policy, source = {
-        "lcfs-geo": (Policy.lcfs(geometric_pmf(0.25)), BERN),
-        "thinned-fcfs": (Policy.fcfs(greedy, alpha=optimal_alpha_for_fcfs(0.5, greedy)[0]), BERN),
-        "dad5-markov": (Policy.dad(5), MarkovSource(0.05, 0.2)),
-        "markov-source": (None, MarkovSource(0.05, 0.2)),
-    }[name]
-    run = empirical_source_age if policy is None else simulate
-    short, long = (SimConfig(policy, source, horizon=h, seed=1) for h in (10**6, 8 * 10**6))
+    """A run holds one window's buffers: under 2 MB traced at 10^6 slots, and no more at 8 10^6."""
+    run, short = route_run(name, 10**6)
+    long = SimConfig(short.policy, short.source, horizon=8 * 10**6, seed=1)
     run(short)  # the first call pays one-off allocations
     short_peak, long_peak = traced_peak(run, short), traced_peak(run, long)
+    assert short_peak < 2 * 2**20
     assert long_peak <= 1.25 * short_peak
     assert long_peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_window_size_leaves_long_runs_as_they_are(name):
+    """10^6-slot runs give the same results in the shipped windows, in windows of 2^16 slots and in odd ones."""
+    run, cfg = route_run(name, 10**6, return_pmf=True)
+    results = set()
+    for chunk in (sim._CHUNK, 1 << 16, 4093):
+        with mock.patch.object(sim, "_CHUNK", chunk):
+            results.add(repr(run(cfg)))
+    assert len(results) == 1
 
 
 def test_dump_period_past_the_horizon_runs_as_horizon_plus_one():
@@ -1055,7 +1086,7 @@ class _Refusing:
 @pytest.mark.parametrize("source", [BERN, MarkovSource(0.05, 0.2)], ids=["bernoulli", "markov"])
 @pytest.mark.parametrize("tau", [1, 2, 5, 40, 20_000 + 5])
 def test_one_point_pmfs_read_no_service_draw(monkeypatch, kind, source, tau):
-    """A pmf of one duration and no tail draws nothing, in windows of 64 slots and of 2^16.
+    """A pmf of one duration and no tail draws nothing, in windows of 64 slots and of the shipped size.
 
     Its service role's words and tie stream raise when read, and the run
     still equals the whole-run reference.
@@ -1326,6 +1357,6 @@ def test_fcfs_stops_serving_past_the_horizon():
     window_last = departures[np.searchsorted(arrivals, ends, side="right") - 1]
     first_past = int(np.argmax(window_last > cfg.horizon))
     assert window_last[first_past] > cfg.horizon
-    assert len(served) == first_past + 1 < len(ends) == 16
+    assert len(served) == first_past + 1 < len(ends) == -(-cfg.horizon // sim._CHUNK)
     assert sum(served) == np.searchsorted(arrivals, ends[first_past], side="right")
     assert repr(stats) == repr(whole_simulate(cfg))
