@@ -28,24 +28,38 @@ class AgeResult:
             raise InvalidConfig(f"average age {self.delta!r} is below one slot")
 
 
-def lcfs_age(lam, service_pmf: FinitePmf) -> AgeResult:
+def _lcfs_age(lam, service_pmf: FinitePmf) -> AgeResult:
     """Preemptive LCFS Ber/G/1 age: 1 + 1 / (lam * E[(1-lam)^(S-1)]).
 
-    The expectation runs over the service head, plus a tail's closed form.
+    The expectation E runs over the service head, plus a tail's closed form.
     If it vanishes (lam = 1 with no single-slot service mass) no update ever
-    completes and the age diverges.
+    completes and the age diverges.  Below lam = 1, a completion rate lam*E
+    under :data:`_LEAST_RATE` is refused, as FCFS's effective rate is.
     """
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
     lbar = 1.0 - lam
     head = (p * lbar ** (s - 1) for s, p in zip(service_pmf.durations, service_pmf.probabilities))
     expectation = math.fsum([*head, service_pmf._tail_sum(lbar, lam)])
-    if expectation <= 0.0:
+    if lam == 1.0 and expectation <= 0.0:
         return AgeResult(math.inf)
+    _refuse_below_least_rate(lam * expectation, "completion rate lambda*E[(1-lambda)^(S-1)]")
     return AgeResult(1.0 + 1.0 / (lam * expectation))
 
 
-def fcfs_age(lam, service_pmf: FinitePmf, alpha=1.0) -> AgeResult:
-    """FCFS Ber/G/1 age with Bernoulli(alpha) admission thinning.
+#: The least rate an age formula takes, the smallest normal double: below
+#: it 1 / rate, and with it the age, overflows.
+_LEAST_RATE = float(np.finfo(float).tiny)
+
+
+def _refuse_below_least_rate(rate, what):
+    if rate < _LEAST_RATE:
+        raise InvalidLambda(f"{what} {float(rate)!r} is below {_LEAST_RATE!r}: "
+                            "the age, about 1 / rate, would pass the float range")
+
+
+def _fcfs_age_rows(lam, service_pmfs, alphas):
+    """FCFS Ber/G/1 age of each service pmf, thinned by Bernoulli admission
+    at its probability in ``alphas``, in one batch.
 
     Evaluates the four-term discrete-time formula with the effective rate
     alpha*lam substituted for the arrival rate throughout:
@@ -56,24 +70,12 @@ def fcfs_age(lam, service_pmf: FinitePmf, alpha=1.0) -> AgeResult:
     where rate = alpha*lam, lbar = 1 - rate, rho = rate*E[S] and
     M_g(x) = sum_s g(s) x^s.  Raises :class:`Unstable` when rho >= 1.
 
-    This is the batched age of many pmfs taken for one, about 60 us on an
-    Intel Xeon core, mostly numpy's per-call cost.
+    One pmf takes about 60 us on an Intel Xeon core, mostly numpy's
+    per-call cost.
     """
-    return _fcfs_age_rows(lam, [service_pmf], [alpha])[0]
-
-
-#: The least effective arrival rate FCFS takes, the smallest normal double:
-#: below it 1 / rate, and with it the age, overflows.
-_LEAST_RATE = float(np.finfo(float).tiny)
-
-
-def _fcfs_age_rows(lam, service_pmfs, alphas):
-    """:func:`fcfs_age` of each service pmf at its admission probability, in one batch."""
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
     rates = np.array([_as_probability(alpha, "admission probability", InvalidLambda) * lam for alpha in alphas])
-    if (rates < _LEAST_RATE).any():
-        raise InvalidLambda(f"effective arrival rate alpha*lambda {float(rates.min())!r} is below "
-                            f"{_LEAST_RATE!r}: the age, about 1 / rate, would pass the float range")
+    _refuse_below_least_rate(rates.min(), "effective arrival rate alpha*lambda")
     table = _fcfs_table(service_pmfs)
     rho = rates * table.mean
     if (rho >= 1.0).any():
@@ -102,8 +104,8 @@ def _fcfs_table(service_pmfs) -> _ServiceTable:
 
 def _fcfs_ages(rates, table):
     """The FCFS age of each pmf of a :func:`_fcfs_table` at its effective
-    arrival rate in ``rates``, each with rho < 1, by :func:`fcfs_age`'s
-    formula.
+    arrival rate in ``rates``, each with rho < 1, by
+    :func:`_fcfs_age_rows`'s formula.
 
     M_g adds the head's g(s) lbar^s in duration order, so that padding
     changes nothing, then the tail's lbar g(H) lbar^(H-1) (1 - mu) lbar /
@@ -121,8 +123,10 @@ def _fcfs_ages(rates, table):
     return 1.0 + t.mean + lbar * room / (rates * mg) + rates * (t.second - t.mean) / (2.0 * room)
 
 
-def rad_age(lam, dump_pmf: FinitePmf) -> AgeResult:
-    """Accumulate-and-dump age: 1/lam + E[D^2]/(2 E[D]) + 1/2."""
+def _rad_age(lam, dump_pmf: FinitePmf) -> AgeResult:
+    """Accumulate-and-dump age: 1/lam + E[D^2]/(2 E[D]) + 1/2; lam under
+    :data:`_LEAST_RATE` is refused."""
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
+    _refuse_below_least_rate(lam, "arrival rate lambda")
     m = pmf_moments(dump_pmf)
     return AgeResult(1.0 / lam + m.second_moment / (2.0 * m.mean) + 0.5)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .age import lcfs_age
+from .age import _lcfs_age
 from .errors import InvalidConfig
 from .leakage import rad_rate, smp_leakage_bits
 from .optimize import ddad_policy, greedy_smp_pmf
@@ -155,16 +155,16 @@ def _criterion_7():
     rng = np.random.default_rng(7)
     lam = 0.5
     for beta in (0.25, 0.4):
-        greedy_age = lcfs_age(lam, greedy_smp_pmf(beta)).delta
+        greedy_age = _lcfs_age(lam, greedy_smp_pmf(beta)).delta
         for _ in range(200):
             rival = make_pmf(_random_smp_entries(rng, beta))
-            if greedy_age > lcfs_age(lam, rival).delta + 1e-12:
+            if greedy_age > _lcfs_age(lam, rival).delta + 1e-12:
                 return False, f"greedy beaten at beta={beta}"
         for _ in range(200):
             s_min = int(rng.integers(2, 7))
             raised = _random_smp_entries(rng, beta, s_min=s_min)
             lowered = [(d - s_min + 1, p) for d, p in raised]
-            if not lcfs_age(lam, make_pmf(lowered)).delta < lcfs_age(lam, make_pmf(raised)).delta:
+            if not _lcfs_age(lam, make_pmf(lowered)).delta < _lcfs_age(lam, make_pmf(raised)).delta:
                 return False, f"shift to s_min=1 did not help at beta={beta}"
     return True, "exchange and shift optimality hold for 800 competitors"
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: age, leakage, rate, optimize, sweep, simulate, oracle, check.
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence.
+Exit codes: 0 success, 1 a check failed, 2 validation error, 3 numerical
+non-convergence.
 """
 
 import argparse

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .age import AgeResult, fcfs_age, lcfs_age, rad_age
+from .age import AgeResult, _fcfs_age_rows, _lcfs_age, _rad_age
 from .errors import (
     InvalidConfig, InvalidLambda, InvalidTau, NonHalfIntegerTau, _as_dict, _as_finite, _as_int,
     _as_probability,
@@ -73,10 +73,10 @@ class Policy:
     def mean_age(self, lam) -> AgeResult:
         """Long-run average age at the monitor under a Bernoulli(lam) source."""
         if self.kind == "lcfs":
-            return lcfs_age(lam, self.pmf)
+            return _lcfs_age(lam, self.pmf)
         if self.kind == "fcfs":
-            return fcfs_age(lam, self.pmf, self.alpha)
-        return rad_age(lam, self.pmf)
+            return _fcfs_age_rows(lam, [self.pmf], [self.alpha])[0]
+        return _rad_age(lam, self.pmf)
 
     def _smp(self):
         """Minimum service time s1 and its mass of a coupled kind's SMP pmf."""
@@ -84,7 +84,7 @@ class Policy:
             raise InvalidConfig("service pmf is not shortest-most-probable; the SMP form does not apply")
         # Thinned FCFS keeps the unthinned coefficients: the admission lottery
         # is presumed invisible to the timing adversary.  The exact oracle
-        # shows this is only an upper bound; ROADMAP.md item 3(d) replaces it.
+        # shows this is only an upper bound; ROADMAP.md item 17(d) replaces it.
         return self.pmf.s_min, self.pmf.probabilities[0]
 
     def leakage_bits(self, n) -> LeakageResult:

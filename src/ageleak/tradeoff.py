@@ -219,7 +219,7 @@ def read_csv(path) -> list:
     """Reconstruct trade-off points from an emitted CSV file."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != CSV_COLUMNS:
             raise InvalidConfig(f"unexpected CSV header {header!r}")
         points = []

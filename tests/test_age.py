@@ -8,13 +8,10 @@ from ageleak import (
     Policy,
     ddad_policy,
     deterministic_pmf,
-    fcfs_age,
     geometric_pmf,
-    lcfs_age,
     make_pmf,
     pmf_moments,
     policy_from_config,
-    rad_age,
     uniform_pmf,
 )
 from ageleak.errors import InvalidLambda, InvalidRate, Unstable
@@ -66,48 +63,48 @@ def dither_age(lam, rate):
 
 
 def test_lcfs_age_geometric():
-    assert lcfs_age(0.5, geometric_pmf(0.25)).delta == pytest.approx(6.0, abs=1e-9)
+    assert Policy.lcfs(geometric_pmf(0.25)).mean_age(0.5).delta == pytest.approx(6.0, abs=1e-9)
 
 
 def test_lcfs_age_zero_delay():
-    assert lcfs_age(0.5, deterministic_pmf(1)).delta == pytest.approx(3.0, abs=1e-12)
+    assert Policy.lcfs(deterministic_pmf(1)).mean_age(0.5).delta == pytest.approx(3.0, abs=1e-12)
 
 
 def test_lcfs_age_greedy_two_term():
     pmf = make_pmf([(1, 0.4), (2, 0.4), (3, 0.2)])
     # E[(1/2)^(S-1)] = 0.4 + 0.2 + 0.05 = 0.65
-    assert lcfs_age(0.5, pmf).delta == pytest.approx(1.0 + 1.0 / (0.5 * 0.65), abs=1e-12)
-    assert lcfs_age(0.5, pmf).delta == pytest.approx(4.076923076923077, abs=1e-9)
+    assert Policy.lcfs(pmf).mean_age(0.5).delta == pytest.approx(1.0 + 1.0 / (0.5 * 0.65), abs=1e-12)
+    assert Policy.lcfs(pmf).mean_age(0.5).delta == pytest.approx(4.076923076923077, abs=1e-9)
 
 
 def test_lcfs_age_diverges_when_nothing_completes():
     # every-slot arrivals preempt any service longer than one slot
-    assert lcfs_age(1.0, deterministic_pmf(2)).delta == math.inf
+    assert Policy.lcfs(deterministic_pmf(2)).mean_age(1.0).delta == math.inf
 
 
 def test_lcfs_age_invalid_lambda():
     with pytest.raises(InvalidLambda):
-        lcfs_age(0.0, deterministic_pmf(1))
+        Policy.lcfs(deterministic_pmf(1)).mean_age(0.0)
 
 
 def test_fcfs_age_zero_delay():
-    assert fcfs_age(0.5, deterministic_pmf(1)).delta == pytest.approx(3.0, abs=1e-12)
+    assert Policy.fcfs(deterministic_pmf(1)).mean_age(0.5).delta == pytest.approx(3.0, abs=1e-12)
 
 
 def test_fcfs_age_geometric():
-    assert fcfs_age(0.5, geometric_pmf(0.75)).delta == pytest.approx(34.0 / 9.0, abs=1e-9)
+    assert Policy.fcfs(geometric_pmf(0.75)).mean_age(0.5).delta == pytest.approx(34.0 / 9.0, abs=1e-9)
 
 
 def test_fcfs_age_unstable():
     with pytest.raises(Unstable):
-        fcfs_age(0.5, deterministic_pmf(2))
+        Policy.fcfs(deterministic_pmf(2)).mean_age(0.5)
 
 
 def test_fcfs_age_at_rate_one_takes_the_limit():
     """At rate 1 only a pmf one slot long within rounding is stable; lbar / M_g(lbar) takes its limit 1 / g(1)."""
     pmf = make_pmf([(1, 0.999999999999999)])
-    assert fcfs_age(1.0, pmf).delta == 2.0  # an update every slot, each served in one slot
-    assert fcfs_age(1.0 - 1e-9, pmf).delta == pytest.approx(2.0, abs=1e-8)
+    assert Policy.fcfs(pmf).mean_age(1.0).delta == 2.0  # an update every slot, each served in one slot
+    assert Policy.fcfs(pmf).mean_age(1.0 - 1e-9).delta == pytest.approx(2.0, abs=1e-8)
 
 
 def test_fcfs_age_refuses_rates_whose_age_overflows():
@@ -116,8 +113,8 @@ def test_fcfs_age_refuses_rates_whose_age_overflows():
         warnings.simplefilter("error")
         for lam, alpha in ((1e-300, 1e-300), (1e-300, 1e-12), (5e-324, 1.0)):
             with pytest.raises(InvalidLambda, match="effective arrival rate"):
-                fcfs_age(lam, deterministic_pmf(1), alpha)
-        assert math.isfinite(fcfs_age(2.2250738585072014e-308, geometric_pmf(0.5)).delta)
+                Policy.fcfs(deterministic_pmf(1), alpha).mean_age(lam)
+        assert math.isfinite(Policy.fcfs(geometric_pmf(0.5)).mean_age(2.2250738585072014e-308).delta)
 
 
 def test_mbt_age():
@@ -137,18 +134,18 @@ def test_mbt_matches_thinned_fcfs_with_geometric_service():
         direct = mbt_age(alpha, mu, lam)
         general = policy_from_config({"kind": "mbt", "mu": mu, "alpha": alpha}).mean_age(lam).delta
         assert direct == pytest.approx(general, rel=1e-9)
-        assert general == fcfs_age(lam, geometric_pmf(mu), alpha).delta
+        assert general == Policy.fcfs(geometric_pmf(mu), alpha).mean_age(lam).delta
 
 
 def test_rad_age():
-    assert rad_age(0.5, deterministic_pmf(5)).delta == pytest.approx(5.0, abs=1e-12)
-    assert rad_age(0.5, geometric_pmf(0.25)).delta == pytest.approx(6.0, abs=1e-9)
-    assert rad_age(0.5, deterministic_pmf(1)).delta == pytest.approx(3.0, abs=1e-12)
+    assert Policy.rad(deterministic_pmf(5)).mean_age(0.5).delta == pytest.approx(5.0, abs=1e-12)
+    assert Policy.rad(geometric_pmf(0.25)).mean_age(0.5).delta == pytest.approx(6.0, abs=1e-9)
+    assert Policy.rad(deterministic_pmf(1)).mean_age(0.5).delta == pytest.approx(3.0, abs=1e-12)
 
 
 def test_ddad_age_integer_reduces_to_dad():
-    assert ddad_age(0.5, 5.0) == pytest.approx(rad_age(0.5, deterministic_pmf(5)).delta, abs=1e-12)
-    assert dither_age(0.5, 0.2) == rad_age(0.5, deterministic_pmf(5)).delta
+    assert ddad_age(0.5, 5.0) == pytest.approx(Policy.rad(deterministic_pmf(5)).mean_age(0.5).delta, abs=1e-12)
+    assert dither_age(0.5, 0.2) == Policy.rad(deterministic_pmf(5)).mean_age(0.5).delta
     assert dither_age(1.0, 1.0) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -195,7 +192,7 @@ def test_markov_monitor_age():
 def test_markov_monitor_age_consistent_with_rad_age():
     src = MarkovSource(0.5, 0.5)  # Bernoulli(0.5) equivalent
     for pmf in (deterministic_pmf(4), uniform_pmf(5)):
-        assert markov_monitor_age(src, pmf) == pytest.approx(rad_age(0.5, pmf).delta, abs=1e-12)
+        assert markov_monitor_age(src, pmf) == pytest.approx(Policy.rad(pmf).mean_age(0.5).delta, abs=1e-12)
 
 
 def test_renewal_sampling_age():
@@ -220,12 +217,12 @@ def test_age_floor_across_policies():
         lam = float(rng.uniform(0.05, 1.0))
         floor = 1.0 + 1.0 / lam
         tau = int(rng.integers(1, 30))
-        assert rad_age(lam, deterministic_pmf(tau)).delta >= floor - 1e-12
+        assert Policy.rad(deterministic_pmf(tau)).mean_age(lam).delta >= floor - 1e-12
         mu = float(rng.uniform(0.05, 1.0))
-        assert lcfs_age(lam, geometric_pmf(mu)).delta >= floor - 1e-12
+        assert Policy.lcfs(geometric_pmf(mu)).mean_age(lam).delta >= floor - 1e-12
         assert dither_age(lam, 1.0 / float(rng.uniform(1.0, 40.0))) >= floor - 1e-12
     # equality only at the zero-delay configuration
-    assert rad_age(0.5, deterministic_pmf(1)).delta == pytest.approx(3.0, abs=1e-12)
+    assert Policy.rad(deterministic_pmf(1)).mean_age(0.5).delta == pytest.approx(3.0, abs=1e-12)
 
 
 def test_lcfs_geometric_equals_rad_geometric():
@@ -233,14 +230,14 @@ def test_lcfs_geometric_equals_rad_geometric():
     # functionally equivalent
     for mu in (0.2, 0.5, 0.8):
         pmf = geometric_pmf(mu)
-        assert lcfs_age(0.5, pmf).delta == pytest.approx(rad_age(0.5, pmf).delta, rel=1e-9)
+        assert Policy.lcfs(pmf).mean_age(0.5).delta == pytest.approx(Policy.rad(pmf).mean_age(0.5).delta, rel=1e-9)
 
 
 def test_decoupled_age_ordering_at_fixed_mean():
     for tau in (2, 3, 5):
-        dad = rad_age(0.5, deterministic_pmf(tau)).delta
-        unif = rad_age(0.5, uniform_pmf(2 * tau - 1)).delta
-        geo = rad_age(0.5, geometric_pmf(1.0 / tau)).delta
+        dad = Policy.rad(deterministic_pmf(tau)).mean_age(0.5).delta
+        unif = Policy.rad(uniform_pmf(2 * tau - 1)).mean_age(0.5).delta
+        geo = Policy.rad(geometric_pmf(1.0 / tau)).mean_age(0.5).delta
         assert dad < unif < geo
         assert unif == pytest.approx(2.0 + (2.0 * tau + 1.0) / 3.0, abs=1e-9)
         assert geo == pytest.approx(2.0 + tau, abs=1e-9)

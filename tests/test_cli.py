@@ -42,7 +42,7 @@ def test_age_ddad(capsys):
 def test_age_rad_geometric_near_one(capsys):
     code, out = run(capsys, "age", "--policy", "rad-geo", "--mu", "0.99", "--lambda", "0.5")
     assert code == 0
-    assert float(value_of(out, "delta")) == ageleak.rad_age(0.5, ageleak.geometric_pmf(0.99)).delta
+    assert float(value_of(out, "delta")) == ageleak.Policy.rad(ageleak.geometric_pmf(0.99)).mean_age(0.5).delta
     assert float(value_of(out, "delta")) == pytest.approx(2.0 + 1.0 / 0.99, rel=1e-15)
 
 
@@ -220,17 +220,32 @@ def test_unstable_fcfs_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv,code,out,err", [
-    (["--pmf", '{"entries": [[1, 0.999999999999999]]}', "--lambda", "1"], 0, "delta 2.0\n", ""),
-    (["--pmf", '{"entries": [[1, 1.0]]}', "--lambda", "1e-300", "--alpha", "1e-300"], 2, "",
+    (["--policy", "fcfs", "--pmf", '{"entries": [[1, 0.999999999999999]]}', "--lambda", "1"], 0, "delta 2.0\n", ""),
+    (["--policy", "fcfs", "--pmf", '{"entries": [[1, 1.0]]}', "--lambda", "1e-300", "--alpha", "1e-300"], 2, "",
      "error: effective arrival rate alpha*lambda 0.0 is below 2.2250738585072014e-308: the age, about 1 / rate, "
      "would pass the float range\n"),
-    (["--pmf", '{"entries": [[1, 1.0]]}', "--lambda", "1e-300", "--alpha", "1e-12"], 2, "",
+    (["--policy", "fcfs", "--pmf", '{"entries": [[1, 1.0]]}', "--lambda", "1e-300", "--alpha", "1e-12"], 2, "",
      "error: effective arrival rate alpha*lambda 1e-312 is below 2.2250738585072014e-308: the age, about 1 / rate, "
      "would pass the float range\n"),
-], ids=["rate-one", "rate-underflows-to-zero", "subnormal-rate"])
+    (["--policy", "dad", "--tau", "5", "--lambda", "1e-320"], 2, "",
+     "error: arrival rate lambda 1e-320 is below 2.2250738585072014e-308: the age, about 1 / rate, "
+     "would pass the float range\n"),
+    (["--policy", "lcfs-geo", "--tau", "4", "--lambda", "1e-320"], 2, "",
+     "error: completion rate lambda*E[(1-lambda)^(S-1)] 1e-320 is below 2.2250738585072014e-308: the age, "
+     "about 1 / rate, would pass the float range\n"),
+    (["--policy", "rad-uniform", "--tau", "2", "--lambda", "1e-310"], 2, "",
+     "error: arrival rate lambda 1e-310 is below 2.2250738585072014e-308: the age, about 1 / rate, "
+     "would pass the float range\n"),
+    # a finite age near 10^1999, whose E[(1-lambda)^(S-1)] = 0.1^1999 underflows to 0
+    (["--policy", "lcfs", "--pmf", '{"entries": [[2000, 1.0]]}', "--lambda", "0.9"], 2, "",
+     "error: completion rate lambda*E[(1-lambda)^(S-1)] 0.0 is below 2.2250738585072014e-308: the age, "
+     "about 1 / rate, would pass the float range\n"),
+], ids=["rate-one", "rate-underflows-to-zero", "subnormal-rate", "dad-subnormal-lambda", "lcfs-geo-subnormal-lambda",
+        "rad-uniform-subnormal-lambda", "lcfs-completion-underflows"])
 def test_fcfs_ages_at_the_edges_under_warnings_as_errors(argv, code, out, err):
+    """Ages at the input edges: a limit taken, or a typed refusal where the age would pass the float range."""
     env = {**os.environ, "PYTHONPATH": str(Path(ageleak.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "ageleak.cli", "age", "--policy", "fcfs", *argv],
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "ageleak.cli", "age", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
@@ -327,13 +342,20 @@ SCENARIO = {
         ("sweep", "--policy", "dad", "--grid", "3", "--seed", "3"),
         # a stepped grid whose stop lies before its start
         ("sweep", "--policy", "dad", "--grid", "5:1:1"),
+        # scenario files that are not JSON, name an unknown source kind or lack a key
+        ("simulate", "--scenario", b'{"policy": {"kind": "dad", "tau": 4},'),
+        ("simulate", "--scenario", dict(SCENARIO, source={"kind": "poisson", "lambda": 0.5})),
+        ("simulate", "--scenario", {key: value for key, value in SCENARIO.items() if key != "horizon"}),
     ],
 )
 def test_refused_inputs_exit_2(capsys, tmp_path, argv):
     argv = list(argv)
-    if not isinstance(argv[-1], str):  # a scenario, passed as the path of its JSON file
+    if not isinstance(argv[-1], str):  # a scenario, passed as the path of its JSON file, or of its raw bytes
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(argv[-1]))
+        if isinstance(argv[-1], bytes):
+            path.write_bytes(argv[-1])
+        else:
+            path.write_text(json.dumps(argv[-1]))
         argv[-1] = str(path)
     code = main(argv)
     captured = capsys.readouterr()
@@ -423,7 +445,7 @@ def test_cli_and_sweep_agree_for_every_family(capsys, family, value, flag):
 def test_rate_with_a_lag_past_int64_answers(capsys):
     code, out = run(capsys, "rate", "--policy", "rad", "--pmf", '{"entries": [[1, 0.5], [1e20, 0.5]]}')
     assert code == 0
-    assert float(value_of(out, "rate")) == ageleak.rad_rate(ageleak.make_pmf([(1, 0.5), (10**20, 0.5)]))
+    assert float(value_of(out, "rate")) == ageleak.leakage.rad_rate(ageleak.make_pmf([(1, 0.5), (10**20, 0.5)]))
 
 
 #: Address space of the child below: far under the 74.5 GiB a float64 array

@@ -1,6 +1,7 @@
 """The input rules: every outside value passes one or is refused with a typed error."""
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from ageleak import (
     AgeLeakError,
     AgeResult,
     BernoulliSource,
+    DitherPolicy,
     LeakageResult,
     MarkovSource,
     Policy,
@@ -19,19 +21,20 @@ from ageleak import (
     ddad_policy,
     geometric_pmf,
     greedy_smp_pmf,
-    lcfs_age,
     load_scenario,
     policy_from_config,
+    read_csv,
     uniform_pmf,
 )
 from ageleak.checks import run_criterion
-from ageleak.tradeoff import efficiency
+from ageleak.tradeoff import dominance_check, efficiency
 from ageleak.errors import (
     InvalidBeta,
     InvalidConfig,
     InvalidLambda,
     InvalidRate,
     NegativeProbability,
+    NoOverlap,
     NonHalfIntegerTau,
     NonPositiveDuration,
     PmfError,
@@ -69,7 +72,7 @@ REFUSED = {
     "MarkovSource(0.5, '0.2')": (lambda: MarkovSource(0.5, "0.2"), InvalidConfig),
     "ddad_policy('0.4')": (lambda: ddad_policy("0.4"), InvalidRate),
     "ddad_policy(5e-324)": (lambda: ddad_policy(5e-324), InvalidRate),
-    "lcfs_age('0.5')": (lambda: lcfs_age("0.5", geometric_pmf(0.5)), InvalidLambda),
+    "lcfs_age('0.5')": (lambda: Policy.lcfs(geometric_pmf(0.5)).mean_age("0.5"), InvalidLambda),
     "leakage_bits('5')": (lambda: Policy.dad(2).leakage_bits("5"), InvalidConfig),
     "AgeResult(0.5)": (lambda: AgeResult(0.5), InvalidConfig),
     "LeakageResult(-1, 3)": (lambda: LeakageResult(-1.0, 3), InvalidConfig),
@@ -86,6 +89,16 @@ REFUSED = {
     "rad-uniform tau=8.98846567431158e+307": (
         lambda: policy_from_config({"kind": "rad-uniform", "tau": 8.98846567431158e307}), NonHalfIntegerTau
     ),
+    "SimConfig(source='bernoulli')": (lambda: SimConfig(None, "bernoulli", horizon=100, warmup=0), InvalidConfig),
+    "Policy('lifo')": (lambda: Policy("lifo", geometric_pmf(0.5)), InvalidConfig),
+    "policy_from_config({})": (lambda: policy_from_config({}), InvalidConfig),
+    "SweepSpec('dad', ())": (lambda: SweepSpec("dad", ()), InvalidConfig),
+    "dominance_check([], [])": (lambda: dominance_check([], []), NoOverlap),
+    "read_csv(not a sweep CSV)": (lambda: read_csv(__file__), InvalidConfig),
+    "read_csv(empty file)": (lambda: read_csv(os.devnull), InvalidConfig),
+    "DitherPolicy(j != i + 1)": (lambda: DitherPolicy(2, 4, 0.5, 0.5, 0.4), InvalidRate),
+    "DitherPolicy(p_i = 0)": (lambda: DitherPolicy(2, 3, 0.0, 1.0, 0.4), InvalidRate),
+    "DitherPolicy(residual)": (lambda: DitherPolicy(2, 3, 0.5, 0.5, 0.4), InvalidRate),
 }
 
 

@@ -16,13 +16,11 @@ from ageleak import (
     leakage_time,
     make_pmf,
     policy_from_config,
-    rad_leakage_bits,
-    rad_rate,
-    smp_leakage_bits,
     uniform_pmf,
 )
 from ageleak import leakage
 from ageleak.errors import ConvergenceFailure, InvalidBeta, InvalidConfig, NonHalfIntegerTau, ZeroRate
+from ageleak.leakage import rad_leakage_bits, rad_rate, smp_leakage_bits
 from ageleak.pmf import _pmf
 
 #: Horizons on either side of the recurrence kernel's block edges.

@@ -6,20 +6,19 @@ import pytest
 
 from ageleak import (
     DitherPolicy,
+    Policy,
     ddad_policy,
     deterministic_pmf,
-    fcfs_age,
     geometric_pmf,
     greedy_smp_pmf,
     is_smp,
-    lcfs_age,
     make_pmf,
     optimal_alpha_for_fcfs,
     pmf_moments,
-    rad_rate,
 )
 from ageleak.checks import _two_point_is_optimal
 from ageleak.errors import InvalidBeta, InvalidRate, NoFeasibleAlpha
+from ageleak.leakage import rad_rate
 from ageleak.optimize import _alpha_searches
 
 
@@ -135,7 +134,7 @@ def test_verify_two_point_optimality():
 def test_exchange_optimality_sample():
     rng = np.random.default_rng(37)
     beta = 0.4
-    greedy_delta = lcfs_age(0.5, greedy_smp_pmf(beta)).delta
+    greedy_delta = Policy.lcfs(greedy_smp_pmf(beta)).mean_age(0.5).delta
     for _ in range(50):
         entries = [(1, beta)]
         remaining = 1.0 - beta
@@ -146,7 +145,7 @@ def test_exchange_optimality_sample():
             entries.append((s, p))
             remaining -= p
             s += 1
-        assert greedy_delta <= lcfs_age(0.5, make_pmf(entries)).delta + 1e-12
+        assert greedy_delta <= Policy.lcfs(make_pmf(entries)).mean_age(0.5).delta + 1e-12
 
 
 def test_shift_to_one_strictly_improves():
@@ -158,7 +157,7 @@ def test_shift_to_one_strictly_improves():
         probs = raw / raw.sum()
         high = make_pmf([(offset + i, float(p)) for i, p in enumerate(probs)])
         low = make_pmf([(1 + i, float(p)) for i, p in enumerate(probs)])
-        assert lcfs_age(0.5, low).delta < lcfs_age(0.5, high).delta
+        assert Policy.lcfs(low).mean_age(0.5).delta < Policy.lcfs(high).mean_age(0.5).delta
 
 
 def test_optimal_alpha_zero_delay_prefers_no_thinning():
@@ -172,7 +171,7 @@ def test_optimal_alpha_thins_heavy_service():
     alpha, age = optimal_alpha_for_fcfs(0.5, pmf)
     assert alpha < 0.4  # stability forces thinning below 1/(lam E[S])
     assert math.isfinite(age.delta)
-    assert age.delta == pytest.approx(fcfs_age(0.5, pmf, alpha).delta, abs=1e-9)
+    assert age.delta == pytest.approx(Policy.fcfs(pmf, alpha).mean_age(0.5).delta, abs=1e-9)
 
 
 def test_optimal_alpha_respects_stability_bound():
@@ -185,7 +184,7 @@ def test_optimal_alpha_is_a_minimizer():
     alpha, age = optimal_alpha_for_fcfs(0.5, pmf)
     for trial in (alpha - 1e-3, alpha + 1e-3):
         if 0.0 < trial <= 1.0 and 0.5 * trial * pmf_moments(pmf).mean < 1.0:
-            assert fcfs_age(0.5, pmf, trial).delta >= age.delta - 1e-6
+            assert Policy.fcfs(pmf, trial).mean_age(0.5).delta >= age.delta - 1e-6
 
 
 @pytest.mark.parametrize("pmf", [greedy_smp_pmf(0.05), greedy_smp_pmf(0.12), greedy_smp_pmf(0.3),
@@ -196,11 +195,11 @@ def test_optimal_alpha_is_within_its_tolerance_of_a_fine_scan(pmf):
     # by its last bracket width, 1e-6, costs far less than 1e-10 of the age
     lam = 0.5
     alpha, age = optimal_alpha_for_fcfs(lam, pmf)
-    assert age.delta == fcfs_age(lam, pmf, alpha).delta
+    assert age.delta == Policy.fcfs(pmf, alpha).mean_age(lam).delta
     hi = min(1.0, (1.0 - 1e-9) / (lam * pmf_moments(pmf).mean))
 
     def least(grid):
-        ages = [fcfs_age(lam, pmf, float(a)).delta for a in grid]
+        ages = [Policy.fcfs(pmf, float(a)).mean_age(lam).delta for a in grid]
         return grid[int(np.argmin(ages))], min(ages)
 
     coarse, _ = least(np.linspace(1e-9, hi, 1001))

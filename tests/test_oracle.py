@@ -22,11 +22,10 @@ from ageleak import (
     greedy_smp_pmf,
     is_smp,
     make_pmf,
-    rad_leakage_bits,
-    smp_leakage_bits,
     uniform_pmf,
 )
 from ageleak.errors import AgeLeakError, HorizonTooLarge, InvalidConfig, UnnormalizedMass
+from ageleak.leakage import rad_leakage_bits, smp_leakage_bits
 from ageleak.oracle import _maxl_series, _step, _walk
 from ageleak.pmf import _pmf
 

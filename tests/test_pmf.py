@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 
 from ageleak import (
     FinitePmf,
+    Policy,
     ddad_policy,
     deterministic_pmf,
-    fcfs_age,
     geometric_pmf,
     greedy_smp_pmf,
     is_smp,
-    lcfs_age,
     make_pmf,
     pmf_moments,
-    rad_age,
-    rad_rate,
     uniform_pmf,
 )
 from ageleak.errors import (
@@ -28,6 +25,7 @@ from ageleak.errors import (
     PmfError,
     UnnormalizedMass,
 )
+from ageleak.leakage import rad_rate
 from ageleak.pmf import _pmf
 
 
@@ -326,12 +324,13 @@ def test_tail_closed_forms_match_sums_over_the_entries(pmf, lam, alpha):
         assert close(pmf.tail(r), math.fsum(p for d, p in entries if d > r), floor=2.0 ** -52)
         assert close(pmf.prob(r + 1), dict(entries).get(r + 1, 0.0), floor=2.0 ** -52)
     lbar = 1.0 - lam
-    assert close(lcfs_age(lam, pmf).delta, 1.0 + 1.0 / (lam * math.fsum(p * lbar ** (d - 1) for d, p in entries)))
-    assert close(rad_age(lam, pmf).delta, 1.0 / lam + second / (2.0 * mean) + 0.5)
+    assert close(Policy.lcfs(pmf).mean_age(lam).delta,
+                 1.0 + 1.0 / (lam * math.fsum(p * lbar ** (d - 1) for d, p in entries)))
+    assert close(Policy.rad(pmf).mean_age(lam).delta, 1.0 / lam + second / (2.0 * mean) + 0.5)
     assert close(rad_rate(pmf), explicit_rate(entries))
     rate = alpha * lam
     if rate * mean < 0.99:
         lbar = 1.0 - rate
         mg = math.fsum(p * lbar ** d for d, p in entries)
         want = 1.0 + mean + lbar * (1.0 - rate * mean) / (rate * mg) + rate * (second - mean) / (2.0 * (1.0 - rate * mean))
-        assert close(fcfs_age(lam, pmf, alpha).delta, want)
+        assert close(Policy.fcfs(pmf, alpha).mean_age(lam).delta, want)

@@ -23,12 +23,10 @@ from ageleak import (
     empirical_source_age,
     geometric_pmf,
     greedy_smp_pmf,
-    lcfs_age,
     load_scenario,
     make_pmf,
     optimal_alpha_for_fcfs,
     policy_from_config,
-    rad_age,
     simulate,
     uniform_pmf,
 )
@@ -68,7 +66,7 @@ def test_lcfs_greedy_agrees_with_closed_form():
 
     pmf = greedy_smp_pmf(0.4)
     cfg = SimConfig(Policy.lcfs(pmf), BERN, horizon=400_000, seed=17)
-    assert close_to(simulate(cfg), lcfs_age(0.5, pmf).delta)  # 4.076923...
+    assert close_to(simulate(cfg), Policy.lcfs(pmf).mean_age(0.5).delta)  # 4.076923...
 
 
 def test_dad_agrees_with_closed_form():
@@ -78,15 +76,13 @@ def test_dad_agrees_with_closed_form():
 
 def test_uniform_rad_agrees_with_closed_form():
     cfg = SimConfig(Policy.rad(uniform_pmf(3)), BERN, horizon=400_000, seed=4)
-    assert close_to(simulate(cfg), rad_age(0.5, uniform_pmf(3)).delta)
+    assert close_to(simulate(cfg), Policy.rad(uniform_pmf(3)).mean_age(0.5).delta)
 
 
 def test_fcfs_thinned_agrees_with_closed_form():
-    from ageleak import fcfs_age
-
     policy = Policy.fcfs(geometric_pmf(0.5), alpha=0.5)
     cfg = SimConfig(policy, BERN, horizon=400_000, seed=5)
-    assert close_to(simulate(cfg), fcfs_age(0.5, geometric_pmf(0.5), 0.5).delta)
+    assert close_to(simulate(cfg), Policy.fcfs(geometric_pmf(0.5), 0.5).mean_age(0.5).delta)
 
 
 def test_lcfs_and_rad_geometric_statistically_indistinguishable():
@@ -140,7 +136,7 @@ def test_markov_degenerates_to_bernoulli():
     # p01 = lam, p10 = 1 - lam gives i.i.d.-equivalent statistics
     src = MarkovSource(0.5, 0.5)
     cfg = SimConfig(Policy.dad(3), src, horizon=400_000, seed=12)
-    assert close_to(simulate(cfg), rad_age(0.5, deterministic_pmf(3)).delta)
+    assert close_to(simulate(cfg), Policy.rad(deterministic_pmf(3)).mean_age(0.5).delta)
 
 
 def test_fcfs_under_markov_source_runs():
@@ -223,7 +219,7 @@ def test_scenario_round_trip(tmp_path):
     assert cfg.policy == Policy.dad(4)
     assert cfg.seed == 77
     stats = simulate(cfg)
-    assert close_to(stats, rad_age(0.5, deterministic_pmf(4)).delta)
+    assert close_to(stats, Policy.rad(deterministic_pmf(4)).mean_age(0.5).delta)
 
 
 def test_scenario_markov_and_explicit_pmf(tmp_path):
@@ -244,7 +240,7 @@ def test_warmup_shields_initial_transient():
     lcfs = Policy.lcfs(geometric_pmf(0.5))
     loose = simulate(SimConfig(lcfs, BERN, horizon=300_000, warmup=0, seed=16))
     tight = simulate(SimConfig(lcfs, BERN, horizon=300_000, warmup=10_000, seed=16))
-    expected = lcfs_age(0.5, geometric_pmf(0.5)).delta
+    expected = Policy.lcfs(geometric_pmf(0.5)).mean_age(0.5).delta
     assert close_to(tight, expected)
     assert abs(loose.mean_age - expected) <= 0.05
 
