@@ -9,7 +9,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .optimize import ddad_policy, optimal_alpha_for_fcfs
 from .oracle import brute_force_maxl
 from .pmf import is_smp, pmf_moments
 from .policy import Policy, policy_from_config
-from .sim import DEFAULT_WARMUP, SimConfig, load_scenario, simulate
-from .sources import BernoulliSource, MarkovSource
+from .sim import DEFAULT_WARMUP, SimConfig, _source_from_config, load_scenario, simulate
 from .tradeoff import SweepSpec, sweep, write_csv
 
 
@@ -119,10 +118,11 @@ def _cmd_optimize(args):
         return 0
     lines = [f"pmf {policy.pmf.to_json()}"]
     if policy.kind == "fcfs":
-        alpha, _ = optimal_alpha_for_fcfs(args.lam, policy.pmf)
-        policy = replace(policy, alpha=alpha)
+        alpha, age = optimal_alpha_for_fcfs(args.lam, policy.pmf)
         lines.append(f"alpha {alpha!r}")
-    _emit(args, lines + [f"delta {policy.mean_age(args.lam).delta!r}"])
+    else:
+        age = policy.mean_age(args.lam)
+    _emit(args, lines + [f"delta {age.delta!r}"])
     return 0
 
 
@@ -130,8 +130,13 @@ def _cmd_optimize(args):
 _RUN_FLAGS = ("slots", "warmup", "seed")
 
 
+def _given(args, names):
+    """The flags among ``names`` that were given, by name; the parsers leave the others None."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _cmd_sweep(args):
-    run = {name: getattr(args, name) for name in _RUN_FLAGS if getattr(args, name) is not None}
+    run = _given(args, _RUN_FLAGS)
     if run and not args.simulate:
         raise InvalidConfig(f"--{next(iter(run))} is read only with --simulate")
     spec = SweepSpec(family=args.policy, grid=_parse_grid(args.grid), lam=args.lam, simulate=args.simulate, **run)
@@ -139,44 +144,24 @@ def _cmd_sweep(args):
     return 0
 
 
-#: The flags a scenario file replaces; the simulate parser leaves them None
-#: when not given, so that a scenario can refuse them.
-_SCENARIO_FLAGS = ("policy", "beta", "tau", "mu", "rate", "alpha", "pmf", "lam", "p01", "p10") + _RUN_FLAGS
-
-
 def _cmd_simulate(args):
-    if args.scenario:
-        for name in _SCENARIO_FLAGS:
-            if getattr(args, name) is not None:
+    """One run, from a scenario file or from the flags, with a source read as a scenario's is."""
+    if args.scenario is not None:
+        for name, value in vars(args).items():
+            if value is not None and name not in ("command", "run", "scenario", "out"):
                 flag = "--lambda" if name == "lam" else f"--{name}"
                 raise InvalidConfig(f"{flag} cannot be given with --scenario, which sets it")
         cfg = load_scenario(args.scenario)
     else:
-        if (args.p01 is None) != (args.p10 is None):
-            raise InvalidConfig("a Markov source needs both --p01 and --p10")
-        if args.p01 is None:
-            source = BernoulliSource(0.5 if args.lam is None else args.lam)
-        elif args.lam is None:
-            source = MarkovSource(args.p01, args.p10)
-        else:
-            raise InvalidConfig("a Markov source takes --p01 and --p10, not --lambda")
-        cfg = SimConfig(
-            _policy(args),
-            source,
-            horizon=1_000_000 if args.slots is None else args.slots,
-            warmup=DEFAULT_WARMUP if args.warmup is None else args.warmup,
-            seed=0 if args.seed is None else args.seed,
-        )
+        markov = _given(args, ("p01", "p10"))
+        spec = {"kind": "markov", **markov} if markov else {"kind": "bernoulli", "lambda": 0.5}
+        if args.lam is not None:
+            spec["lambda"] = args.lam
+        source = _source_from_config(spec)
+        horizon = 1_000_000 if args.slots is None else args.slots
+        cfg = SimConfig(_policy(args), source, horizon, **_given(args, ("warmup", "seed")))
     stats = simulate(cfg)
-    _emit(
-        args,
-        [
-            f"mean_age {stats.mean_age!r}",
-            f"ci_half_width {stats.ci_half_width!r}",
-            f"delivered {stats.delivered}",
-            f"output_rate {stats.output_rate!r}",
-        ],
-    )
+    _emit(args, [f"{field.name} {getattr(stats, field.name)!r}" for field in fields(stats)])
     return 0
 
 
@@ -215,8 +200,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, params=True, alpha=True, lam=False, n=False, sim=False, policy_required=True):
-        """--policy and --out, plus only the flags the subcommand reads."""
+    def add_common(p, run, params=True, alpha=True, lam=False, n=False, sim=False, policy_required=True):
+        """--policy and --out, plus only the flags the subcommand reads; ``run`` handles the subcommand."""
+        p.set_defaults(run=run)
         p.add_argument("--policy", required=policy_required, help="policy family (see README)")
         if params:
             p.add_argument("--beta", type=float, help="top service probability g(1)")
@@ -236,47 +222,35 @@ def build_parser():
             p.add_argument("--seed", type=int, help="seed of the run's random streams (default 0)")
         p.add_argument("--out", help="write output to this file instead of stdout")
 
-    add_common(sub.add_parser("age", help="closed-form average age"), lam=True)
-    add_common(sub.add_parser("leakage", help="finite-horizon leakage in bits"), n=True)
-    add_common(sub.add_parser("rate", help="asymptotic leakage rate and leakage time"))
+    add_common(sub.add_parser("age", help="closed-form average age"), _cmd_age, lam=True)
+    add_common(sub.add_parser("leakage", help="finite-horizon leakage in bits"), _cmd_leakage, n=True)
+    add_common(sub.add_parser("rate", help="asymptotic leakage rate and leakage time"), _cmd_rate)
     # optimize chooses FCFS's alpha itself
-    add_common(sub.add_parser("optimize", help="optimal policy construction"), alpha=False, lam=True)
+    add_common(sub.add_parser("optimize", help="optimal policy construction"), _cmd_optimize, alpha=False, lam=True)
 
     p_sweep = sub.add_parser("sweep", help="trade-off curve as CSV")
-    add_common(p_sweep, params=False, lam=True, sim=True)
+    add_common(p_sweep, _cmd_sweep, params=False, lam=True, sim=True)
     p_sweep.add_argument("--grid", required=True, help="start:stop:step or comma list")
     p_sweep.add_argument("--simulate", action="store_true", help="attach simulated ages")
 
     p_sim = sub.add_parser("simulate", help="run one slot simulation")
-    add_common(p_sim, lam=True, sim=True, policy_required=False)
-    p_sim.set_defaults(lam=None)  # filled in by _cmd_simulate
+    add_common(p_sim, _cmd_simulate, lam=True, sim=True, policy_required=False)
+    p_sim.set_defaults(lam=None)  # None unless given, as every simulate flag, for a scenario to refuse
     p_sim.add_argument("--scenario",
                        help="JSON scenario file; it sets the policy, source and run, so their flags are refused")
     p_sim.add_argument("--p01", type=float, help="Markov source: inactive-to-active probability")
     p_sim.add_argument("--p10", type=float, help="Markov source: active-to-inactive probability")
 
-    add_common(sub.add_parser("oracle", help="brute-force maximal leakage at small n"), n=True)
+    add_common(sub.add_parser("oracle", help="brute-force maximal leakage at small n"), _cmd_oracle, n=True)
 
-    sub.add_parser("check", help="run the acceptance suite")
+    sub.add_parser("check", help="run the acceptance suite").set_defaults(run=_cmd_check)
     return parser
-
-
-_COMMANDS = {
-    "age": _cmd_age,
-    "leakage": _cmd_leakage,
-    "rate": _cmd_rate,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "oracle": _cmd_oracle,
-    "check": _cmd_check,
-}
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConvergenceFailure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -144,8 +144,15 @@ def _as_finite(value, what, error, low):
     raise error(f"{what} {value!r} is not a finite number >= {low}")
 
 
-def _as_dict(value, what):
-    """``value`` if it is a JSON object (a dict), else :class:`InvalidConfig`."""
-    if isinstance(value, dict):
-        return value
-    raise InvalidConfig(f"{what} is a JSON {type(value).__name__}, not an object")
+def _as_dict(value, what, keys=None, optional=()):
+    """``value`` if it is a JSON object (a dict), else :class:`InvalidConfig`;
+    given ``keys``, an object that holds each of them and no other key but the ``optional``."""
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{what} is a JSON {type(value).__name__}, not an object")
+    if keys is not None:
+        missing = [key for key in keys if key not in value]
+        unread = [key for key in value if key not in keys and key not in optional]
+        for fault, names in (("needs", missing), ("does not read", unread)):
+            if names:
+                raise InvalidConfig(f"{what} {fault} {', '.join(map(repr, names))}")
+    return value

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .age import AgeResult, _fcfs_ages, _fcfs_table
+from .age import AgeResult, _fcfs_ages, _fcfs_table, _refuse_below_least_rate
 from .errors import InvalidBeta, InvalidLambda, InvalidRate, NoFeasibleAlpha, _as_probability
 from .leakage import _LN2
 from .pmf import DEFAULT_D_MAX, FinitePmf, _pmf
@@ -162,6 +162,8 @@ def _alpha_searches(lam, service_pmfs):
     most _ALPHA_TOL wide stays as it is."""
     lam = _as_probability(lam, "arrival rate", InvalidLambda)
     table = _fcfs_table(service_pmfs)
+    # alpha <= 1, so below the least rate alpha*lam is too; above it, the age 1/(alpha*lam) keeps it above
+    _refuse_below_least_rate(lam, "effective arrival rate alpha*lambda")
     eps = 1e-9
     hi = np.minimum(1.0, (1.0 - eps) / (lam * table.mean))
     if np.any(hi <= eps):  # so at the largest load

@@ -101,8 +101,9 @@ class Policy:
 
 
 def _explicit(spec):
+    pmf = _as_dict(spec["pmf"], "an explicit pmf", ("entries",))
     try:
-        entries = [(d, p) for d, p in spec["pmf"]["entries"]]
+        entries = [(d, p) for d, p in pmf["entries"]]
     except (TypeError, ValueError):
         raise InvalidConfig('an explicit pmf is {"entries": [[duration, probability], ...]}') from None
     return make_pmf(entries)
@@ -117,7 +118,7 @@ def _geometric(spec):
         if "tau" in spec:
             raise InvalidConfig("a geometric pmf takes its rate mu or its mean tau, not both")
         return geometric_pmf(spec["mu"])
-    return geometric_pmf(1.0 / _as_finite(spec["tau"], "mean service time", InvalidTau, low=1.0))
+    return geometric_pmf(1.0 / _as_finite(spec.get("tau"), "mean service time", InvalidTau, low=1.0))
 
 
 def _deterministic(spec):
@@ -189,12 +190,7 @@ def policy_from_config(spec: dict) -> Policy:
     if "kind" not in _as_dict(spec, "policy config"):
         raise InvalidConfig("policy config needs a 'kind'")
     entry = family(spec["kind"])
-    reads = ("kind", "alpha", entry.param) + (("mu", "tau") if entry.pmf is _geometric else ())
-    unread = [key for key in spec if key not in reads]
-    if unread:
-        raise InvalidConfig(f"policy {spec['kind']!r} does not read {', '.join(map(repr, unread))}")
-    try:
-        pmf = entry.pmf(spec)
-    except KeyError as missing:
-        raise InvalidConfig(f"policy {spec['kind']!r} needs {entry.param!r}; {missing} is missing") from None
-    return Policy(entry.kind, pmf, spec.get("alpha", 1.0))
+    # a geometric pmf reads its rate mu or its mean tau, and refuses both
+    keys, optional = ((), ("mu", "tau")) if entry.pmf is _geometric else ((entry.param,), ())
+    _as_dict(spec, f"policy {spec['kind']!r}", ("kind",) + keys, ("alpha",) + optional)
+    return Policy(entry.kind, entry.pmf(spec), spec.get("alpha", 1.0))

@@ -661,36 +661,35 @@ def empirical_source_age(cfg: SimConfig, return_pmf=False):
     return stats, pmf
 
 
+#: Each source kind's class, and the keys that give its arguments in order.
+_SOURCES = {"bernoulli": (BernoulliSource, ("lambda",)), "markov": (MarkovSource, ("p01", "p10"))}
+
+
 def _source_from_config(spec: dict):
     kind = _as_dict(spec, "scenario source").get("kind")
-    if kind == "bernoulli":
-        return BernoulliSource(spec["lambda"])
-    if kind == "markov":
-        return MarkovSource(spec["p01"], spec["p10"])
-    raise InvalidConfig(f"unknown source kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _SOURCES:
+        raise InvalidConfig(f"unknown source kind {kind!r}")
+    cls, keys = _SOURCES[kind]
+    _as_dict(spec, f"a {kind} source", ("kind",) + keys)
+    return cls(*(spec[key] for key in keys))
 
 
 def load_scenario(path) -> SimConfig:
     """Read a SimConfig from a JSON scenario file.
 
     Schema: {"policy": {...}, "source": {"kind": "bernoulli", "lambda": x}
-    or {"kind": "markov", "p01": x, "p10": y}, "horizon": n,
-    "warmup": n, "seed": n}.  Counts must be whole numbers and rates
-    probabilities; anything else is refused with a typed error.
+    or {"kind": "markov", "p01": x, "p10": y}, "horizon": n, "warmup": n,
+    "seed": n}, where "policy", "warmup" and "seed" are optional.  Counts are
+    whole numbers and rates probabilities; any other value or key is refused.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidConfig(f"scenario file {path!r} is not JSON: {exc}") from None
-    spec = _as_dict(spec, f"scenario file {path!r}")
-    try:
-        return SimConfig(
-            policy=policy_from_config(spec["policy"]) if spec.get("policy") else None,
-            source=_source_from_config(spec["source"]),
-            horizon=spec["horizon"],
-            warmup=spec.get("warmup", DEFAULT_WARMUP),
-            seed=spec.get("seed", 0),
-        )
-    except KeyError as missing:
-        raise InvalidConfig(f"scenario file is missing {missing}") from None
+    spec = _as_dict(spec, f"scenario file {path!r}", ("source", "horizon"), ("policy", "warmup", "seed"))
+    return SimConfig(
+        policy=policy_from_config(spec["policy"]) if spec.get("policy") else None,
+        source=_source_from_config(spec["source"]),
+        **{key: spec[key] for key in ("horizon", "warmup", "seed") if key in spec},
+    )

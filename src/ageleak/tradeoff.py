@@ -97,13 +97,13 @@ def sweep(spec: SweepSpec):
 
     Each point is the registry's policy at the grid value.  The grid's
     policies are built first; then the age-optimal admission probabilities
-    of a thinned family and the FCFS ages of all the points are each solved
-    in one batch, and the rates one policy at a time; then the points are
-    assembled.  Analytic errors from infeasible grid values (for example an
-    unstable unthinned FCFS load) propagate to the caller, the first of the
-    earliest of these steps that fails.  Simulation seeds are split per
-    point from the sweep seed, so sweeps are reproducible regardless of
-    evaluation order.
+    of a thinned family, with their ages, or else the FCFS ages of all the
+    points are solved in one batch, and the rates one policy at a time; then
+    the points are assembled.  Analytic errors from infeasible grid values
+    (for example an unstable unthinned FCFS load) propagate to the caller,
+    the first of the earliest of these steps that fails.  Simulation seeds
+    are split per point from the sweep seed, so sweeps are reproducible
+    regardless of evaluation order.
     """
     entry = family(spec.family)
     source = BernoulliSource(spec.lam)
@@ -112,7 +112,8 @@ def sweep(spec: SweepSpec):
     if entry.thinned:
         searches = _alpha_searches(spec.lam, [policy.pmf for policy in policies])
         policies = [replace(policy, alpha=alpha) for policy, (alpha, _) in zip(policies, searches)]
-    if entry.kind == "fcfs":
+        ages = [age for _, age in searches]
+    elif entry.kind == "fcfs":
         ages = _fcfs_age_rows(spec.lam, [policy.pmf for policy in policies], [policy.alpha for policy in policies])
     else:
         ages = [policy.mean_age(spec.lam) for policy in policies]
@@ -224,6 +225,9 @@ def read_csv(path) -> list:
             raise InvalidConfig(f"unexpected CSV header {header!r}")
         points = []
         for row in reader:
-            cells = zip(_CSV_FIELDS, row, strict=True)
-            points.append(TradeoffPoint(**{field: _value(text, field) for (_, field), text in cells}))
+            try:
+                cells = zip(_CSV_FIELDS, row, strict=True)
+                points.append(TradeoffPoint(**{field: _value(text, field) for (_, field), text in cells}))
+            except ValueError as exc:
+                raise InvalidConfig(f"CSV line {reader.line_num} is not a sweep point: {exc}") from None
     return points

@@ -185,6 +185,15 @@ def test_scenario_refuses_each_flag_it_sets(capsys, tmp_path, flag, value):
     assert capsys.readouterr().err == f"error: {flag} cannot be given with --scenario, which sets it\n"
 
 
+@pytest.mark.parametrize("flags, err", [
+    (("--p01", "0.1"), "error: a markov source needs 'p10'\n"),
+    (("--p01", "0.1", "--p10", "0.2", "--lambda", "0.3"), "error: a markov source does not read 'lambda'\n"),
+])
+def test_simulate_reads_its_source_flags_as_a_scenario_source(capsys, flags, err):
+    assert main(["simulate", "--policy", "dad", "--tau", "5", *flags]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_simulate_markov_flags(capsys):
     code, out = run(
         capsys, "simulate", "--policy", "dad", "--tau", "5", "--p01", "0.05", "--p10", "0.2",
@@ -212,6 +221,14 @@ def test_oracle_rad(capsys):
 def test_validation_error_exit_code(capsys):
     code = main(["age", "--policy", "lcfs-greedy", "--beta", "1.5"])
     assert code == 2
+
+
+def test_convergence_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(ageleak.leakage, "ROOT_MAX_ITER", 1)
+    assert main(["rate", "--policy", "rad-uniform", "--tau", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: root of sum c_d z^-d = 1 not located ")
 
 
 def test_unstable_fcfs_exit_code(capsys):
@@ -346,6 +363,16 @@ SCENARIO = {
         ("simulate", "--scenario", b'{"policy": {"kind": "dad", "tau": 4},'),
         ("simulate", "--scenario", dict(SCENARIO, source={"kind": "poisson", "lambda": 0.5})),
         ("simulate", "--scenario", {key: value for key, value in SCENARIO.items() if key != "horizon"}),
+        # JSON objects with a key nothing reads: a pmf's, a scenario's and a Markov source's
+        ("age", "--policy", "lcfs", "--pmf", '{"entries": [[1, 1.0]], "hazard": 0.3}', "--lambda", "0.5"),
+        ("simulate", "--scenario", dict(SCENARIO, warmpu=40_000)),
+        ("simulate", "--scenario", dict(SCENARIO, source={"kind": "markov", "p01": 0.1, "p10": 0.2, "lambda": 0.9})),
+        # an age-optimal admission search at an arrival rate below the least normal double
+        ("optimize", "--policy", "fcfs-greedy", "--beta", "0.5", "--lambda", "2e-308"),
+        ("optimize", "--policy", "fcfs-greedy", "--beta", "0.5", "--lambda", "1e-310"),
+        ("sweep", "--policy", "fcfs-greedy-thinned", "--grid", "0.5", "--lambda", "1e-310"),
+        # an empty scenario path, read as a path and not as no scenario
+        ("simulate", "--policy", "dad", "--tau", "5", "--slots", "20000", "--scenario", ""),
     ],
 )
 def test_refused_inputs_exit_2(capsys, tmp_path, argv):

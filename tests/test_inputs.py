@@ -2,6 +2,7 @@
 
 import json
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from ageleak import (
     uniform_pmf,
 )
 from ageleak.checks import run_criterion
-from ageleak.tradeoff import dominance_check, efficiency
+from ageleak.tradeoff import CSV_COLUMNS, dominance_check, efficiency
 from ageleak.errors import (
     InvalidBeta,
     InvalidConfig,
@@ -37,6 +38,7 @@ from ageleak.errors import (
     NoOverlap,
     NonHalfIntegerTau,
     NonPositiveDuration,
+    InvalidTau,
     PmfError,
 )
 from ageleak.policy import FAMILIES
@@ -59,6 +61,19 @@ SCENARIO = {
     "source": {"kind": "bernoulli", "lambda": 0.5},
     "horizon": 60_000,
 }
+
+
+def read_file_of(read, text):
+    """``read`` of a temporary file that holds ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return read(path)
+
+
+#: A sweep CSV's header line, for the malformed rows below it.
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 #: Malformed values and broken invariants, each with the typed error it raises.
@@ -99,6 +114,29 @@ REFUSED = {
     "DitherPolicy(j != i + 1)": (lambda: DitherPolicy(2, 4, 0.5, 0.5, 0.4), InvalidRate),
     "DitherPolicy(p_i = 0)": (lambda: DitherPolicy(2, 3, 0.0, 1.0, 0.4), InvalidRate),
     "DitherPolicy(residual)": (lambda: DitherPolicy(2, 3, 0.5, 0.5, 0.4), InvalidRate),
+    "load_scenario(warmpu)": (
+        lambda: read_file_of(load_scenario, json.dumps(dict(SCENARIO, warmpu=40_000))), InvalidConfig
+    ),
+    "load_scenario(markov source with lambda)": (
+        lambda: read_file_of(load_scenario, json.dumps(
+            dict(SCENARIO, source={"kind": "markov", "p01": 0.1, "p10": 0.2, "lambda": 0.9}))),
+        InvalidConfig,
+    ),
+    "load_scenario(no source)": (
+        lambda: read_file_of(load_scenario, json.dumps({"horizon": 60_000})), InvalidConfig
+    ),
+    "policy_from_config(pmf with hazard)": (
+        lambda: policy_from_config({"kind": "lcfs", "pmf": {"entries": [[1, 1.0]], "hazard": 0.3}}), InvalidConfig
+    ),
+    "policy_from_config(pmf a list)": (
+        lambda: policy_from_config({"kind": "lcfs", "pmf": [[1, 1.0]]}), InvalidConfig
+    ),
+    "policy_from_config(dad without tau)": (lambda: policy_from_config({"kind": "dad"}), InvalidConfig),
+    "policy_from_config(lcfs-geo without tau or mu)": (lambda: policy_from_config({"kind": "lcfs-geo"}), InvalidTau),
+    "read_csv(a cell not a number)": (
+        lambda: read_file_of(read_csv, CSV_HEADER + "dad,abc,0.5,bernoulli(0.5),3.5,0.5,2.0,,,\n"), InvalidConfig
+    ),
+    "read_csv(a short row)": (lambda: read_file_of(read_csv, CSV_HEADER + "dad,2.0,0.5\n"), InvalidConfig),
 }
 
 

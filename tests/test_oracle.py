@@ -296,7 +296,12 @@ def _ref_rad_row(arrays, n, x):
 
 def _ref_rows(policy, n):
     if policy.coupled:
-        return [_ref_coupled_row(policy.kind, policy.pmf.entries, n, x) for x in range(1 << n)]
+        # a service of n + 1 slots or more cannot end by slot n, so the listed
+        # durations past n act as one duration n + 1 with their summed mass
+        entries = [(d, p) for d, p in policy.pmf.entries if d <= n]
+        past = math.fsum(p for d, p in policy.pmf.entries if d > n)
+        entries += [(n + 1, past)] if past else []
+        return [_ref_coupled_row(policy.kind, entries, n, x) for x in range(1 << n)]
     arrays = _ref_rad_arrays(policy.pmf, n)
     return [_ref_rad_row(arrays, n, x) for x in range(1 << n)]
 
